@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
 
 from . import probio, runner, simplex
 from .reports import SolverConfig, gap
@@ -77,7 +77,7 @@ def _build_problem(kind, n=None, nbar=None, seed=0, infile=None):
             raise ConfigError("--in is required for problem file")
         try:
             return probio.load_problem(infile)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load problem file {infile}: {exc}") from exc
     raise ConfigError(f"unknown problem kind {kind!r}")
 
@@ -102,7 +102,8 @@ def _summary_row(method, s_exp, report, val_star):
     else:
         val_s = repr(float(final.val))
         infeas_s = repr(float(final.infeas))
-        gap_s = repr(gap(final.val, val_star)) if val_star is not None else "NA"
+        finite = val_star is not None and math.isfinite(final.val) and math.isfinite(val_star)
+        gap_s = repr(gap(final.val, val_star)) if finite else "NA"
     s_s = repr(float(s_exp)) if method == "pds" else "NA"
     return f"{method},{s_s},{val_s},{infeas_s},{gap_s},{report.wall_time_s:.3f}"
 
@@ -111,12 +112,11 @@ def _cmd_run(args):
     problem = _build_problem(args.problem, args.n, args.nbar, args.seed, args.infile)
     cfg = SolverConfig(solver=args.solver, eps=args.eps, iterations=args.K,
                        rho=args.rho, s_exp=args.s_exp, delta_exp=args.delta_exp,
-                       seed=args.seed, trace_every=args.trace_every)
+                       trace_every=args.trace_every)
     try:
-        cfg.validate()
+        report = runner.solve(problem, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = runner.solve(problem, cfg)
     if args.out is not None and not _write_trace(args.out, report.trace):
         return 3
     print(SUMMARY_HEADER)
@@ -172,10 +172,8 @@ def _cmd_compare(args):
                            iterations=batch.get("K", 10_000),
                            rho=entry.get("rho"), s_exp=s_exp,
                            delta_exp=batch.get("delta", 0.5),
-                           seed=pspec.get("seed", 0),
                            trace_every=batch.get("trace_every", 10))
         try:
-            cfg.validate()
             report = runner.solve(problem, cfg)
         except (ValueError, RuntimeError) as exc:
             rows.append(f"{solver},NA,NA,NA,NA,NA  # {exc}")

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .problem import DualPoint, single_constraint_form
+from .oracles import euclidean_norm
+from .problem import DualPoint, single_constraint_form, start_point
 
 __all__ = ["DsgState", "init_state", "saddle_subgradient", "step", "solve"]
 
@@ -35,11 +36,12 @@ SADDLE_TOL = 1e-14
 
 def saddle_subgradient(problem, z):
     """Concatenated direction (Gx, -Glam, -Gnu) at a DualPoint z."""
-    return _direction(problem, z.x, z.lam, z.nu)
+    return _direction(problem, z.concat())
 
 
-def _direction(problem, x, lam, nu):
+def _direction(problem, z):
     n, m, l = problem.n, problem.m, problem.l
+    x, lam, nu = z[:n], z[n:n + m], z[n + m:]
     _, g0 = problem.f0(x)
     gx = np.array(g0, dtype=float)
     out = np.empty(n + m + l)
@@ -70,7 +72,6 @@ class DsgState:
     x_hat: np.ndarray
     beta: float = 1.0
     delta: float = 0.0
-    k: int = 0
 
     @property
     def z(self):
@@ -85,26 +86,20 @@ class DsgState:
 
 
 def init_state(problem, x0=None, lam0=None, nu0=None):
-    n, m, l = problem.n, problem.m, problem.l
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    lam0 = np.zeros(m) if lam0 is None else np.asarray(lam0, dtype=float)
-    nu0 = np.zeros(l) if nu0 is None else np.asarray(nu0, dtype=float)
-    z0 = DualPoint(x0, lam0, nu0).concat()
+    z0 = start_point(problem, x0, lam0, nu0)
     return DsgState(
         problem=problem,
         z0=z0,
         z_arr=z0.copy(),
-        s_acc=np.zeros(n + m + l),
-        x_hat=np.zeros(n),
+        s_acc=np.zeros(z0.size),
+        x_hat=np.zeros(problem.n),
     )
 
 
 def step(problem, state):
     """One dual-averaging update in place. Returns False on saddle termination."""
-    g = _direction(problem, state.z_arr[:problem.n],
-                   state.z_arr[problem.n:problem.n + problem.m],
-                   state.z_arr[problem.n + problem.m:])
-    gnorm = float(np.linalg.norm(g))
+    g = _direction(problem, state.z_arr)
+    gnorm = euclidean_norm(g)
     if gnorm <= SADDLE_TOL:
         return False
     x_prev = state.z_arr[:problem.n]
@@ -113,7 +108,6 @@ def step(problem, state):
     state.delta += 1.0 / gnorm
     state.x_hat += x_prev / gnorm
     state.beta += 1.0 / state.beta
-    state.k += 1
     return True
 
 
@@ -136,37 +130,22 @@ def solve(problem, cfg, mode="multi"):
     else:
         run = problem
         fbar = None
-
     state = init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
-    collector = reports.TraceCollector(cfg.eps, cfg.trace_every, cfg.iterations)
-    status = reports.COMPLETED
 
-    for k in range(1, cfg.iterations + 1):
+    def advance():
         if not step(run, state):
-            status = reports.SADDLE_TERMINATED
-            break
+            return None
         x_bar = state.x_hat / state.delta
         val = run.f0.value(x_bar)
-        if mode == "single":
-            fv = fbar.value(x_bar)
-            infeas = fv if fv > 0.0 else 0.0
-        else:
-            infeas = run.infeasibility(x_bar)
-        collector.note(k, val, infeas)
+        if fbar is None:
+            return val, run.infeasibility(x_bar)
+        fv = fbar.value(x_bar)
+        return val, (fv if fv > 0.0 else 0.0)
 
-    x_out = state.x_bar
-    if x_out is None:
+    def x_out():
         # No step was taken (iterations = 0 or immediate saddle); there is
         # no averaged iterate to report, fall back to the start point.
-        x_out = state.z0[:run.n].copy()
-    if status is reports.COMPLETED and collector.p_eps is None:
-        status = reports.NO_EPS_FEASIBLE
-    return reports.SolveReport(
-        trace=collector.records,
-        p_eps=collector.p_eps,
-        x_out=x_out,
-        status=status,
-        eps=cfg.eps,
-        solver="mdsg" if mode == "multi" else "sdsg",
-        wall_time_s=collector.elapsed(),
-    )
+        x_bar = state.x_bar
+        return state.z0[:run.n].copy() if x_bar is None else x_bar
+
+    return reports.drive(cfg, "mdsg" if mode == "multi" else "sdsg", advance, x_out)

@@ -31,6 +31,7 @@ __all__ = [
     "HingeSumOracle",
     "LogBarrierOracle",
     "norm_power_subgrad",
+    "euclidean_norm",
     "LOG_SAFEGUARD",
 ]
 
@@ -46,6 +47,14 @@ def _as_vector(v, name="vector"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def _as_coords(coords, dim):
+    """Index array over coordinates [0, dim); None selects all of them."""
+    idx = np.arange(dim) if coords is None else np.asarray(coords, dtype=int)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= dim)):
+        raise ValueError(f"coords must be a list of indices in [0, {dim}), got {coords}")
+    return idx
 
 
 class ConvexOracle:
@@ -191,9 +200,7 @@ class Norm1Oracle(ConvexOracle):
 
     def __init__(self, dim, coords=None, offset=0.0):
         self.dim = int(dim)
-        if coords is None:
-            coords = np.arange(self.dim)
-        self.coords = np.asarray(coords, dtype=int)
+        self.coords = _as_coords(coords, self.dim)
         self.offset = float(offset)
 
     def __call__(self, x):
@@ -212,9 +219,7 @@ class SqNormOracle(ConvexOracle):
 
     def __init__(self, dim, coords=None, scale=1.0):
         self.dim = int(dim)
-        if coords is None:
-            coords = np.arange(self.dim)
-        self.coords = np.asarray(coords, dtype=int)
+        self.coords = _as_coords(coords, self.dim)
         self.scale = float(scale)
 
     def __call__(self, x):
@@ -237,7 +242,7 @@ class HingeSumOracle(ConvexOracle):
 
     def __init__(self, dim, coords, labels, scale=1.0):
         self.dim = int(dim)
-        self.coords = np.asarray(coords, dtype=int)
+        self.coords = _as_coords(coords, self.dim)
         self.labels = np.asarray(labels, dtype=float)
         if self.coords.shape != self.labels.shape:
             raise ValueError("coords and labels must have equal length")
@@ -297,7 +302,17 @@ def norm_power_subgrad(z, s):
     z = np.asarray(z, dtype=float)
     if s == 2.0:
         return 2.0 * z
-    nz = float(np.linalg.norm(z))
+    nz = euclidean_norm(z)
     if nz == 0.0:
         return np.zeros_like(z)
     return (s * nz ** (s - 2.0)) * z
+
+
+def euclidean_norm(v):
+    """||v||_2 of a 1-D float array.
+
+    Bit-identical to np.linalg.norm(v), which computes sqrt(v.dot(v)) for
+    this case, without its argument dispatch; the solvers call it on every
+    iteration.
+    """
+    return math.sqrt(v.dot(v))

@@ -18,6 +18,12 @@ the respective residual is zero), with the normalized step
 
 s = 2 recovers the standard primal-dual subgradient method; no code path
 special-cases it.
+
+The state keeps T together with f0(x), F(x) and Ax - b at its current z:
+``init_state`` evaluates them at z0 and each ``step`` moves along the
+cached T, then evaluates at the new z. ``solve`` runs ``step`` in the
+shared ``reports.drive`` loop and reads each trace row off those
+evaluations, so a run costs one direction evaluation per iteration.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .oracles import norm_power_subgrad
-from .problem import DualPoint
+from .oracles import euclidean_norm, norm_power_subgrad
+from .problem import DualPoint, start_point
 
 __all__ = ["PdsState", "init_state", "step_length", "penalized_saddle_subgradient",
            "step", "solve"]
@@ -44,9 +50,11 @@ def step_length(k, delta_exp):
     return float(k + 1) ** (-1.0 + delta_exp / 2.0)
 
 
-def _direction(problem, x, lam, nu, rho, s_exp):
-    """T at (x, lam, nu) plus the evaluations (f0_val, F, residual) at x."""
+def _direction(problem, z, rho, s_exp):
+    """T at the concatenated z = (x, lam, nu) plus the evaluations
+    (f0_val, F, Ax - b) at x."""
     n, m, l = problem.n, problem.m, problem.l
+    x, lam, nu = z[:n], z[n:n + m], z[n + m:]
     f0_val, g0 = problem.f0(x)
     tx = np.array(g0, dtype=float)
     out = np.empty(n + m + l)
@@ -75,13 +83,17 @@ def _direction(problem, x, lam, nu, rho, s_exp):
 
 def penalized_saddle_subgradient(problem, z, rho, s_exp):
     """Concatenated selection (Tx, -F(x), b - Ax) at a DualPoint z."""
-    out, _, _, _ = _direction(problem, z.x, z.lam, z.nu, rho, s_exp)
+    out, _, _, _ = _direction(problem, z.concat(), rho, s_exp)
     return out
 
 
 @dataclass
 class PdsState:
-    """Mutable per-run state; z is stored concatenated in ``z_arr``."""
+    """Mutable per-run state; z is stored concatenated in ``z_arr``.
+
+    ``t`` is the direction T at z_arr; ``f0_val``, ``fpos`` = F(x) and
+    ``r`` = Ax - b are the evaluations at its x computed along with T.
+    """
 
     problem: object
     z_arr: np.ndarray
@@ -89,96 +101,67 @@ class PdsState:
     s_exp: float
     delta_exp: float
     k: int = 0
+    t: np.ndarray | None = None
+    f0_val: float | None = None
+    fpos: np.ndarray | None = None
+    r: np.ndarray | None = None
 
     @property
     def z(self):
         return DualPoint.split(self.z_arr, self.problem.n, self.problem.m, self.problem.l)
 
 
+def _evaluate(problem, state):
+    """Refresh the cached direction and evaluations at state.z_arr."""
+    state.t, state.f0_val, state.fpos, state.r = _direction(
+        problem, state.z_arr, state.rho, state.s_exp)
+
+
 def init_state(problem, rho, s_exp, delta_exp, x0=None, lam0=None, nu0=None):
-    n, m, l = problem.n, problem.m, problem.l
     if not rho > 0:
         raise ValueError("rho must be positive")
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    lam0 = np.zeros(m) if lam0 is None else np.asarray(lam0, dtype=float)
-    nu0 = np.zeros(l) if nu0 is None else np.asarray(nu0, dtype=float)
-    z0 = DualPoint(x0, lam0, nu0).concat()
-    return PdsState(problem=problem, z_arr=z0, rho=rho, s_exp=s_exp,
-                    delta_exp=delta_exp)
+    state = PdsState(problem=problem, z_arr=start_point(problem, x0, lam0, nu0),
+                     rho=rho, s_exp=s_exp, delta_exp=delta_exp)
+    _evaluate(problem, state)
+    return state
 
 
 def step(problem, state):
-    """One normalized step in place. Returns False on saddle termination.
+    """One normalized step along the cached T, in place; then evaluates at
+    the new z. Returns False on saddle termination, leaving z unchanged.
 
     The move has euclidean length exactly gamma_k, so lam stays >= 0
     (its block moves by +alpha*F with F >= 0).
     """
-    n, m = problem.n, problem.m
-    t, _, _, _ = _direction(problem, state.z_arr[:n], state.z_arr[n:n + m],
-                            state.z_arr[n + m:], state.rho, state.s_exp)
-    tnorm = float(np.linalg.norm(t))
+    tnorm = euclidean_norm(state.t)
     if tnorm <= SADDLE_TOL:
         return False
     alpha = step_length(state.k, state.delta_exp) / tnorm
-    state.z_arr = state.z_arr - alpha * t
+    state.z_arr = state.z_arr - alpha * state.t
     state.k += 1
+    _evaluate(problem, state)
     return True
 
 
-def solve(problem, cfg, z_star=None):
-    """Run PDS for cfg.iterations steps.
+def solve(problem, cfg):
+    """Run PDS for cfg.iterations steps of ``step``.
 
-    Trace rows carry val = f0(x_k) and infeas = ||F(x_k)|| + ||A x_k - b||.
-    When z_star (a known saddle point, concatenated or DualPoint) is
-    supplied, the report's best_t_index is the 1-based step whose direction
-    T had the smallest inner product with z - z_star, a diagnostic for the
-    rate analysis; it is None otherwise.
+    Trace rows carry val = f0(x_k) and infeas = ||F(x_k)|| + ||A x_k - b||,
+    read from the evaluations each step leaves in the state.
     """
     cfg.validate()
-    rho = cfg.resolved_rho()
-    n, m, l = problem.n, problem.m, problem.l
-    state = init_state(problem, rho, cfg.s_exp, cfg.delta_exp, cfg.x0, cfg.lam0, cfg.nu0)
-    if z_star is not None:
-        z_star = z_star.concat() if isinstance(z_star, DualPoint) else np.asarray(z_star, dtype=float)
+    state = init_state(problem, cfg.resolved_rho(), cfg.s_exp, cfg.delta_exp,
+                       cfg.x0, cfg.lam0, cfg.nu0)
+    m, l = problem.m, problem.l
 
-    collector = reports.TraceCollector(cfg.eps, cfg.trace_every, cfg.iterations)
-    status = reports.COMPLETED
-    best_t = None
-    best_t_index = None
-
-    t, f0_val, fpos, r = _direction(problem, state.z_arr[:n], state.z_arr[n:n + m],
-                                    state.z_arr[n + m:], rho, cfg.s_exp)
-    for k in range(1, cfg.iterations + 1):
-        tnorm = float(np.linalg.norm(t))
-        if tnorm <= SADDLE_TOL:
-            status = reports.SADDLE_TERMINATED
-            break
-        if z_star is not None:
-            tdot = float(t @ (state.z_arr - z_star))
-            if best_t is None or tdot < best_t:
-                best_t, best_t_index = tdot, k
-        alpha = step_length(state.k, cfg.delta_exp) / tnorm
-        state.z_arr = state.z_arr - alpha * t
-        state.k += 1
-        t, f0_val, fpos, r = _direction(problem, state.z_arr[:n], state.z_arr[n:n + m],
-                                        state.z_arr[n + m:], rho, cfg.s_exp)
+    def advance():
+        if not step(problem, state):
+            return None
         infeas = 0.0
         if m:
-            infeas += float(np.linalg.norm(fpos))
+            infeas += euclidean_norm(state.fpos)
         if l:
-            infeas += float(np.linalg.norm(r))
-        collector.note(k, f0_val, infeas)
+            infeas += euclidean_norm(state.r)
+        return state.f0_val, infeas
 
-    if status is reports.COMPLETED and collector.p_eps is None:
-        status = reports.NO_EPS_FEASIBLE
-    return reports.SolveReport(
-        trace=collector.records,
-        p_eps=collector.p_eps,
-        x_out=state.z_arr[:n].copy(),
-        status=status,
-        eps=cfg.eps,
-        solver="pds",
-        wall_time_s=collector.elapsed(),
-        s_exp=cfg.s_exp,
-        best_t_index=best_t_index,
-    )
+    return reports.drive(cfg, "pds", advance, lambda: state.z_arr[:problem.n].copy())

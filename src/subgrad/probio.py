@@ -68,6 +68,8 @@ def oracle_to_node(oracle):
 
 
 def oracle_from_node(node):
+    if not isinstance(node, dict):
+        raise ValueError(f"oracle node must be an object, got {node!r}")
     op = node.get("op")
     if op == "affine":
         return AffineOracle(node["c"], node.get("d", 0.0))

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import AbsAffineOracle, MaxOracle
+from .oracles import AbsAffineOracle, MaxOracle, euclidean_norm
 
 __all__ = [
     "ConstrainedProblem",
     "DualPoint",
     "max_constraint_oracle",
     "single_constraint_form",
+    "start_point",
 ]
 
 
@@ -74,19 +75,13 @@ class ConstrainedProblem:
             vals[i] = o(x)[0]
         return np.maximum(vals, 0.0)
 
-    def equality_residual(self, x):
-        """A x - b; empty when l = 0."""
-        if self.l == 0:
-            return np.zeros(0)
-        return self.A @ x - self.b
-
     def infeasibility(self, x):
         """||max{f(x), 0}||_2 + ||A x - b||_2; zero exactly when x is feasible."""
         total = 0.0
         if self.m:
-            total += float(np.linalg.norm(self.violation_vector(x)))
+            total += euclidean_norm(self.violation_vector(x))
         if self.l:
-            total += float(np.linalg.norm(self.A @ x - self.b))
+            total += euclidean_norm(self.A @ x - self.b)
         return total
 
     def __repr__(self):
@@ -138,3 +133,19 @@ def max_constraint_oracle(problem):
 def single_constraint_form(problem):
     """Equivalent problem with the one constraint fbar(x) <= 0 and no equalities."""
     return ConstrainedProblem(problem.f0, [max_constraint_oracle(problem)])
+
+
+def start_point(problem, x0=None, lam0=None, nu0=None):
+    """Concatenated start z0 = (x0, lam0, nu0); a block left as None is zero.
+
+    Raises ValueError naming the block whose shape is not (n,), (m,) or
+    (l,) for the problem, and, via DualPoint, on a negative lam0.
+    """
+    blocks = []
+    for name, v, size in (("x0", x0, problem.n), ("lam0", lam0, problem.m),
+                          ("nu0", nu0, problem.l)):
+        v = np.zeros(size) if v is None else np.asarray(v, dtype=float)
+        if v.shape != (size,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
+        blocks.append(v)
+    return DualPoint(*blocks).concat()

@@ -1,9 +1,10 @@
-"""Solver configuration, per-iteration traces, and solve reports."""
+"""Solver configuration, per-iteration traces, solve reports, and the
+iteration driver shared by all solvers."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +16,7 @@ __all__ = [
     "TraceRecord",
     "SolveReport",
     "TraceCollector",
+    "drive",
     "gap",
 ]
 
@@ -40,7 +42,6 @@ class SolverConfig:
     rho: float | None = None
     s_exp: float = 2.0
     delta_exp: float = 0.5
-    seed: int = 0
     trace_every: int = 1
     x0: np.ndarray | None = None
     lam0: np.ndarray | None = None
@@ -91,17 +92,10 @@ class SolveReport:
     status: str
     solver: str
     wall_time_s: float
-    eps: float = 0.0
-    s_exp: float | None = None
-    best_t_index: int | None = None
 
     @property
     def final(self):
         return self.trace[-1] if self.trace else None
-
-    def eps_feasible_ks(self):
-        """Iterations (among traced rows) whose infeasibility is within eps."""
-        return [r.k for r in self.trace if r.infeas <= self.eps]
 
 
 class TraceCollector:
@@ -125,6 +119,34 @@ class TraceCollector:
 
     def elapsed(self):
         return time.perf_counter() - self._t0
+
+
+def drive(cfg, solver, advance, x_out):
+    """Run ``advance()`` for k = 1..cfg.iterations and assemble the report.
+
+    ``advance()`` takes one step and returns (val, infeas) of the point the
+    solver reports at iterate k, or None when the direction vanished, which
+    stops the run as SADDLE_TERMINATED. ``x_out()`` gives the reported point
+    once the loop has ended.
+    """
+    collector = TraceCollector(cfg.eps, cfg.trace_every, cfg.iterations)
+    status = COMPLETED
+    for k in range(1, cfg.iterations + 1):
+        point = advance()
+        if point is None:
+            status = SADDLE_TERMINATED
+            break
+        collector.note(k, *point)
+    if status is COMPLETED and collector.p_eps is None:
+        status = NO_EPS_FEASIBLE
+    return SolveReport(
+        trace=collector.records,
+        p_eps=collector.p_eps,
+        x_out=x_out(),
+        status=status,
+        solver=solver,
+        wall_time_s=collector.elapsed(),
+    )
 
 
 def gap(val, val_star):

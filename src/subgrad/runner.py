@@ -7,12 +7,12 @@ from . import dsg, pds, sg
 __all__ = ["solve"]
 
 
-def solve(problem, cfg, z_star=None):
-    cfg.validate()
+def solve(problem, cfg):
     if cfg.solver == "sg":
         return sg.solve(problem, cfg)
     if cfg.solver == "sdsg":
         return dsg.solve(problem, cfg, mode="single")
     if cfg.solver == "mdsg":
         return dsg.solve(problem, cfg, mode="multi")
-    return pds.solve(problem, cfg, z_star=z_star)
+    # pds.solve validates cfg first, which rejects an unknown solver name
+    return pds.solve(problem, cfg)

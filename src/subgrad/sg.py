@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reports
-from .problem import single_constraint_form
+from .problem import single_constraint_form, start_point
 
 __all__ = ["step", "solve"]
 
@@ -62,33 +62,19 @@ def solve(problem, cfg):
     run = single_constraint_form(problem) if problem.m + problem.l >= 1 else problem
     fbar = run.ineq[0] if run.m == 1 else None
 
-    x = np.zeros(run.n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float).copy()
-    collector = reports.TraceCollector(cfg.eps, cfg.trace_every, cfg.iterations)
-    status = reports.COMPLETED
-
-    f0_val, f0_grad = run.f0(x)
+    x = start_point(run, cfg.x0)[:run.n]
+    _, f0_grad = run.f0(x)
     fbar_val, fbar_grad = fbar(x) if fbar is not None else (None, None)
-    for k in range(1, cfg.iterations + 1):
+
+    def advance():
+        nonlocal x, f0_grad, fbar_val, fbar_grad
         x, stopped = _apply_step(x, cfg.eps, f0_grad, fbar_val, fbar_grad)
         if stopped:
-            status = reports.SADDLE_TERMINATED
-            break
+            return None
         f0_val, f0_grad = run.f0(x)
-        if fbar is not None:
-            fbar_val, fbar_grad = fbar(x)
-            infeas = fbar_val if fbar_val > 0.0 else 0.0
-        else:
-            infeas = 0.0
-        collector.note(k, f0_val, infeas)
+        if fbar is None:
+            return f0_val, 0.0
+        fbar_val, fbar_grad = fbar(x)
+        return f0_val, (fbar_val if fbar_val > 0.0 else 0.0)
 
-    if status is reports.COMPLETED and collector.p_eps is None:
-        status = reports.NO_EPS_FEASIBLE
-    return reports.SolveReport(
-        trace=collector.records,
-        p_eps=collector.p_eps,
-        x_out=x,
-        status=status,
-        eps=cfg.eps,
-        solver="sg",
-        wall_time_s=collector.elapsed(),
-    )
+    return reports.drive(cfg, "sg", advance, lambda: x)

@@ -98,8 +98,40 @@ def test_unwritable_output_exits_three(tmp_path):
 
 def test_bad_problem_file_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--problem", "file", "--in", str(bad), "--solver", "sg"]) == 2
+    documents = [
+        "{not json",
+        # parts is not a list of nodes
+        json.dumps({"objective": {"op": "max", "parts": 5}}),
+        # a coordinate outside [0, dim) would only fail inside a solve
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "ineq": [{"op": "norm1", "dim": 2, "coords": [5]}]}),
+        json.dumps({"objective": 5}),
+    ]
+    for text in documents:
+        bad.write_text(text)
+        assert main(["run", "--problem", "file", "--in", str(bad), "--solver", "mdsg",
+                     "--K", "10"]) == 2, text
+
+
+def test_run_solver_refusal_exits_two(tmp_path, capsys):
+    # sdsg needs a constraint to collapse; compare turns this into an NA row
+    pfile = tmp_path / "free.json"
+    pfile.write_text(json.dumps({"objective": {"op": "affine", "c": [1.0]}}))
+    assert main(["run", "--problem", "file", "--in", str(pfile), "--solver", "sdsg",
+                 "--K", "10"]) == 2
+    assert "at least one constraint" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_gap_is_na_for_nonfinite_value(tmp_path, capsys):
+    pfile = tmp_path / "huge.json"
+    pfile.write_text(json.dumps({"objective": {"op": "affine", "c": [1e308, 1e308]},
+                                 "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}))
+    assert main(["run", "--problem", "file", "--in", str(pfile), "--solver", "sdsg",
+                 "--K", "50", "--valstar", "0"]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert fields[2] == "nan" and fields[4] == "NA"
 
 
 def test_compare_emits_row_per_method(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineOracle,
                              HingeSumOracle, LogBarrierOracle, MaxOracle,
                              Norm1Oracle, PositivePart, SqNormOracle, SumOracle,
-                             norm_power_subgrad)
+                             euclidean_norm, norm_power_subgrad)
 from subgrad.validate import subgradient_validate
 
 
@@ -144,6 +144,26 @@ def test_norm1_oracle():
     v, g = o(np.array([9.0, -2.0, 9.0, 0.0]))
     assert v == pytest.approx(2.0 + 0.0 - 1.0)
     np.testing.assert_array_equal(g, [0.0, -1.0, 0.0, 1.0])  # sign(0) = +1
+
+
+def test_euclidean_norm_matches_numpy_bits():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 7, 400):
+        for _ in range(50):
+            v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+            assert euclidean_norm(v) == float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("make", [
+    lambda coords: Norm1Oracle(2, coords),
+    lambda coords: SqNormOracle(2, coords),
+    lambda coords: HingeSumOracle(2, coords, [1.0] * len(coords)),
+], ids=["norm1", "sq_norm", "hinge_sum"])
+def test_coords_outside_dim_rejected(make):
+    make([0, 1])
+    for coords in ([2], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="coords"):
+            make(coords)
 
 
 def test_hinge_sum_oracle():

@@ -155,16 +155,6 @@ def test_case1_instance_reaches_small_infeasibility():
     assert rep.final.infeas <= 5e-3
 
 
-def test_best_t_index_diagnostic():
-    p = quadratic_equality_problem()
-    z_star = np.array([1.0, -2.0])
-    rep = pds.solve(p, SolverConfig(solver="pds", iterations=200), z_star=z_star)
-    assert rep.best_t_index is not None
-    assert 1 <= rep.best_t_index <= 200
-    rep2 = pds.solve(p, SolverConfig(solver="pds", iterations=200))
-    assert rep2.best_t_index is None
-
-
 def test_solve_matches_step_loop():
     p = gen_random(2, 4, 2).problem
     cfg = SolverConfig(solver="pds", eps=1e-3, iterations=150, rho=0.5,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subgrad import SolverConfig, solve
 from subgrad.oracles import AffineOracle, Norm1Oracle
 from subgrad.problem import (ConstrainedProblem, DualPoint, max_constraint_oracle,
                              single_constraint_form)
@@ -104,3 +105,18 @@ def test_dual_point():
         DualPoint(np.zeros(2), np.array([-0.1]), np.zeros(0))
     with pytest.raises(ValueError):
         DualPoint.split(np.zeros(3), 2, 1, 1)
+
+
+# sg runs on the single-constraint form and takes only x0 from the config
+@pytest.mark.parametrize("solver,field", [
+    ("sg", "x0"),
+    *[(s, f) for s in ("sdsg", "mdsg", "pds") for f in ("x0", "lam0", "nu0")],
+])
+def test_start_point_shape_is_checked(solver, field):
+    # n = 2, m = 1, l = 1; no solver form of it has a block of length 3
+    p = ConstrainedProblem(AffineOracle([1.0, 0.0]), [AffineOracle([-1.0, 0.0])],
+                           A=[[0.0, 1.0]], b=[1.0])
+    for bad in (np.zeros(3), np.zeros((2, 1))):
+        cfg = SolverConfig(solver=solver, iterations=5, **{field: bad})
+        with pytest.raises(ValueError, match=f"^{field} has shape"):
+            solve(p, cfg)
