@@ -11,8 +11,7 @@ from . import dsg, pds, sg
 from .oracles import (AbsAffineOracle, AffineOracle, ConvexOracle,
                       HingeSumOracle, LogBarrierOracle, MaxOracle, Norm1Oracle,
                       PositivePart, SqNormOracle, SumOracle, norm_power_subgrad)
-from .problem import (ConstrainedProblem, DualPoint, max_constraint_oracle,
-                      single_constraint_form)
+from .problem import ConstrainedProblem, max_constraint_oracle, single_constraint_form
 from .reports import (COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED,
                       SolveReport, SolverConfig, TraceRecord, gap)
 from .runner import solve
@@ -26,8 +25,7 @@ __all__ = [
     "AbsAffineOracle", "AffineOracle", "ConvexOracle", "HingeSumOracle",
     "LogBarrierOracle", "MaxOracle", "Norm1Oracle", "PositivePart",
     "SqNormOracle", "SumOracle", "norm_power_subgrad",
-    "ConstrainedProblem", "DualPoint", "max_constraint_oracle",
-    "single_constraint_form",
+    "ConstrainedProblem", "max_constraint_oracle", "single_constraint_form",
     "COMPLETED", "NO_EPS_FEASIBLE", "SADDLE_TERMINATED",
     "SolveReport", "SolverConfig", "TraceRecord", "gap",
     "solve", "sg", "dsg", "pds",

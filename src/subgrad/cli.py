@@ -60,18 +60,21 @@ def _build_parser():
 
 
 def _build_problem(kind, n=None, nbar=None, seed=0, infile=None):
-    if kind in ("case1", "case2"):
-        if n is None:
-            raise ConfigError(f"--n is required for problem {kind}")
-        return gen_random(1 if kind == "case1" else 2, n, seed).problem
-    if kind == "lad":
-        if nbar is None:
-            raise ConfigError("--nbar is required for problem lad")
-        return build_lad(nbar, seed).problem
-    if kind == "svm":
-        if nbar is None:
-            raise ConfigError("--nbar is required for problem svm")
-        return build_svm(nbar, seed).problem
+    try:
+        if kind in ("case1", "case2"):
+            if n is None:
+                raise ConfigError(f"--n is required for problem {kind}")
+            return gen_random(1 if kind == "case1" else 2, n, seed).problem
+        if kind == "lad":
+            if nbar is None:
+                raise ConfigError("--nbar is required for problem lad")
+            return build_lad(nbar, seed).problem
+        if kind == "svm":
+            if nbar is None:
+                raise ConfigError("--nbar is required for problem svm")
+            return build_svm(nbar, seed).problem
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot build problem {kind}: {exc}") from exc
     if kind == "file":
         if infile is None:
             raise ConfigError("--in is required for problem file")
@@ -148,11 +151,17 @@ def _cmd_compare(args):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read batch file: {exc}") from exc
 
+    if not isinstance(batch, dict):
+        raise ConfigError("batch file must hold a JSON object")
     pspec = batch.get("problem", {})
+    if not isinstance(pspec, dict):
+        raise ConfigError("batch problem must be an object")
     kind = pspec.get("kind")
     problem = _build_problem(kind, pspec.get("n"), pspec.get("nbar"),
                              pspec.get("seed", 0), pspec.get("path"))
     methods = batch.get("methods", [])
+    if not isinstance(methods, list) or not all(isinstance(e, dict) for e in methods):
+        raise ConfigError("batch methods must be a list of objects")
     if not methods:
         raise ConfigError("batch method list is empty")
 
@@ -167,15 +176,15 @@ def _cmd_compare(args):
 
     for entry in methods:
         solver = entry.get("solver")
-        s_exp = float(entry.get("s", 2.0))
-        cfg = SolverConfig(solver=solver, eps=batch.get("eps", 1e-3),
-                           iterations=batch.get("K", 10_000),
-                           rho=entry.get("rho"), s_exp=s_exp,
-                           delta_exp=batch.get("delta", 0.5),
-                           trace_every=batch.get("trace_every", 10))
         try:
+            s_exp = float(entry.get("s", 2.0))
+            cfg = SolverConfig(solver=solver, eps=batch.get("eps", 1e-3),
+                               iterations=batch.get("K", 10_000),
+                               rho=entry.get("rho"), s_exp=s_exp,
+                               delta_exp=batch.get("delta", 0.5),
+                               trace_every=batch.get("trace_every", 10))
             report = runner.solve(problem, cfg)
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, TypeError, RuntimeError) as exc:
             rows.append(f"{solver},NA,NA,NA,NA,NA  # {exc}")
             continue
         rows.append(_summary_row(solver, s_exp, report, val_star))

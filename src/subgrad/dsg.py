@@ -3,7 +3,8 @@
 The iterate z = (x, lambda, nu) is driven by the running sum of normalized
 saddle directions G(z) = (Gx, -Glam, -Gnu), where Gx is a subgradient of
 the Lagrangian in x, Glam = max{f(x), 0} componentwise, and Gnu = A x - b.
-Each step does
+G is the penalized PDS selection T at rho = 0; both solvers take it from
+``problem.saddle_direction``. Each step does
 
     s    += G / ||G||
     z     = z0 - s / beta
@@ -25,57 +26,21 @@ import numpy as np
 
 from . import reports
 from .oracles import euclidean_norm
-from .problem import DualPoint, single_constraint_form, start_point
+from .problem import SADDLE_TOL, saddle_direction, single_constraint_form, start_point
 
-__all__ = ["DsgState", "init_state", "saddle_subgradient", "step", "solve"]
-
-# ||G|| at or below this certifies a saddle-point candidate; the update
-# divides by ||G|| and is undefined at zero.
-SADDLE_TOL = 1e-14
-
-
-def saddle_subgradient(problem, z):
-    """Concatenated direction (Gx, -Glam, -Gnu) at a DualPoint z."""
-    return _direction(problem, z.concat())
-
-
-def _direction(problem, z):
-    n, m, l = problem.n, problem.m, problem.l
-    x, lam, nu = z[:n], z[n:n + m], z[n + m:]
-    _, g0 = problem.f0(x)
-    gx = np.array(g0, dtype=float)
-    out = np.empty(n + m + l)
-    if m:
-        for i, oracle in enumerate(problem.ineq):
-            v, g = oracle(x)
-            if v > 0.0:
-                out[n + i] = -v
-                if lam[i] != 0.0:
-                    gx += lam[i] * g
-            else:
-                out[n + i] = 0.0
-    if l:
-        gx += problem.A.T @ nu
-        out[n + m:] = problem.b - problem.A @ x
-    out[:n] = gx
-    return out
+__all__ = ["DsgState", "init_state", "step", "solve"]
 
 
 @dataclass
 class DsgState:
     """Mutable per-run state; z is stored concatenated in ``z_arr``."""
 
-    problem: object
     z0: np.ndarray
     z_arr: np.ndarray
     s_acc: np.ndarray
     x_hat: np.ndarray
     beta: float = 1.0
     delta: float = 0.0
-
-    @property
-    def z(self):
-        return DualPoint.split(self.z_arr, self.problem.n, self.problem.m, self.problem.l)
 
     @property
     def x_bar(self):
@@ -88,7 +53,6 @@ class DsgState:
 def init_state(problem, x0=None, lam0=None, nu0=None):
     z0 = start_point(problem, x0, lam0, nu0)
     return DsgState(
-        problem=problem,
         z0=z0,
         z_arr=z0.copy(),
         s_acc=np.zeros(z0.size),
@@ -98,7 +62,7 @@ def init_state(problem, x0=None, lam0=None, nu0=None):
 
 def step(problem, state):
     """One dual-averaging update in place. Returns False on saddle termination."""
-    g = _direction(problem, state.z_arr)
+    g = saddle_direction(problem, state.z_arr)[0]
     gnorm = euclidean_norm(g)
     if gnorm <= SADDLE_TOL:
         return False

@@ -17,7 +17,8 @@ the respective residual is zero), with the normalized step
     z <- z - (gamma_k / ||T||_2) T,   gamma_k = (k+1)^(-1 + delta/2).
 
 s = 2 recovers the standard primal-dual subgradient method; no code path
-special-cases it.
+special-cases it. At rho = 0, T is the DSG direction G; both solvers take
+it from ``problem.saddle_direction``.
 
 The state keeps T together with f0(x), F(x) and Ax - b at its current z:
 ``init_state`` evaluates them at z0 and each ``step`` moves along the
@@ -33,14 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .oracles import euclidean_norm, norm_power_subgrad
-from .problem import DualPoint, start_point
+from .oracles import euclidean_norm
+from .problem import SADDLE_TOL, saddle_direction, start_point
 
-__all__ = ["PdsState", "init_state", "step_length", "penalized_saddle_subgradient",
-           "step", "solve"]
-
-# ||T|| at or below this certifies 0 in T_rho(z), i.e. a saddle candidate.
-SADDLE_TOL = 1e-14
+__all__ = ["PdsState", "init_state", "step_length", "step", "solve"]
 
 
 def step_length(k, delta_exp):
@@ -48,43 +45,6 @@ def step_length(k, delta_exp):
     if not 0.0 < delta_exp < 1.0:
         raise ValueError(f"delta_exp must lie in (0, 1), got {delta_exp}")
     return float(k + 1) ** (-1.0 + delta_exp / 2.0)
-
-
-def _direction(problem, z, rho, s_exp):
-    """T at the concatenated z = (x, lam, nu) plus the evaluations
-    (f0_val, F, Ax - b) at x."""
-    n, m, l = problem.n, problem.m, problem.l
-    x, lam, nu = z[:n], z[n:n + m], z[n + m:]
-    f0_val, g0 = problem.f0(x)
-    tx = np.array(g0, dtype=float)
-    out = np.empty(n + m + l)
-    if m:
-        fvals, grads = problem.eval_ineq(x)
-        fpos = np.maximum(fvals, 0.0)
-        pen = norm_power_subgrad(fpos, s_exp)
-        for i in range(m):
-            if fvals[i] > 0.0:
-                w = lam[i] + rho * pen[i]
-                if w != 0.0:
-                    tx += w * grads[i]
-        out[n:n + m] = -fpos
-    else:
-        fpos = np.zeros(0)
-    if l:
-        r = problem.A @ x - problem.b
-        qen = norm_power_subgrad(r, s_exp)
-        tx += problem.A.T @ (nu + rho * qen)
-        out[n + m:] = -r
-    else:
-        r = np.zeros(0)
-    out[:n] = tx
-    return out, f0_val, fpos, r
-
-
-def penalized_saddle_subgradient(problem, z, rho, s_exp):
-    """Concatenated selection (Tx, -F(x), b - Ax) at a DualPoint z."""
-    out, _, _, _ = _direction(problem, z.concat(), rho, s_exp)
-    return out
 
 
 @dataclass
@@ -95,7 +55,6 @@ class PdsState:
     ``r`` = Ax - b are the evaluations at its x computed along with T.
     """
 
-    problem: object
     z_arr: np.ndarray
     rho: float
     s_exp: float
@@ -106,21 +65,17 @@ class PdsState:
     fpos: np.ndarray | None = None
     r: np.ndarray | None = None
 
-    @property
-    def z(self):
-        return DualPoint.split(self.z_arr, self.problem.n, self.problem.m, self.problem.l)
-
 
 def _evaluate(problem, state):
     """Refresh the cached direction and evaluations at state.z_arr."""
-    state.t, state.f0_val, state.fpos, state.r = _direction(
+    state.t, state.f0_val, state.fpos, state.r = saddle_direction(
         problem, state.z_arr, state.rho, state.s_exp)
 
 
 def init_state(problem, rho, s_exp, delta_exp, x0=None, lam0=None, nu0=None):
     if not rho > 0:
         raise ValueError("rho must be positive")
-    state = PdsState(problem=problem, z_arr=start_point(problem, x0, lam0, nu0),
+    state = PdsState(z_arr=start_point(problem, x0, lam0, nu0),
                      rho=rho, s_exp=s_exp, delta_exp=delta_exp)
     _evaluate(problem, state)
     return state

@@ -1,4 +1,5 @@
-"""Constrained problem container, feasibility metrics, and the
+"""Constrained problem container, feasibility metrics, the saddle
+direction shared by the dual and primal-dual solvers, and the
 single-max-constraint reformulation.
 
 A problem is min f0(x) subject to f_i(x) <= 0 (i = 1..m) and A x = b.
@@ -9,19 +10,22 @@ all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .oracles import AbsAffineOracle, MaxOracle, euclidean_norm
+from .oracles import AbsAffineOracle, MaxOracle, euclidean_norm, norm_power_subgrad
 
 __all__ = [
     "ConstrainedProblem",
-    "DualPoint",
+    "SADDLE_TOL",
     "max_constraint_oracle",
+    "saddle_direction",
     "single_constraint_form",
     "start_point",
 ]
+
+# A saddle direction of norm at or below this certifies a saddle-point
+# candidate; the solvers divide by the norm, which is undefined at zero.
+SADDLE_TOL = 1e-14
 
 
 class ConstrainedProblem:
@@ -88,32 +92,6 @@ class ConstrainedProblem:
         return f"ConstrainedProblem(n={self.n}, m={self.m}, l={self.l})"
 
 
-@dataclass
-class DualPoint:
-    """Concatenated primal/dual iterate (x, lambda, nu), lambda >= 0."""
-
-    x: np.ndarray
-    lam: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    nu: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.nu = np.asarray(self.nu, dtype=float)
-        if self.lam.size and np.min(self.lam) < 0.0:
-            raise ValueError("multipliers for inequalities must be nonnegative")
-
-    def concat(self):
-        return np.concatenate([self.x, self.lam, self.nu])
-
-    @classmethod
-    def split(cls, vec, n, m, l):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (n + m + l,):
-            raise ValueError(f"expected length {n + m + l}, got shape {vec.shape}")
-        return cls(vec[:n].copy(), vec[n:n + m].copy(), vec[n + m:].copy())
-
-
 def max_constraint_oracle(problem):
     """Single oracle for max{f_1, ..., f_m, |a_1.x - b_1|, ..., |a_l.x - b_l|}.
 
@@ -139,7 +117,7 @@ def start_point(problem, x0=None, lam0=None, nu0=None):
     """Concatenated start z0 = (x0, lam0, nu0); a block left as None is zero.
 
     Raises ValueError naming the block whose shape is not (n,), (m,) or
-    (l,) for the problem, and, via DualPoint, on a negative lam0.
+    (l,) for the problem, and on a negative entry of lam0.
     """
     blocks = []
     for name, v, size in (("x0", x0, problem.n), ("lam0", lam0, problem.m),
@@ -148,4 +126,56 @@ def start_point(problem, x0=None, lam0=None, nu0=None):
         if v.shape != (size,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
         blocks.append(v)
-    return DualPoint(*blocks).concat()
+    if problem.m and np.min(blocks[1]) < 0.0:
+        raise ValueError("multipliers for inequalities must be nonnegative")
+    return np.concatenate(blocks)
+
+
+def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
+    """Subgradient selection of the penalized Lagrangian at the concatenated
+    z = (x, lam, nu), with the evaluations made on the way.
+
+    Returns (T, f0(x), F(x), Ax - b) where F_i(x) = max{f_i(x), 0} and
+
+        T  = (Tx, -F(x), b - Ax),
+        Tx = g0 + sum_{F_i > 0} (lam_i + rho p_i) g_i + A^T (nu + rho q),
+
+    with p and q the subgradients of ||.||_2^s_exp at F(x) and at Ax - b.
+    At rho = 0 the penalty terms are skipped and T is the plain saddle
+    direction of the Lagrangian, G = (Gx, -F(x), b - Ax).
+    """
+    n, m, l = problem.n, problem.m, problem.l
+    x = z[:n]
+    f0_val, g0 = problem.f0(x)
+    t = np.empty(n + m + l)
+    tx = t[:n]
+    tx[:] = g0
+    penalized = []
+    # j indexes row i = j - n of F in both t and z = (x, lam, nu)
+    for j, oracle in enumerate(problem.ineq, n):
+        v, g = oracle(x)
+        if v > 0.0:
+            t[j] = -v
+            if rho != 0.0:
+                penalized.append((j, g))
+            elif z[j] != 0.0:
+                tx += z[j] * g
+        else:
+            t[j] = 0.0 if v <= 0.0 else -v  # a NaN value stays NaN in F
+    fpos = -t[n:n + m]
+    if penalized:
+        pen = norm_power_subgrad(fpos, s_exp)
+        for j, g in penalized:
+            w = z[j] + rho * pen[j - n]
+            if w != 0.0:
+                tx += w * g
+    if l:
+        nu = z[n + m:]
+        r = problem.A @ x - problem.b
+        if rho != 0.0:
+            nu = nu + rho * norm_power_subgrad(r, s_exp)
+        tx += problem.A.T @ nu
+        t[n + m:] = -r
+    else:
+        r = t[n + m:]
+    return t, f0_val, fpos, r

@@ -3,6 +3,7 @@ iteration driver shared by all solvers."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -34,6 +35,12 @@ class SolverConfig:
     ``iterations`` is the number of update steps performed; the trace then
     covers iterates 1..iterations. ``rho = None`` resolves to 1/s_exp, the
     setting used throughout the experiment presets.
+
+    The start blocks are read against the problem each solver runs on:
+    ``sg`` takes only ``x0`` and rejects a set ``lam0`` or ``nu0``; ``sdsg``
+    reads ``lam0``/``nu0`` against the single-constraint form, so they have
+    lengths 1 and 0; ``mdsg`` and ``pds`` read them against the native
+    blocks, lengths m and l.
     """
 
     solver: str = "pds"
@@ -82,8 +89,9 @@ class SolveReport:
     """Outcome of one solve: thinned trace, eps-feasible best value, final point.
 
     ``p_eps`` is the running minimum of the objective over *all* iterates
-    whose recorded infeasibility is at most eps (full resolution, not just
-    the thinned trace rows); it is None when no iterate qualified.
+    whose recorded infeasibility is at most eps and whose value is finite
+    (full resolution, not just the thinned trace rows); it is None when no
+    iterate qualified.
     """
 
     trace: list[TraceRecord]
@@ -112,7 +120,8 @@ class TraceCollector:
     def note(self, k, val, infeas):
         val = float(val)
         infeas = float(infeas)
-        if infeas <= self.eps and (self.p_eps is None or val < self.p_eps):
+        if (infeas <= self.eps and (self.p_eps is None or val < self.p_eps)
+                and math.isfinite(val)):
             self.p_eps = val
         if k % self.trace_every == 0 or k == self.total:
             self.records.append(TraceRecord(k, val, infeas, time.perf_counter() - self._t0))

@@ -59,6 +59,9 @@ def solve(problem, cfg):
     the best objective over iterates with fbar(x_k) <= eps.
     """
     cfg.validate()
+    for name in ("lam0", "nu0"):
+        if getattr(cfg, name) is not None:
+            raise ValueError(f"{name} is set, but sg has no multipliers; it takes only x0")
     run = single_constraint_form(problem) if problem.m + problem.l >= 1 else problem
     fbar = run.ineq[0] if run.m == 1 else None
 

@@ -170,3 +170,31 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
                                  "lp_oracle": True,
                                  "methods": [{"solver": "sg"}]}))
     assert main(["compare", "--batch", str(bfile)]) == 2
+
+
+@pytest.mark.parametrize("argv,batch", [
+    (["run", "--problem", "case1", "--n", "1", "--solver", "sg", "--K", "10"], None),
+    (["run", "--problem", "lad", "--nbar", "0", "--solver", "sg", "--K", "10"], None),
+    (None, []),
+    (None, {"problem": {"kind": "case1", "n": 6}, "methods": ["pds"]}),
+    (None, {"problem": {"kind": "case1", "n": "10"}, "methods": [{"solver": "pds"}]}),
+])
+def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
+    if argv is None:
+        bfile = tmp_path / "batch.json"
+        bfile.write_text(json.dumps(batch))
+        argv = ["compare", "--batch", str(bfile)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("method,extra", [
+    ({"solver": "pds", "s": "x"}, {}),
+    ({"solver": "pds"}, {"K": "5"}),
+])
+def test_bad_method_gives_na_row(tmp_path, capsys, method, extra):
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": {"kind": "case1", "n": 6}, "K": 10,
+                                 "methods": [method], **extra}))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("pds,NA,NA,NA,NA,NA  # ")

@@ -3,7 +3,7 @@ import pytest
 
 from subgrad import dsg
 from subgrad.oracles import AffineOracle, Norm1Oracle, SqNormOracle
-from subgrad.problem import ConstrainedProblem, DualPoint
+from subgrad.problem import ConstrainedProblem, saddle_direction
 from subgrad.reports import NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig
 from subgrad.testbeds import gen_random
 
@@ -20,14 +20,14 @@ def min_x_st_neg_x_nonpos():
 
 def test_saddle_subgradient_hand_example():
     p = equality_only_problem()
-    g = dsg.saddle_subgradient(p, DualPoint(np.array([0.0]), np.zeros(0), np.array([0.0])))
+    g = saddle_direction(p, np.array([0.0, 0.0]))[0]
     np.testing.assert_array_equal(g, [0.0, 1.0])  # (Gx, -Gnu) = (0, -(0-1))
 
 
 def test_saddle_subgradient_stationary_point():
     # g0 + A^T nu = 0 and feasible x make the whole direction vanish
     p = ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0]], b=[0.5])
-    g = dsg.saddle_subgradient(p, DualPoint(np.array([0.5]), np.zeros(0), np.array([-1.0])))
+    g = saddle_direction(p, np.array([0.5, -1.0]))[0]
     np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
@@ -35,9 +35,34 @@ def test_lambda_block_is_nonpositive():
     p = gen_random(1, 6, 12).problem
     rng = np.random.default_rng(0)
     for _ in range(20):
-        z = DualPoint(rng.normal(size=6), rng.uniform(0, 2, size=1), rng.normal(size=1))
-        g = dsg.saddle_subgradient(p, z)
+        z = np.concatenate([rng.normal(size=6), rng.uniform(0, 2, size=1), rng.normal(size=1)])
+        g = saddle_direction(p, z)[0]
         assert np.all(g[6:7] <= 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(1, 6, 12).problem,
+                                  lambda: gen_random(2, 4, 2).problem])
+def test_direction_matches_plain_dsg_direction(make):
+    # an independent transcription of the DSG direction
+    # (g0 + sum_{f_i > 0} lam_i g_i + A^T nu, -F, b - Ax) must equal T at rho = 0
+    p = make()
+    n, m, l = p.n, p.m, p.l
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        z = np.concatenate([rng.normal(size=n), rng.uniform(0, 2, size=m),
+                            rng.normal(size=l)])
+        x, lam, nu = z[:n], z[n:n + m], z[n + m:]
+        _, g0 = p.f0(x)
+        gx = np.array(g0)
+        F = np.zeros(m)
+        for i, oracle in enumerate(p.ineq):
+            v, g = oracle(x)
+            if v > 0.0:
+                F[i] = v
+                gx += lam[i] * g
+        gx += p.A.T @ nu
+        expected = np.concatenate([gx, -F, p.b - p.A @ x])
+        np.testing.assert_array_equal(saddle_direction(p, z)[0], expected)
 
 
 def test_step_hand_example():
@@ -106,9 +131,9 @@ def test_x_bar_matches_direct_recomputation():
     num = np.zeros(p.n)
     den = 0.0
     for _ in range(300):
-        g = dsg.saddle_subgradient(p, st.z)
+        g = saddle_direction(p, st.z_arr)[0]
         gnorm = np.linalg.norm(g)
-        x_k = st.z.x
+        x_k = st.z_arr[:p.n]
         assert dsg.step(p, st)
         num += x_k / gnorm
         den += 1.0 / gnorm

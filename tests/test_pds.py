@@ -3,7 +3,7 @@ import pytest
 
 from subgrad import pds
 from subgrad.oracles import AffineOracle, SqNormOracle, norm_power_subgrad
-from subgrad.problem import ConstrainedProblem, DualPoint
+from subgrad.problem import ConstrainedProblem, saddle_direction
 from subgrad.reports import SADDLE_TERMINATED, SolverConfig
 from subgrad.testbeds import gen_random
 
@@ -27,8 +27,8 @@ def test_step_length_values():
 
 def test_direction_hand_example():
     p = quadratic_equality_problem()
-    z = DualPoint(np.array([0.0]), np.zeros(0), np.array([0.0]))
-    t = pds.penalized_saddle_subgradient(p, z, rho=1.0, s_exp=2.0)
+    z = np.array([0.0, 0.0])
+    t = saddle_direction(p, z, rho=1.0, s_exp=2.0)[0]
     np.testing.assert_allclose(t, [-2.0, 1.0])
 
 
@@ -36,8 +36,8 @@ def test_direction_vanishes_when_feasible_blocks():
     # feasible point: penalty pieces and the multiplier blocks are all zero
     p = ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])],
                            A=[[1.0]], b=[0.5])
-    z = DualPoint(np.array([0.5]), np.array([0.0]), np.array([0.0]))
-    t = pds.penalized_saddle_subgradient(p, z, rho=0.5, s_exp=1.5)
+    z = np.array([0.5, 0.0, 0.0])
+    t = saddle_direction(p, z, rho=0.5, s_exp=1.5)[0]
     np.testing.assert_array_equal(t[1:], [0.0, 0.0])
     np.testing.assert_array_equal(t[:1], [1.0])  # just g0
 
@@ -130,7 +130,7 @@ def test_direction_gap_nonnegative_at_known_saddle():
     z_star = np.array([0.0, 1.0])
     st = pds.init_state(p, rho=0.5, s_exp=2.0, delta_exp=0.5)
     for _ in range(5000):
-        t = pds.penalized_saddle_subgradient(p, st.z, 0.5, 2.0)
+        t = saddle_direction(p, st.z_arr, 0.5, 2.0)[0]
         assert t @ (st.z_arr - z_star) >= -1e-9
         if not pds.step(p, st):
             break

@@ -3,8 +3,8 @@ import pytest
 
 from subgrad import SolverConfig, solve
 from subgrad.oracles import AffineOracle, Norm1Oracle
-from subgrad.problem import (ConstrainedProblem, DualPoint, max_constraint_oracle,
-                             single_constraint_form)
+from subgrad.problem import (ConstrainedProblem, max_constraint_oracle,
+                             single_constraint_form, start_point)
 
 
 def one_d(c=1.0, ineq_c=None, A=None, b=None):
@@ -94,17 +94,11 @@ def test_infeasibility_zero_iff_feasible_exactly():
     assert p.violation_vector(feasible)[0] == 0.0
 
 
-def test_dual_point():
-    z = DualPoint(np.array([1.0, 2.0]), np.array([0.5]), np.array([-3.0]))
-    np.testing.assert_array_equal(z.concat(), [1.0, 2.0, 0.5, -3.0])
-    back = DualPoint.split(z.concat(), 2, 1, 1)
-    np.testing.assert_array_equal(back.x, z.x)
-    np.testing.assert_array_equal(back.lam, z.lam)
-    np.testing.assert_array_equal(back.nu, z.nu)
-    with pytest.raises(ValueError):
-        DualPoint(np.zeros(2), np.array([-0.1]), np.zeros(0))
-    with pytest.raises(ValueError):
-        DualPoint.split(np.zeros(3), 2, 1, 1)
+def test_start_point_rejects_negative_multiplier():
+    p = one_d(ineq_c=-1.0)
+    np.testing.assert_array_equal(start_point(p, lam0=[0.5]), [0.0, 0.5])
+    with pytest.raises(ValueError, match="multipliers for inequalities must be nonnegative"):
+        start_point(p, lam0=[-0.1])
 
 
 # sg runs on the single-constraint form and takes only x0 from the config
@@ -120,3 +114,13 @@ def test_start_point_shape_is_checked(solver, field):
         cfg = SolverConfig(solver=solver, iterations=5, **{field: bad})
         with pytest.raises(ValueError, match=f"^{field} has shape"):
             solve(p, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("solver", ["sg", "sdsg", "mdsg", "pds"])
+def test_p_eps_is_none_or_finite(solver):
+    # f0(x) overflows to inf or nan once x moves off zero
+    p = ConstrainedProblem(AffineOracle([1e308, 1e308]), [AffineOracle([-1.0, 0.0])])
+    rep = solve(p, SolverConfig(solver=solver, iterations=50))
+    assert rep.p_eps is None or np.isfinite(rep.p_eps)

@@ -126,3 +126,10 @@ def test_solve_reformulates_equalities():
     rep = sg.solve(p, SolverConfig(solver="sg", eps=1e-3, iterations=5000))
     assert rep.final.infeas <= 2e-3
     assert rep.final.val == pytest.approx(1.0, abs=5e-3)
+
+
+@pytest.mark.parametrize("field", ["lam0", "nu0"])
+def test_solve_rejects_multiplier_start(field):
+    cfg = SolverConfig(solver="sg", iterations=5, **{field: np.zeros(1)})
+    with pytest.raises(ValueError, match=f"^{field} is set"):
+        sg.solve(analytic_problem(), cfg)
