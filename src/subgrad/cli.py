@@ -73,14 +73,14 @@ def _build_problem(kind, n=None, nbar=None, seed=0, infile=None):
             if nbar is None:
                 raise ConfigError("--nbar is required for problem svm")
             return build_svm(nbar, seed).problem
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot build problem {kind}: {exc}") from exc
     if kind == "file":
         if infile is None:
             raise ConfigError("--in is required for problem file")
         try:
             return probio.load_problem(infile)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"cannot load problem file {infile}: {exc}") from exc
     raise ConfigError(f"unknown problem kind {kind!r}")
 
@@ -148,7 +148,7 @@ def _cmd_compare(args):
     try:
         with open(args.batch) as fh:
             batch = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an overlong integer
         raise ConfigError(f"cannot read batch file: {exc}") from exc
 
     if not isinstance(batch, dict):
@@ -166,6 +166,13 @@ def _cmd_compare(args):
         raise ConfigError("batch method list is empty")
 
     val_star = batch.get("valstar")
+    if val_star is not None:
+        if isinstance(val_star, bool) or not isinstance(val_star, (int, float)):
+            raise ConfigError(f"batch valstar must be null or a number, got {val_star!r}")
+        try:
+            val_star = float(val_star)
+        except OverflowError as exc:
+            raise ConfigError(f"batch valstar is out of range: {exc}") from exc
     rows = []
     if batch.get("lp_oracle"):
         import time

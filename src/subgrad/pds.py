@@ -20,15 +20,17 @@ s = 2 recovers the standard primal-dual subgradient method; no code path
 special-cases it. At rho = 0, T is the DSG direction G; both solvers take
 it from ``problem.saddle_direction``.
 
-The state keeps T together with f0(x), F(x) and Ax - b at its current z:
-``init_state`` evaluates them at z0 and each ``step`` moves along the
-cached T, then evaluates at the new z. ``solve`` runs ``step`` in the
-shared ``reports.drive`` loop and reads each trace row off those
-evaluations, so a run costs one direction evaluation per iteration.
+The state keeps T and f0(x) at its current z: ``init_state`` evaluates
+them at z0 and each ``step`` moves along the cached T, then evaluates at
+the new z. ``solve`` runs ``step`` in the shared ``reports.drive`` loop
+and reads each trace row off that state: the infeasibility
+||F(x)|| + ||Ax - b|| is the sum of the norms of T's blocks -F(x) and
+b - Ax, so a run costs one direction evaluation per iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +53,9 @@ def step_length(k, delta_exp):
 class PdsState:
     """Mutable per-run state; z is stored concatenated in ``z_arr``.
 
-    ``t`` is the direction T at z_arr; ``f0_val``, ``fpos`` = F(x) and
-    ``r`` = Ax - b are the evaluations at its x computed along with T.
+    ``t`` is the direction T at z_arr and ``f0_val`` the objective value at
+    its x, computed along with T; ``t[n:n+m]`` is -F(x) and ``t[n+m:]`` is
+    b - Ax.
     """
 
     z_arr: np.ndarray
@@ -62,19 +65,17 @@ class PdsState:
     k: int = 0
     t: np.ndarray | None = None
     f0_val: float | None = None
-    fpos: np.ndarray | None = None
-    r: np.ndarray | None = None
 
 
 def _evaluate(problem, state):
     """Refresh the cached direction and evaluations at state.z_arr."""
-    state.t, state.f0_val, state.fpos, state.r = saddle_direction(
+    state.t, state.f0_val = saddle_direction(
         problem, state.z_arr, state.rho, state.s_exp)
 
 
 def init_state(problem, rho, s_exp, delta_exp, x0=None, lam0=None, nu0=None):
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     state = PdsState(z_arr=start_point(problem, x0, lam0, nu0),
                      rho=rho, s_exp=s_exp, delta_exp=delta_exp)
     _evaluate(problem, state)
@@ -102,21 +103,21 @@ def solve(problem, cfg):
     """Run PDS for cfg.iterations steps of ``step``.
 
     Trace rows carry val = f0(x_k) and infeas = ||F(x_k)|| + ||A x_k - b||,
-    read from the evaluations each step leaves in the state.
+    read from the direction and value each step leaves in the state.
     """
     cfg.validate()
     state = init_state(problem, cfg.resolved_rho(), cfg.s_exp, cfg.delta_exp,
                        cfg.x0, cfg.lam0, cfg.nu0)
-    m, l = problem.m, problem.l
+    n, m, l = problem.n, problem.m, problem.l
 
     def advance():
         if not step(problem, state):
             return None
         infeas = 0.0
         if m:
-            infeas += euclidean_norm(state.fpos)
+            infeas += euclidean_norm(state.t[n:n + m])
         if l:
-            infeas += euclidean_norm(state.r)
+            infeas += euclidean_norm(state.t[n + m:])
         return state.f0_val, infeas
 
-    return reports.drive(cfg, "pds", advance, lambda: state.z_arr[:problem.n].copy())
+    return reports.drive(cfg, "pds", advance, lambda: state.z_arr[:n].copy())

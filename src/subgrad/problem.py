@@ -32,7 +32,8 @@ class ConstrainedProblem:
     """Objective oracle, inequality oracles, and dense equality pair (A, b).
 
     m = 0 and l = 0 are both legal (the problem degenerates gracefully to
-    fewer constraint blocks). All oracles must share the ambient dimension.
+    fewer constraint blocks). All oracles must share the ambient dimension,
+    and every entry of A and b must be finite.
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
@@ -53,6 +54,9 @@ class ConstrainedProblem:
         if self.b.shape != (self.A.shape[0],):
             raise ValueError(
                 f"b has shape {self.b.shape}, expected ({self.A.shape[0]},)")
+        for name, arr in (("A", self.A), ("b", self.b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         for i, o in enumerate(self.ineq):
             if o.dim != self.n:
                 raise ValueError(
@@ -133,16 +137,17 @@ def start_point(problem, x0=None, lam0=None, nu0=None):
 
 def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     """Subgradient selection of the penalized Lagrangian at the concatenated
-    z = (x, lam, nu), with the evaluations made on the way.
+    z = (x, lam, nu), and the objective value f0(x) computed on the way.
 
-    Returns (T, f0(x), F(x), Ax - b) where F_i(x) = max{f_i(x), 0} and
+    Returns (T, f0(x)) where F_i(x) = max{f_i(x), 0} and
 
         T  = (Tx, -F(x), b - Ax),
         Tx = g0 + sum_{F_i > 0} (lam_i + rho p_i) g_i + A^T (nu + rho q),
 
     with p and q the subgradients of ||.||_2^s_exp at F(x) and at Ax - b.
     At rho = 0 the penalty terms are skipped and T is the plain saddle
-    direction of the Lagrangian, G = (Gx, -F(x), b - Ax).
+    direction of the Lagrangian, G = (Gx, -F(x), b - Ax). F(x) and Ax - b
+    are the negated blocks T[n:n+m] and T[n+m:].
     """
     n, m, l = problem.n, problem.m, problem.l
     x = z[:n]
@@ -162,9 +167,8 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
                 tx += z[j] * g
         else:
             t[j] = 0.0 if v <= 0.0 else -v  # a NaN value stays NaN in F
-    fpos = -t[n:n + m]
     if penalized:
-        pen = norm_power_subgrad(fpos, s_exp)
+        pen = norm_power_subgrad(-t[n:n + m], s_exp)
         for j, g in penalized:
             w = z[j] + rho * pen[j - n]
             if w != 0.0:
@@ -176,6 +180,4 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
             nu = nu + rho * norm_power_subgrad(r, s_exp)
         tx += problem.A.T @ nu
         t[n + m:] = -r
-    else:
-        r = t[n + m:]
-    return t, f0_val, fpos, r
+    return t, f0_val

@@ -57,8 +57,8 @@ class SolverConfig:
     def validate(self):
         if self.solver not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.trace_every < 1:
@@ -68,8 +68,8 @@ class SolverConfig:
                 raise ValueError("s_exp must lie in [1, 2]")
             if not 0.0 < self.delta_exp < 1.0:
                 raise ValueError("delta_exp must lie in (0, 1)")
-            if self.rho is not None and not self.rho > 0:
-                raise ValueError("rho must be positive")
+            if self.rho is not None and not 0 < self.rho < math.inf:
+                raise ValueError("rho must be positive and finite")
         return self
 
     def resolved_rho(self):

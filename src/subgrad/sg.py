@@ -5,11 +5,13 @@ objective with length eps/||g0||^2; otherwise it descends fbar with length
 fbar(x)/||gbar||^2. A zero subgradient in the active branch is a
 certificate (optimality at an eps-feasible point, or infeasibility of the
 constraint system) and stops the run.
+
+``step`` is that rule alone: it takes the oracle outputs at x and calls no
+oracle. ``solve`` evaluates f0 and fbar once per iterate and runs ``step``
+in the shared ``reports.drive`` loop.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import reports
 from .problem import single_constraint_form, start_point
@@ -17,11 +19,14 @@ from .problem import single_constraint_form, start_point
 __all__ = ["step", "solve"]
 
 
-def _apply_step(x, eps, f0_grad, fbar_val, fbar_grad):
-    """One switching update from cached oracle outputs at x.
+def step(x, eps, f0_grad, fbar_val, fbar_grad):
+    """One switching update from the oracle outputs at x; the rule ``solve`` runs.
 
-    Returns (x_next, stopped). fbar_val None means the problem is
-    unconstrained and the objective branch is always active.
+    fbar_val and fbar_grad are fbar(x) and a subgradient of it on the
+    single-constraint form; fbar_val None means the problem is
+    unconstrained and the objective branch is always active. Returns
+    (x_next, stopped); stopped flags the zero-subgradient termination with
+    x unchanged.
     """
     if fbar_val is None or fbar_val <= eps:
         gn2 = float(f0_grad @ f0_grad)
@@ -32,23 +37,6 @@ def _apply_step(x, eps, f0_grad, fbar_val, fbar_grad):
     if gn2 == 0.0:
         return x, True
     return x - (fbar_val / gn2) * fbar_grad, False
-
-
-def step(problem, x, eps):
-    """One update on a problem already in single-constraint form (m <= 1, l = 0).
-
-    Returns (x_next, stopped); stopped flags the zero-subgradient
-    termination with x unchanged.
-    """
-    if problem.l != 0 or problem.m > 1:
-        raise ValueError("step expects the single-constraint form; "
-                         "use single_constraint_form(problem) first")
-    x = np.asarray(x, dtype=float)
-    _, g0 = problem.f0(x)
-    if problem.m == 0:
-        return _apply_step(x, eps, g0, None, None)
-    fbar_val, fbar_grad = problem.ineq[0](x)
-    return _apply_step(x, eps, g0, fbar_val, fbar_grad)
 
 
 def solve(problem, cfg):
@@ -71,7 +59,7 @@ def solve(problem, cfg):
 
     def advance():
         nonlocal x, f0_grad, fbar_val, fbar_grad
-        x, stopped = _apply_step(x, cfg.eps, f0_grad, fbar_val, fbar_grad)
+        x, stopped = step(x, cfg.eps, f0_grad, fbar_val, fbar_grad)
         if stopped:
             return None
         f0_val, f0_grad = run.f0(x)

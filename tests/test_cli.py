@@ -106,6 +106,9 @@ def test_bad_problem_file_is_config_error(tmp_path):
         json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
                     "ineq": [{"op": "norm1", "dim": 2, "coords": [5]}]}),
         json.dumps({"objective": 5}),
+        # json reads NaN; the equality rows must be finite
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "A": [[float("nan"), 1.0]], "b": [0.0]}),
     ]
     for text in documents:
         bad.write_text(text)
@@ -178,11 +181,23 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
     (None, []),
     (None, {"problem": {"kind": "case1", "n": 6}, "methods": ["pds"]}),
     (None, {"problem": {"kind": "case1", "n": "10"}, "methods": [{"solver": "pds"}]}),
+    (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "valstar": "x",
+            "methods": [{"solver": "sg"}]}),
+    (["run", "--problem", "case1", "--n", "10", "--solver", "sg", "--K", "10",
+      "--eps", "inf"], None),
+    (["run", "--problem", "case1", "--n", "10", "--solver", "pds", "--K", "10",
+      "--rho", "inf"], None),
+    (None, {"problem": {"kind": "case1", "n": float("inf")}, "methods": [{"solver": "sg"}]}),
+    (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "valstar": 10**400,
+            "methods": [{"solver": "sg"}]}),
+    # json refuses integers of more than 4300 digits
+    pytest.param(None, '{"problem": {"kind": "case1", "n": 6}, "valstar": ' + "9" * 5000
+                 + ', "methods": [{"solver": "sg"}]}', id="None-overlong-valstar"),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     if argv is None:
         bfile = tmp_path / "batch.json"
-        bfile.write_text(json.dumps(batch))
+        bfile.write_text(batch if isinstance(batch, str) else json.dumps(batch))
         argv = ["compare", "--batch", str(bfile)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -191,6 +206,7 @@ def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
 @pytest.mark.parametrize("method,extra", [
     ({"solver": "pds", "s": "x"}, {}),
     ({"solver": "pds"}, {"K": "5"}),
+    ({"solver": "pds", "rho": float("inf")}, {}),
 ])
 def test_bad_method_gives_na_row(tmp_path, capsys, method, extra):
     bfile = tmp_path / "batch.json"

@@ -5,7 +5,7 @@ from subgrad import pds
 from subgrad.oracles import AffineOracle, SqNormOracle, norm_power_subgrad
 from subgrad.problem import ConstrainedProblem, saddle_direction
 from subgrad.reports import SADDLE_TERMINATED, SolverConfig
-from subgrad.testbeds import gen_random
+from subgrad.testbeds import build_lad, build_svm, gen_random
 
 
 def quadratic_equality_problem():
@@ -164,3 +164,21 @@ def test_solve_matches_step_loop():
     for _ in range(150):
         pds.step(p, st)
     np.testing.assert_array_equal(rep.x_out, st.z_arr[:p.n])
+
+
+@pytest.mark.parametrize("s_exp", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("build", [lambda: gen_random(1, 10, 1), lambda: gen_random(2, 4, 2),
+                                   lambda: build_lad(3, 1), lambda: build_svm(1, 1)],
+                         ids=["case1-n10", "case2-n4", "lad-nbar3", "svm-nbar1"])
+def test_trace_infeasibility_is_read_off_direction(build, s_exp):
+    # solve reads ||F(x_k)|| + ||A x_k - b|| off the blocks of T; it must
+    # equal the problem's own measure at the step loop's iterates, bit for bit
+    p = build().problem
+    cfg = SolverConfig(solver="pds", iterations=300, s_exp=s_exp)
+    rep = pds.solve(p, cfg)
+    st = pds.init_state(p, cfg.resolved_rho(), s_exp, cfg.delta_exp)
+    expected = []
+    for _ in range(300):
+        assert pds.step(p, st)
+        expected.append(p.infeasibility(st.z_arr[:p.n]))
+    assert [r.infeas for r in rep.trace] == expected

@@ -19,6 +19,10 @@ def test_shape_validation():
         ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0, 2.0]], b=[0.0])
     with pytest.raises(ValueError):
         ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0]], b=[0.0, 1.0])
+    with pytest.raises(ValueError, match="^A has a non-finite entry"):
+        ConstrainedProblem(AffineOracle([1.0, 0.0]), [], A=[[np.nan, 1.0]], b=[0.0])
+    with pytest.raises(ValueError, match="^b has a non-finite entry"):
+        ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0]], b=[np.inf])
 
 
 def test_violation_vector():

@@ -3,7 +3,7 @@ import pytest
 
 from subgrad import sg
 from subgrad.oracles import AbsAffineOracle, AffineOracle
-from subgrad.problem import ConstrainedProblem, single_constraint_form
+from subgrad.problem import ConstrainedProblem
 from subgrad.reports import COMPLETED, SADDLE_TERMINATED, SolverConfig
 
 
@@ -12,14 +12,20 @@ def analytic_problem():
     return ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])])
 
 
+def step_at(p, x, eps):
+    # sg.step takes the oracle outputs at x; p has its one constraint in ineq[0]
+    fbar_val, fbar_grad = p.ineq[0](x)
+    return sg.step(x, eps, p.f0(x)[1], fbar_val, fbar_grad)
+
+
 def test_step_branches_hand_example():
     # mechanics check with fbar(x) = x and objective x
     p = ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([1.0])])
-    x1, stopped = sg.step(p, np.array([0.5]), eps=0.1)
+    x1, stopped = step_at(p, np.array([0.5]), eps=0.1)
     assert not stopped
     assert x1[0] == pytest.approx(0.0)  # infeasible branch: 0.5 - 0.5/1
 
-    x2, stopped = sg.step(p, x1, eps=0.1)
+    x2, stopped = step_at(p, x1, eps=0.1)
     assert not stopped
     assert x2[0] == pytest.approx(-0.1)  # objective branch: 0 - 0.1*1
 
@@ -27,18 +33,9 @@ def test_step_branches_hand_example():
 def test_step_zero_subgradient_terminates():
     p = ConstrainedProblem(AffineOracle([0.0], 5.0), [AffineOracle([1.0])])
     x = np.array([-1.0])  # feasible, objective subgradient is zero
-    x1, stopped = sg.step(p, x, eps=0.1)
+    x1, stopped = step_at(p, x, eps=0.1)
     assert stopped
     np.testing.assert_array_equal(x1, x)
-
-
-def test_step_rejects_multi_constraint_problems():
-    p = ConstrainedProblem(AffineOracle([1.0]),
-                           [AffineOracle([1.0]), AffineOracle([-1.0])])
-    with pytest.raises(ValueError):
-        sg.step(p, np.zeros(1), 0.1)
-    # but the reformulated problem is accepted
-    sg.step(single_constraint_form(p), np.zeros(1), 0.1)
 
 
 def test_branch_step_identities():
@@ -52,7 +49,7 @@ def test_branch_step_identities():
         x = rng.normal(size=3)
         fbar_val, fbar_g = p.ineq[0](x)
         g0 = p.f0(x)[1]
-        x_next, stopped = sg.step(p, x, eps)
+        x_next, stopped = sg.step(x, eps, g0, fbar_val, fbar_g)
         assert not stopped
         if fbar_val <= eps:
             assert g0 @ (x - x_next) == pytest.approx(eps, rel=1e-12)
