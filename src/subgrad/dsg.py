@@ -104,7 +104,7 @@ def solve(problem, cfg, mode="multi"):
         if fbar is None:
             return val, run.infeasibility(x_bar)
         fv = fbar.value(x_bar)
-        return val, (fv if fv > 0.0 else 0.0)
+        return val, (0.0 if fv <= 0.0 else fv)
 
     def x_out():
         # No step was taken (iterations = 0 or immediate saddle); there is
@@ -112,4 +112,4 @@ def solve(problem, cfg, mode="multi"):
         x_bar = state.x_bar
         return state.z0[:run.n].copy() if x_bar is None else x_bar
 
-    return reports.drive(cfg, "mdsg" if mode == "multi" else "sdsg", advance, x_out)
+    return reports.drive(cfg, advance, x_out)

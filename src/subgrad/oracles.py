@@ -35,8 +35,8 @@ __all__ = [
     "LOG_SAFEGUARD",
 ]
 
-# Floor for the argument of -log(.); keeps the oracle total off its natural
-# domain with a finite, very steep linear extension.
+# Floor for the argument of -log(.); below it value and slope are frozen at
+# their values on the floor, so the oracle stays finite off its domain.
 LOG_SAFEGUARD = 1e-12
 
 
@@ -49,12 +49,26 @@ def _as_vector(v, name="vector"):
     return a
 
 
+def _as_scalar(v, name):
+    f = float(v)
+    if not math.isfinite(f):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return f
+
+
+def _as_int(v, name):
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return i
+
+
 def _as_coords(coords, dim):
     """Index array over coordinates [0, dim); None selects all of them."""
-    idx = np.arange(dim) if coords is None else np.asarray(coords, dtype=int)
-    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= dim)):
-        raise ValueError(f"coords must be a list of indices in [0, {dim}), got {coords}")
-    return idx
+    idx = np.arange(dim) if coords is None else np.asarray(coords, dtype=float)
+    if idx.ndim != 1 or not np.all((idx >= 0) & (idx < dim) & (idx == np.floor(idx))):
+        raise ValueError(f"coords must be integer indices in [0, {dim}), got {coords}")
+    return idx.astype(int)
 
 
 class ConvexOracle:
@@ -80,7 +94,7 @@ class AffineOracle(ConvexOracle):
 
     def __init__(self, c, d=0.0):
         self.c = _as_vector(c, "c")
-        self.d = float(d)
+        self.d = _as_scalar(d, "d")
         self.dim = self.c.shape[0]
 
     def __call__(self, x):
@@ -99,7 +113,7 @@ class AbsAffineOracle(ConvexOracle):
 
     def __init__(self, a, b=0.0):
         self.a = _as_vector(a, "a")
-        self.b = float(b)
+        self.b = _as_scalar(b, "b")
         self.dim = self.a.shape[0]
         self._neg_a = -self.a
 
@@ -150,19 +164,19 @@ class PositivePart(ConvexOracle):
     exactly-satisfied constraints.
     """
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
+    def __init__(self, arg):
+        self.arg = arg
+        self.dim = arg.dim
         self._zero = np.zeros(self.dim)
 
     def __call__(self, x):
-        v, g = self.inner(x)
+        v, g = self.arg(x)
         if v > 0.0:
             return v, g
         return 0.0, self._zero
 
     def __repr__(self):
-        return f"PositivePart({self.inner!r})"
+        return f"PositivePart({self.arg!r})"
 
 
 class SumOracle(ConvexOracle):
@@ -199,9 +213,9 @@ class Norm1Oracle(ConvexOracle):
     """
 
     def __init__(self, dim, coords=None, offset=0.0):
-        self.dim = int(dim)
+        self.dim = _as_int(dim, "dim")
         self.coords = _as_coords(coords, self.dim)
-        self.offset = float(offset)
+        self.offset = _as_scalar(offset, "offset")
 
     def __call__(self, x):
         xc = x[self.coords]
@@ -218,9 +232,9 @@ class SqNormOracle(ConvexOracle):
     """scale * sum_j x_j^2 over the given coordinates (smooth)."""
 
     def __init__(self, dim, coords=None, scale=1.0):
-        self.dim = int(dim)
+        self.dim = _as_int(dim, "dim")
         self.coords = _as_coords(coords, self.dim)
-        self.scale = float(scale)
+        self.scale = _as_scalar(scale, "scale")
 
     def __call__(self, x):
         xc = x[self.coords]
@@ -241,12 +255,12 @@ class HingeSumOracle(ConvexOracle):
     """
 
     def __init__(self, dim, coords, labels, scale=1.0):
-        self.dim = int(dim)
+        self.dim = _as_int(dim, "dim")
         self.coords = _as_coords(coords, self.dim)
-        self.labels = np.asarray(labels, dtype=float)
+        self.labels = _as_vector(labels, "labels")
         if self.coords.shape != self.labels.shape:
             raise ValueError("coords and labels must have equal length")
-        self.scale = float(scale)
+        self.scale = _as_scalar(scale, "scale")
 
     def __call__(self, x):
         margins = 1.0 - self.labels * x[self.coords]
@@ -270,12 +284,12 @@ class LogBarrierOracle(ConvexOracle):
     """
 
     def __init__(self, dim, index, shift=1.0, offset=0.0):
-        self.dim = int(dim)
-        self.index = int(index)
+        self.dim = _as_int(dim, "dim")
+        self.index = _as_int(index, "index")
         if not 0 <= self.index < self.dim:
             raise ValueError(f"index {index} out of range for dim {dim}")
-        self.shift = float(shift)
-        self.offset = float(offset)
+        self.shift = _as_scalar(shift, "shift")
+        self.offset = _as_scalar(offset, "offset")
 
     def __call__(self, x):
         t = float(x[self.index]) + self.shift

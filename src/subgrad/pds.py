@@ -120,4 +120,4 @@ def solve(problem, cfg):
             infeas += euclidean_norm(state.t[n + m:])
         return state.f0_val, infeas
 
-    return reports.drive(cfg, "pds", advance, lambda: state.z_arr[:n].copy())
+    return reports.drive(cfg, advance, lambda: state.z_arr[:n].copy())

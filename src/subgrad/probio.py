@@ -6,7 +6,7 @@ A problem document looks like
       "n": 3, "m": 1, "l": 2,
       "objective": {"op": "affine", "c": [..], "d": 0.0},
       "ineq": [node, ...],
-      "A": [[..], ..],              # l rows of n entries
+      "A": [[..], ..],              # l rows of n entries; [] for none
       "b": [..]
     }
 
@@ -22,6 +22,9 @@ where each oracle node is one of
     {"op": "hinge_sum",   "dim": i, "coords": [..], "labels": [..], "scale": f}
     {"op": "log_barrier", "dim": i, "index": i, "shift": f, "offset": f}
 
+Node keys are the oracle's constructor arguments (and attributes), so the
+table ``_NODES`` is this schema in code; a key left out takes the default.
+
 Floats round-trip exactly (json uses repr), so a reloaded problem
 reproduces the original solver trace bit for bit.
 """
@@ -32,7 +35,7 @@ import json
 
 import numpy as np
 
-from .oracles import (AbsAffineOracle, AffineOracle, HingeSumOracle,
+from .oracles import (AbsAffineOracle, AffineOracle, ConvexOracle, HingeSumOracle,
                       LogBarrierOracle, MaxOracle, Norm1Oracle, PositivePart,
                       SqNormOracle, SumOracle)
 from .problem import ConstrainedProblem
@@ -40,30 +43,32 @@ from .problem import ConstrainedProblem
 __all__ = ["oracle_to_node", "oracle_from_node", "problem_to_dict",
            "problem_from_dict", "save_problem", "load_problem"]
 
+# op -> (oracle class, node keys in document order)
+_NODES = {
+    "affine": (AffineOracle, ("c", "d")),
+    "abs_affine": (AbsAffineOracle, ("a", "b")),
+    "max": (MaxOracle, ("parts",)),
+    "sum": (SumOracle, ("parts",)),
+    "pos": (PositivePart, ("arg",)),
+    "norm1": (Norm1Oracle, ("dim", "coords", "offset")),
+    "sq_norm": (SqNormOracle, ("dim", "coords", "scale")),
+    "hinge_sum": (HingeSumOracle, ("dim", "coords", "labels", "scale")),
+    "log_barrier": (LogBarrierOracle, ("dim", "index", "shift", "offset")),
+}
+
+
+def _to_json(v):
+    if isinstance(v, list):  # parts
+        return [oracle_to_node(p) for p in v]
+    if isinstance(v, ConvexOracle):  # arg
+        return oracle_to_node(v)
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
 
 def oracle_to_node(oracle):
-    if isinstance(oracle, AffineOracle):
-        return {"op": "affine", "c": oracle.c.tolist(), "d": oracle.d}
-    if isinstance(oracle, AbsAffineOracle):
-        return {"op": "abs_affine", "a": oracle.a.tolist(), "b": oracle.b}
-    if isinstance(oracle, MaxOracle):
-        return {"op": "max", "parts": [oracle_to_node(p) for p in oracle.parts]}
-    if isinstance(oracle, SumOracle):
-        return {"op": "sum", "parts": [oracle_to_node(p) for p in oracle.parts]}
-    if isinstance(oracle, PositivePart):
-        return {"op": "pos", "arg": oracle_to_node(oracle.inner)}
-    if isinstance(oracle, Norm1Oracle):
-        return {"op": "norm1", "dim": oracle.dim, "coords": oracle.coords.tolist(),
-                "offset": oracle.offset}
-    if isinstance(oracle, SqNormOracle):
-        return {"op": "sq_norm", "dim": oracle.dim, "coords": oracle.coords.tolist(),
-                "scale": oracle.scale}
-    if isinstance(oracle, HingeSumOracle):
-        return {"op": "hinge_sum", "dim": oracle.dim, "coords": oracle.coords.tolist(),
-                "labels": oracle.labels.tolist(), "scale": oracle.scale}
-    if isinstance(oracle, LogBarrierOracle):
-        return {"op": "log_barrier", "dim": oracle.dim, "index": oracle.index,
-                "shift": oracle.shift, "offset": oracle.offset}
+    for op, (cls, keys) in _NODES.items():
+        if isinstance(oracle, cls):
+            return {"op": op, **{key: _to_json(getattr(oracle, key)) for key in keys}}
     raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
@@ -71,27 +76,15 @@ def oracle_from_node(node):
     if not isinstance(node, dict):
         raise ValueError(f"oracle node must be an object, got {node!r}")
     op = node.get("op")
-    if op == "affine":
-        return AffineOracle(node["c"], node.get("d", 0.0))
-    if op == "abs_affine":
-        return AbsAffineOracle(node["a"], node.get("b", 0.0))
-    if op == "max":
-        return MaxOracle([oracle_from_node(p) for p in node["parts"]])
-    if op == "sum":
-        return SumOracle([oracle_from_node(p) for p in node["parts"]])
-    if op == "pos":
-        return PositivePart(oracle_from_node(node["arg"]))
-    if op == "norm1":
-        return Norm1Oracle(node["dim"], node.get("coords"), node.get("offset", 0.0))
-    if op == "sq_norm":
-        return SqNormOracle(node["dim"], node.get("coords"), node.get("scale", 1.0))
-    if op == "hinge_sum":
-        return HingeSumOracle(node["dim"], node["coords"], node["labels"],
-                              node.get("scale", 1.0))
-    if op == "log_barrier":
-        return LogBarrierOracle(node["dim"], node["index"], node.get("shift", 1.0),
-                                node.get("offset", 0.0))
-    raise ValueError(f"unknown oracle op {op!r}")
+    if not isinstance(op, str) or op not in _NODES:
+        raise ValueError(f"unknown oracle op {op!r}")
+    cls, keys = _NODES[op]
+    args = {key: node[key] for key in keys if key in node}
+    if "parts" in args:
+        args["parts"] = [oracle_from_node(p) for p in args["parts"]]
+    if "arg" in args:
+        args["arg"] = oracle_from_node(args["arg"])
+    return cls(**args)
 
 
 def problem_to_dict(problem, label=None):
@@ -112,11 +105,7 @@ def problem_to_dict(problem, label=None):
 def problem_from_dict(doc):
     f0 = oracle_from_node(doc["objective"])
     ineq = [oracle_from_node(node) for node in doc.get("ineq", [])]
-    A = np.asarray(doc.get("A", []), dtype=float)
-    if A.size == 0:
-        A = np.zeros((0, f0.dim))
-    b = np.asarray(doc.get("b", []), dtype=float)
-    problem = ConstrainedProblem(f0, ineq, A, b)
+    problem = ConstrainedProblem(f0, ineq, doc.get("A"), doc.get("b"))
     for key in ("n", "m", "l"):
         if key in doc and doc[key] != getattr(problem, key):
             raise ValueError(f"document says {key}={doc[key]} but the oracles "

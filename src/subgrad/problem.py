@@ -32,17 +32,17 @@ class ConstrainedProblem:
     """Objective oracle, inequality oracles, and dense equality pair (A, b).
 
     m = 0 and l = 0 are both legal (the problem degenerates gracefully to
-    fewer constraint blocks). All oracles must share the ambient dimension,
-    and every entry of A and b must be finite.
+    fewer constraint blocks); an A that is None or has no entries means no
+    equality rows, and b defaults to zeros. All oracles must share the
+    ambient dimension, and every entry of A and b must be finite.
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
         self.f0 = f0
         self.ineq = list(ineq)
         self.n = f0.dim
-        if A is None:
-            A = np.zeros((0, self.n))
-        self.A = np.asarray(A, dtype=float)
+        A = np.asarray([] if A is None else A, dtype=float)
+        self.A = A if A.size else np.zeros((0, self.n))
         if self.A.ndim != 2:
             raise ValueError(f"A must be a matrix, got shape {self.A.shape}")
         if b is None:

@@ -98,7 +98,6 @@ class SolveReport:
     p_eps: float | None
     x_out: np.ndarray
     status: str
-    solver: str
     wall_time_s: float
 
     @property
@@ -130,7 +129,7 @@ class TraceCollector:
         return time.perf_counter() - self._t0
 
 
-def drive(cfg, solver, advance, x_out):
+def drive(cfg, advance, x_out):
     """Run ``advance()`` for k = 1..cfg.iterations and assemble the report.
 
     ``advance()`` takes one step and returns (val, infeas) of the point the
@@ -153,7 +152,6 @@ def drive(cfg, solver, advance, x_out):
         p_eps=collector.p_eps,
         x_out=x_out(),
         status=status,
-        solver=solver,
         wall_time_s=collector.elapsed(),
     )
 

@@ -66,6 +66,6 @@ def solve(problem, cfg):
         if fbar is None:
             return f0_val, 0.0
         fbar_val, fbar_grad = fbar(x)
-        return f0_val, (fbar_val if fbar_val > 0.0 else 0.0)
+        return f0_val, (0.0 if fbar_val <= 0.0 else fbar_val)
 
-    return reports.drive(cfg, "sg", advance, lambda: x)
+    return reports.drive(cfg, advance, lambda: x)

@@ -15,10 +15,6 @@ class ValidationReport:
     n_violations: int
     worst_violation: float
 
-    @property
-    def ok(self):
-        return self.n_violations == 0
-
 
 def _ball_points(rng, dim, radius, count, center):
     g = rng.standard_normal((count, dim))

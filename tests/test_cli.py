@@ -109,6 +109,17 @@ def test_bad_problem_file_is_config_error(tmp_path):
         # json reads NaN; the equality rows must be finite
         json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
                     "A": [[float("nan"), 1.0]], "b": [0.0]}),
+        # scalar fields must be finite, labels too
+        json.dumps({"objective": {"op": "affine", "c": [1.0], "d": float("nan")},
+                    "ineq": [{"op": "affine", "c": [-1.0], "d": float("inf")}]}),
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "ineq": [{"op": "hinge_sum", "dim": 2, "coords": [0, 1],
+                              "labels": [float("nan"), 1.0]}]}),
+        # sizes and indices are not truncated to integers
+        json.dumps({"objective": {"op": "norm1", "dim": 2.7},
+                    "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "ineq": [{"op": "norm1", "dim": 2, "coords": [0.5, 1.7]}]}),
     ]
     for text in documents:
         bad.write_text(text)

@@ -166,6 +166,29 @@ def test_coords_outside_dim_rejected(make):
             make(coords)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: AffineOracle([1.0], NAN), "d"),
+    (lambda: AbsAffineOracle([1.0], INF), "b"),
+    (lambda: Norm1Oracle(2, offset=-INF), "offset"),
+    (lambda: SqNormOracle(2, scale=NAN), "scale"),
+    (lambda: HingeSumOracle(2, [0, 1], [1.0, 1.0], scale=INF), "scale"),
+    (lambda: HingeSumOracle(2, [0, 1], [NAN, 1.0]), "labels"),
+    (lambda: LogBarrierOracle(2, 0, shift=NAN), "shift"),
+    (lambda: LogBarrierOracle(2, 0, offset=INF), "offset"),
+    (lambda: Norm1Oracle(2.7), "dim"),
+    (lambda: LogBarrierOracle(2, 0.5), "index"),
+    (lambda: SqNormOracle(2, coords=[0.5, 1.7]), "coords"),
+    (lambda: HingeSumOracle(2, [NAN], [1.0]), "coords"),
+], ids=["affine-d", "abs-b", "norm1-offset", "sq-scale", "hinge-scale", "hinge-labels",
+        "log-shift", "log-offset", "dim", "index", "coords", "coords-nan"])
+def test_constructor_rejects_bad_field(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 def test_hinge_sum_oracle():
     # two samples on coordinate 0 and 1 with labels +1 / -1
     o = HingeSumOracle(2, coords=[0, 1], labels=[1.0, -1.0], scale=0.5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from subgrad import pds, probio, sg
 from subgrad.oracles import (AbsAffineOracle, AffineOracle, HingeSumOracle,
                              LogBarrierOracle, MaxOracle, Norm1Oracle,
                              PositivePart, SqNormOracle, SumOracle)
+from subgrad.problem import ConstrainedProblem
 from subgrad.reports import SolverConfig
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
@@ -28,6 +30,7 @@ def test_oracle_round_trip(oracle):
     node = oracle_json = probio.oracle_to_node(oracle)
     json.dumps(node)  # must be serializable
     back = probio.oracle_from_node(oracle_json)
+    assert probio.oracle_to_node(back) == node
     rng = np.random.default_rng(6)
     for _ in range(25):
         x = rng.normal(size=2)
@@ -35,6 +38,27 @@ def test_oracle_round_trip(oracle):
         v2, g2 = back(x)
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
+
+
+# sha256 of json.dumps(problem_to_dict(...)): the exact bytes of the format
+@pytest.mark.parametrize("build,digest", [
+    (lambda: gen_random(1, 6, 3).problem,
+     "42a6ef4de9038d35823762268bd759e7869d3d7508c42b2c74e27090ecb3a4be"),
+    (lambda: gen_random(2, 5, 3).problem,
+     "f2151dc609fd9c7463baac10ea3d04beb9af9a6f0336d6148887803d73e76a0b"),
+    (lambda: build_lad(3, 3).problem,
+     "6c201cc33db84b3d0ef75eb277e83b42956f234574220fe86ef6fe5f98fd0ce2"),
+    (lambda: build_svm(1, 3).problem,
+     "ca2a8502c8b632e09d74c6512652619678494813bf5cdab07023e7f4cea57112"),
+    (lambda: ConstrainedProblem(ROUND_TRIP_ORACLES[0], ROUND_TRIP_ORACLES[1:]),
+     "26cfccd34210015aae37755772349f99c19dd2347b2af4e15fa6218753b97b0a"),
+], ids=["case1", "case2", "lad", "svm", "all-nodes"])
+def test_document_bytes_are_pinned(build, digest):
+    text = json.dumps(probio.problem_to_dict(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # reading the document back writes the same bytes; all-nodes has "A": []
+    back = probio.problem_from_dict(json.loads(text))
+    assert json.dumps(probio.problem_to_dict(back)) == text
 
 
 @pytest.mark.parametrize("inst_fn", [

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from subgrad import SolverConfig, solve
-from subgrad.oracles import AffineOracle, Norm1Oracle
+from subgrad.oracles import AffineOracle, ConvexOracle, Norm1Oracle
 from subgrad.problem import (ConstrainedProblem, max_constraint_oracle,
                              single_constraint_form, start_point)
 
@@ -128,3 +130,19 @@ def test_p_eps_is_none_or_finite(solver):
     p = ConstrainedProblem(AffineOracle([1e308, 1e308]), [AffineOracle([-1.0, 0.0])])
     rep = solve(p, SolverConfig(solver=solver, iterations=50))
     assert rep.p_eps is None or np.isfinite(rep.p_eps)
+
+
+class NanOracle(ConvexOracle):
+    """A constraint whose value is NaN everywhere."""
+
+    dim = 1
+
+    def __call__(self, x):
+        return math.nan, np.ones(1)
+
+
+@pytest.mark.parametrize("solver", ["sg", "sdsg", "mdsg", "pds"])
+def test_nan_constraint_is_never_reported_feasible(solver):
+    p = ConstrainedProblem(AffineOracle([1.0]), [NanOracle()])
+    rep = solve(p, SolverConfig(solver=solver, iterations=20))
+    assert rep.trace and all(math.isnan(r.infeas) for r in rep.trace)
