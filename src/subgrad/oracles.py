@@ -2,12 +2,14 @@
 
 These classes are the building blocks for objectives and constraints:
 affine pieces, absolute residuals, pointwise maxima, positive parts, and a
-few vectorized aggregates (l1 norm, scaled squared norm, hinge sums) that
-keep large instances cheap to evaluate.
+few vectorized aggregates (l1 norm, scaled squared norm, hinge sums, the
+max over a block of affine rows) that keep large instances cheap to
+evaluate.
 
 Subgradient selections are deterministic. Ties are resolved by fixed rules
-(lowest index wins in maxima, sign(0) = +1 in absolute values, zero at the
-boundary of positive parts) so solver runs are replayable bit for bit.
+(lowest index wins in maxima, and a NaN part wins over any number,
+sign(0) = +1 in absolute values, zero at the boundary of positive parts) so
+solver runs are replayable bit for bit.
 
 Returned subgradient arrays may alias oracle-internal storage; treat them
 as read-only.
@@ -16,6 +18,7 @@ as read-only.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +27,7 @@ __all__ = [
     "AffineOracle",
     "AbsAffineOracle",
     "MaxOracle",
+    "AffineBlockOracle",
     "PositivePart",
     "SumOracle",
     "Norm1Oracle",
@@ -40,16 +44,42 @@ __all__ = [
 LOG_SAFEGUARD = 1e-12
 
 
-def _as_vector(v, name="vector"):
+def _is_number_type(t):
+    # bool is an int subclass and float("1") parses; neither is a number here
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
+def _check_number(v, name):
+    if not _is_number_type(type(v)):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+
+
+def _as_numbers(v, name):
+    """v as a 1-D float array, refusing strings and booleans."""
+    if isinstance(v, np.ndarray):
+        types = {v.dtype.type}
+    elif isinstance(v, (list, tuple)):
+        types = set(map(type, v)) - {list, tuple}  # nested lists fail as not 1-D
+    else:
+        types = set()
+    for t in types:
+        if not _is_number_type(t):
+            raise ValueError(f"{name} must hold numbers, got {t.__name__}")
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+    return a
+
+
+def _as_vector(v, name="vector"):
+    a = _as_numbers(v, name)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
 
 
 def _as_scalar(v, name):
+    _check_number(v, name)
     f = float(v)
     if not math.isfinite(f):
         raise ValueError(f"{name} must be finite, got {v!r}")
@@ -57,6 +87,7 @@ def _as_scalar(v, name):
 
 
 def _as_int(v, name):
+    _check_number(v, name)
     i = int(v)
     if i != v:
         raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -65,8 +96,8 @@ def _as_int(v, name):
 
 def _as_coords(coords, dim):
     """Index array over coordinates [0, dim); None selects all of them."""
-    idx = np.arange(dim) if coords is None else np.asarray(coords, dtype=float)
-    if idx.ndim != 1 or not np.all((idx >= 0) & (idx < dim) & (idx == np.floor(idx))):
+    idx = np.arange(dim) if coords is None else _as_numbers(coords, "coords")
+    if not np.all((idx >= 0) & (idx < dim) & (idx == np.floor(idx))):
         raise ValueError(f"coords must be integer indices in [0, {dim}), got {coords}")
     return idx.astype(int)
 
@@ -148,12 +179,48 @@ class MaxOracle(ConvexOracle):
         best_v, best_g = self.parts[0](x)
         for part in self.parts[1:]:
             v, g = part(x)
-            if v > best_v:
+            # v > best_v, except that the first NaN wins, as in np.argmax
+            if not v <= best_v and best_v == best_v:
                 best_v, best_g = v, g
         return best_v, best_g
 
     def __repr__(self):
         return f"MaxOracle({len(self.parts)} parts, dim={self.dim})"
+
+
+class AffineBlockOracle(ConvexOracle):
+    """max_j r_j over the rows r = C x + d, or max_j |r_j| when absolute.
+
+    The subgradient is row c_i (times sign(r_i), sign(0) = +1, when
+    absolute) of the lowest index i attaining the max, and a NaN row wins.
+    So values, subgradients and ties are bit for bit those of a MaxOracle
+    over one AffineOracle(c_j, d_j) or AbsAffineOracle(c_j, -d_j) per row:
+    np.vecdot computes each c_j.x as the per-row product does, which C @ x
+    does not.
+    """
+
+    def __init__(self, C, d, absolute=False):
+        self.C = np.ascontiguousarray(C, dtype=float)
+        self.d = _as_vector(d, "d")
+        if self.C.ndim != 2 or self.C.shape[0] != self.d.shape[0] or not self.d.size:
+            raise ValueError(f"C must have one row per entry of d, got shape {self.C.shape} "
+                             f"for {self.d.size} entries")
+        if not np.isfinite(self.C).all():
+            raise ValueError("C has non-finite entries")
+        self.absolute = absolute
+        self.dim = self.C.shape[1]
+
+    def __call__(self, x):
+        r = np.vecdot(self.C, x) + self.d
+        i = int(np.argmax(np.abs(r) if self.absolute else r))
+        v = float(r[i])
+        if not self.absolute or v >= 0.0:
+            return v, self.C[i]
+        return -v, -self.C[i]
+
+    def __repr__(self):
+        return (f"AffineBlockOracle(rows={self.C.shape[0]}, dim={self.dim}, "
+                f"absolute={self.absolute})")
 
 
 class PositivePart(ConvexOracle):

@@ -5,17 +5,22 @@ single-max-constraint reformulation.
 A problem is min f0(x) subject to f_i(x) <= 0 (i = 1..m) and A x = b.
 Infeasibility of a point is measured as ||F(x)||_2 + ||A x - b||_2 where
 F_i(x) = max{f_i(x), 0}; the alternative single-constraint form replaces
-all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
+all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0,
+evaluated one block per run of at least ROW_BLOCK_MIN affine rows.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .oracles import AbsAffineOracle, MaxOracle, euclidean_norm, norm_power_subgrad
+from .oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, MaxOracle,
+                      euclidean_norm, norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
+    "ROW_BLOCK_MIN",
     "SADDLE_TOL",
     "max_constraint_oracle",
     "saddle_direction",
@@ -26,6 +31,11 @@ __all__ = [
 # A saddle direction of norm at or below this certifies a saddle-point
 # candidate; the solvers divide by the norm, which is undefined at zero.
 SADDLE_TOL = 1e-14
+
+# Fewest consecutive affine rows that fbar evaluates as one AffineBlockOracle.
+# A block call costs about 5 us and a per-row part 1.5 us, so shorter runs
+# stay one part per row.
+ROW_BLOCK_MIN = 4
 
 
 class ConstrainedProblem:
@@ -99,13 +109,24 @@ class ConstrainedProblem:
 def max_constraint_oracle(problem):
     """Single oracle for max{f_1, ..., f_m, |a_1.x - b_1|, ..., |a_l.x - b_l|}.
 
-    Parts keep the problem's listing order (inequalities first, then one
-    absolute residual per equality row) so the lowest-index tie rule is
-    reproducible. Requires m + l >= 1.
+    Parts keep the problem's listing order (inequalities first, then the
+    equality rows) so the lowest-index tie rule is reproducible. Each run
+    of at least ROW_BLOCK_MIN consecutive AffineOracle inequalities becomes
+    one AffineBlockOracle, and so do the l absolute residuals when
+    l >= ROW_BLOCK_MIN; shorter runs keep one part per row. Either way the
+    values and subgradients are the same bits. Requires m + l >= 1.
     """
-    parts = list(problem.ineq)
-    for j in range(problem.l):
-        parts.append(AbsAffineOracle(problem.A[j], problem.b[j]))
+    parts = []
+    for affine, run in itertools.groupby(problem.ineq, lambda o: type(o) is AffineOracle):
+        run = list(run)
+        if affine and len(run) >= ROW_BLOCK_MIN:
+            parts.append(AffineBlockOracle([o.c for o in run], [o.d for o in run]))
+        else:
+            parts += run
+    if problem.l >= ROW_BLOCK_MIN:
+        parts.append(AffineBlockOracle(problem.A, -problem.b, absolute=True))
+    else:
+        parts += map(AbsAffineOracle, problem.A, problem.b)
     if not parts:
         raise ValueError("problem has no constraints; the max-constraint "
                          "reformulation is undefined for m = l = 0")

@@ -120,6 +120,13 @@ def test_bad_problem_file_is_config_error(tmp_path):
                     "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
         json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
                     "ineq": [{"op": "norm1", "dim": 2, "coords": [0.5, 1.7]}]}),
+        # strings and booleans are not numbers
+        json.dumps({"objective": {"op": "affine", "c": ["1", "0"], "d": True},
+                    "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0], "d": True},
+                    "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
+        json.dumps({"objective": {"op": "norm1", "dim": 2, "coords": [True]},
+                    "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
     ]
     for text in documents:
         bad.write_text(text)

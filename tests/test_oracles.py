@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineOracle,
+from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineBlockOracle, AffineOracle,
                              HingeSumOracle, LogBarrierOracle, MaxOracle,
                              Norm1Oracle, PositivePart, SqNormOracle, SumOracle,
                              euclidean_norm, norm_power_subgrad)
@@ -182,11 +182,31 @@ NAN, INF = float("nan"), float("inf")
     (lambda: LogBarrierOracle(2, 0.5), "index"),
     (lambda: SqNormOracle(2, coords=[0.5, 1.7]), "coords"),
     (lambda: HingeSumOracle(2, [NAN], [1.0]), "coords"),
+    # strings and booleans are not numbers, not even in a numpy array
+    (lambda: AffineOracle(["1", "0"]), "c"),
+    (lambda: AffineOracle([1.0, True]), "c"),
+    (lambda: AffineOracle(np.array([True, False])), "c"),
+    (lambda: AffineOracle([1.0], True), "d"),
+    (lambda: AbsAffineOracle([1.0], "0.5"), "b"),
+    (lambda: Norm1Oracle(True), "dim"),
+    (lambda: LogBarrierOracle(2, "1"), "index"),
+    (lambda: Norm1Oracle(2, coords=np.array([False, True])), "coords"),
+    (lambda: HingeSumOracle(2, [0, 1], ["1", "-1"]), "labels"),
+    (lambda: AffineBlockOracle([[1.0, 0.0]], [0.0, 1.0]), "C"),
+    (lambda: AffineBlockOracle([[NAN, 0.0]], [0.0]), "C"),
 ], ids=["affine-d", "abs-b", "norm1-offset", "sq-scale", "hinge-scale", "hinge-labels",
-        "log-shift", "log-offset", "dim", "index", "coords", "coords-nan"])
+        "log-shift", "log-offset", "dim", "index", "coords", "coords-nan",
+        "c-str", "c-bool", "c-numpy-bool", "d-bool", "b-str", "dim-bool", "index-str",
+        "coords-numpy-bool", "labels-str", "block-shape", "block-nan"])
 def test_constructor_rejects_bad_field(make, field):
     with pytest.raises(ValueError, match=field):
         make()
+
+
+def test_constructor_accepts_numpy_numbers():
+    assert AffineOracle(np.array([1, 2]), np.float32(0.5))(np.ones(2))[0] == 3.5
+    assert Norm1Oracle(np.int64(2), coords=[np.int32(1)], offset=np.int8(1))(np.ones(2))[0] == 2.0
+    assert LogBarrierOracle(2.0, np.int64(1), shift=np.float64(1.0)).index == 1
 
 
 def test_hinge_sum_oracle():
@@ -211,6 +231,8 @@ ORACLES = [
     Norm1Oracle(3, offset=-1.0),
     SqNormOracle(3, coords=[0, 2], scale=2.0),
     HingeSumOracle(3, coords=[0, 1, 2], labels=[1.0, -1.0, 1.0], scale=1.0 / 3.0),
+    AffineBlockOracle([[1.0, 0.0, -1.0], [0.5, 2.0, 0.0], [-1.0, 0.0, 0.3]], [0.1, -0.2, 0.0]),
+    AffineBlockOracle([[1.0, 2.0, -0.5], [0.0, -1.0, 1.0]], [-0.3, 0.2], absolute=True),
 ]
 
 
