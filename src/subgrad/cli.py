@@ -5,8 +5,11 @@ subgrad-bench run      one (problem, solver) pair; writes a trace CSV and
 subgrad-bench compare  all methods on one instance from a batch file;
                        prints one summary row per method
 
-Trace CSV columns: k,val,infeas,elapsed_s. Summary columns:
-method,s,val,infeas,gap,time_s with NA for fields that do not apply.
+Trace CSV columns: k,val,infeas,elapsed_s, where infeas is the solver's
+own measure (max{fbar(x), 0} for sg and sdsg). Summary columns:
+method,s,val,infeas,gap,time_s with NA for fields that do not apply; val
+and infeas are those of the reported point x_out, and infeas there is
+||max{f(x_out), 0}||_2 + ||A x_out - b||_2 for every method.
 Exit codes: 0 solved, 2 configuration error, 3 unwritable output.
 """
 
@@ -18,6 +21,7 @@ import math
 import sys
 
 from . import probio, runner, simplex
+from .oracles import _as_int, _as_scalar
 from .reports import SolverConfig, gap
 from .testbeds import build_lad, build_svm, gen_random
 
@@ -64,15 +68,13 @@ def _build_problem(kind, n=None, nbar=None, seed=0, infile=None):
         if kind in ("case1", "case2"):
             if n is None:
                 raise ConfigError(f"--n is required for problem {kind}")
-            return gen_random(1 if kind == "case1" else 2, n, seed).problem
-        if kind == "lad":
+            return gen_random(1 if kind == "case1" else 2, _as_int(n, "n"),
+                              _as_int(seed, "seed")).problem
+        if kind in ("lad", "svm"):
             if nbar is None:
-                raise ConfigError("--nbar is required for problem lad")
-            return build_lad(nbar, seed).problem
-        if kind == "svm":
-            if nbar is None:
-                raise ConfigError("--nbar is required for problem svm")
-            return build_svm(nbar, seed).problem
+                raise ConfigError(f"--nbar is required for problem {kind}")
+            build = build_lad if kind == "lad" else build_svm
+            return build(_as_int(nbar, "nbar"), _as_int(seed, "seed")).problem
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot build problem {kind}: {exc}") from exc
     if kind == "file":
@@ -97,14 +99,14 @@ def _write_trace(path, records):
     return True
 
 
-def _summary_row(method, s_exp, report, val_star):
+def _summary_row(method, s_exp, problem, report, val_star):
     final = report.final
     if final is None:
         val_s = infeas_s = "NA"
         gap_s = "NA"
     else:
         val_s = repr(float(final.val))
-        infeas_s = repr(float(final.infeas))
+        infeas_s = repr(float(problem.infeasibility(report.x_out)))
         finite = val_star is not None and math.isfinite(final.val) and math.isfinite(val_star)
         gap_s = repr(gap(final.val, val_star)) if finite else "NA"
     s_s = repr(float(s_exp)) if method == "pds" else "NA"
@@ -123,7 +125,7 @@ def _cmd_run(args):
     if args.out is not None and not _write_trace(args.out, report.trace):
         return 3
     print(SUMMARY_HEADER)
-    print(_summary_row(args.solver, args.s_exp, report, args.valstar))
+    print(_summary_row(args.solver, args.s_exp, problem, report, args.valstar))
     if report.p_eps is not None:
         print(f"# p_eps={report.p_eps!r} status={report.status}")
     else:
@@ -131,11 +133,12 @@ def _cmd_run(args):
     return 0
 
 
-def _lp_value(kind, problem, batch):
+def _lp_value(kind, problem):
     if kind == "case1":
         lp = simplex.encode_case1(problem)
     elif kind == "lad":
-        lp = simplex.encode_lad(problem, batch["problem"]["nbar"])
+        # lad has nbar coefficients and one slack per equality row
+        lp = simplex.encode_lad(problem, problem.n - problem.l)
     else:
         raise ConfigError(f"no LP oracle for problem kind {kind!r}")
     res = simplex.lp_solve_small(lp)
@@ -167,34 +170,32 @@ def _cmd_compare(args):
 
     val_star = batch.get("valstar")
     if val_star is not None:
-        if isinstance(val_star, bool) or not isinstance(val_star, (int, float)):
-            raise ConfigError(f"batch valstar must be null or a number, got {val_star!r}")
         try:
-            val_star = float(val_star)
-        except OverflowError as exc:
-            raise ConfigError(f"batch valstar is out of range: {exc}") from exc
+            val_star = _as_scalar(val_star, "batch valstar")
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(str(exc)) from exc
     rows = []
     if batch.get("lp_oracle"):
         import time
         t0 = time.perf_counter()
-        res = _lp_value(kind, problem, batch)
+        res = _lp_value(kind, problem)
         val_star = res.value
         rows.append(f"oracle,NA,{val_star!r},0.0,0.0,{time.perf_counter() - t0:.3f}")
 
     for entry in methods:
         solver = entry.get("solver")
+        s_exp = entry.get("s", 2.0)
         try:
-            s_exp = float(entry.get("s", 2.0))
             cfg = SolverConfig(solver=solver, eps=batch.get("eps", 1e-3),
                                iterations=batch.get("K", 10_000),
                                rho=entry.get("rho"), s_exp=s_exp,
                                delta_exp=batch.get("delta", 0.5),
                                trace_every=batch.get("trace_every", 10))
             report = runner.solve(problem, cfg)
-        except (ValueError, TypeError, RuntimeError) as exc:
+        except (ValueError, TypeError, OverflowError, RuntimeError) as exc:
             rows.append(f"{solver},NA,NA,NA,NA,NA  # {exc}")
             continue
-        rows.append(_summary_row(solver, s_exp, report, val_star))
+        rows.append(_summary_row(solver, s_exp, problem, report, val_star))
 
     lines = [SUMMARY_HEADER] + rows
     print("\n".join(lines))

@@ -31,7 +31,7 @@ from .problem import SADDLE_TOL, saddle_direction, single_constraint_form, start
 __all__ = ["DsgState", "init_state", "step", "solve"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DsgState:
     """Mutable per-run state; z is stored concatenated in ``z_arr``."""
 
@@ -70,7 +70,9 @@ def step(problem, state):
     state.s_acc += g / gnorm
     state.z_arr = state.z0 - state.s_acc / state.beta
     state.delta += 1.0 / gnorm
-    state.x_hat += x_prev / gnorm
+    # rebound, not updated in place: numpy's in-place path is about twice
+    # as slow on a length-1 array (n = 1), and no faster on short ones
+    state.x_hat = state.x_hat + x_prev / gnorm
     state.beta += 1.0 / state.beta
     return True
 
@@ -87,8 +89,6 @@ def solve(problem, cfg, mode="multi"):
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "single":
-        if problem.m + problem.l < 1:
-            raise ValueError("single mode needs at least one constraint to collapse")
         run = single_constraint_form(problem)
         fbar = run.ineq[0]
     else:

@@ -54,27 +54,32 @@ def _check_number(v, name):
         raise ValueError(f"{name} must be a number, got {v!r}")
 
 
-def _as_numbers(v, name):
-    """v as a 1-D float array, refusing strings and booleans."""
+def _element_types(v, ndim):
+    """Entry types of v, ndim list levels down; an array gives its dtype, deeper lists none."""
     if isinstance(v, np.ndarray):
-        types = {v.dtype.type}
-    elif isinstance(v, (list, tuple)):
-        types = set(map(type, v)) - {list, tuple}  # nested lists fail as not 1-D
-    else:
-        types = set()
-    for t in types:
+        return {v.dtype.type}
+    if not isinstance(v, (list, tuple)):
+        return set()
+    if ndim == 1:
+        return set(map(type, v)) - {list, tuple}
+    return set().union(*(_element_types(row, ndim - 1) for row in v))
+
+
+def _as_numbers(v, name, ndim=1):
+    """v as an ndim-D float array, refusing strings and booleans."""
+    for t in _element_types(v, ndim):
         if not _is_number_type(t):
             raise ValueError(f"{name} must hold numbers, got {t.__name__}")
     a = np.asarray(v, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
     return a
 
 
-def _as_vector(v, name="vector"):
-    a = _as_numbers(v, name)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
+def _as_vector(v, name, ndim=1):
+    a = _as_numbers(v, name, ndim)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return a
 
 
@@ -102,6 +107,16 @@ def _as_coords(coords, dim):
     return idx.astype(int)
 
 
+def _parts_and_dim(owner, parts):
+    """parts as a list and their shared dim; there must be at least one part."""
+    parts = list(parts)
+    dims = {p.dim for p in parts}
+    if len(dims) != 1:
+        raise ValueError(f"{type(owner).__name__} needs at least one part, all of one dim; "
+                         f"got dims {sorted(dims)}")
+    return parts, parts[0].dim
+
+
 class ConvexOracle:
     """A convex function queried through (value, one subgradient) pairs.
 
@@ -119,6 +134,9 @@ class ConvexOracle:
     def value(self, x):
         return self(x)[0]
 
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
+
 
 class AffineOracle(ConvexOracle):
     """c.x + d; the subgradient is c everywhere."""
@@ -129,10 +147,7 @@ class AffineOracle(ConvexOracle):
         self.dim = self.c.shape[0]
 
     def __call__(self, x):
-        return float(self.c @ x) + self.d, self.c
-
-    def __repr__(self):
-        return f"AffineOracle(dim={self.dim}, d={self.d})"
+        return float(self.c.dot(x)) + self.d, self.c
 
 
 class AbsAffineOracle(ConvexOracle):
@@ -149,13 +164,10 @@ class AbsAffineOracle(ConvexOracle):
         self._neg_a = -self.a
 
     def __call__(self, x):
-        r = float(self.a @ x) - self.b
+        r = float(self.a.dot(x)) - self.b
         if r >= 0.0:
             return r, self.a
         return -r, self._neg_a
-
-    def __repr__(self):
-        return f"AbsAffineOracle(dim={self.dim}, b={self.b})"
 
 
 class MaxOracle(ConvexOracle):
@@ -166,14 +178,7 @@ class MaxOracle(ConvexOracle):
     """
 
     def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("MaxOracle needs at least one part")
-        dims = {p.dim for p in parts}
-        if len(dims) != 1:
-            raise ValueError(f"MaxOracle parts disagree on dim: {sorted(dims)}")
-        self.parts = parts
-        self.dim = parts[0].dim
+        self.parts, self.dim = _parts_and_dim(self, parts)
 
     def __call__(self, x):
         best_v, best_g = self.parts[0](x)
@@ -183,9 +188,6 @@ class MaxOracle(ConvexOracle):
             if not v <= best_v and best_v == best_v:
                 best_v, best_g = v, g
         return best_v, best_g
-
-    def __repr__(self):
-        return f"MaxOracle({len(self.parts)} parts, dim={self.dim})"
 
 
 class AffineBlockOracle(ConvexOracle):
@@ -200,13 +202,11 @@ class AffineBlockOracle(ConvexOracle):
     """
 
     def __init__(self, C, d, absolute=False):
-        self.C = np.ascontiguousarray(C, dtype=float)
+        self.C = np.ascontiguousarray(_as_vector(C, "C", ndim=2))
         self.d = _as_vector(d, "d")
-        if self.C.ndim != 2 or self.C.shape[0] != self.d.shape[0] or not self.d.size:
+        if self.C.shape[0] != self.d.shape[0] or not self.d.size:
             raise ValueError(f"C must have one row per entry of d, got shape {self.C.shape} "
                              f"for {self.d.size} entries")
-        if not np.isfinite(self.C).all():
-            raise ValueError("C has non-finite entries")
         self.absolute = absolute
         self.dim = self.C.shape[1]
 
@@ -217,10 +217,6 @@ class AffineBlockOracle(ConvexOracle):
         if not self.absolute or v >= 0.0:
             return v, self.C[i]
         return -v, -self.C[i]
-
-    def __repr__(self):
-        return (f"AffineBlockOracle(rows={self.C.shape[0]}, dim={self.dim}, "
-                f"absolute={self.absolute})")
 
 
 class PositivePart(ConvexOracle):
@@ -242,22 +238,12 @@ class PositivePart(ConvexOracle):
             return v, g
         return 0.0, self._zero
 
-    def __repr__(self):
-        return f"PositivePart({self.arg!r})"
-
 
 class SumOracle(ConvexOracle):
     """Sum of several oracles; values and subgradients add."""
 
     def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("SumOracle needs at least one part")
-        dims = {p.dim for p in parts}
-        if len(dims) != 1:
-            raise ValueError(f"SumOracle parts disagree on dim: {sorted(dims)}")
-        self.parts = parts
-        self.dim = parts[0].dim
+        self.parts, self.dim = _parts_and_dim(self, parts)
 
     def __call__(self, x):
         total_v, g0 = self.parts[0](x)
@@ -267,9 +253,6 @@ class SumOracle(ConvexOracle):
             total_v += v
             total_g += g
         return total_v, total_g
-
-    def __repr__(self):
-        return f"SumOracle({len(self.parts)} parts, dim={self.dim})"
 
 
 class Norm1Oracle(ConvexOracle):
@@ -291,9 +274,6 @@ class Norm1Oracle(ConvexOracle):
         g[self.coords] = np.where(xc >= 0.0, 1.0, -1.0)
         return v, g
 
-    def __repr__(self):
-        return f"Norm1Oracle(dim={self.dim}, k={len(self.coords)}, offset={self.offset})"
-
 
 class SqNormOracle(ConvexOracle):
     """scale * sum_j x_j^2 over the given coordinates (smooth)."""
@@ -305,13 +285,10 @@ class SqNormOracle(ConvexOracle):
 
     def __call__(self, x):
         xc = x[self.coords]
-        v = self.scale * float(xc @ xc)
+        v = self.scale * float(xc.dot(xc))
         g = np.zeros(self.dim)
         g[self.coords] = (2.0 * self.scale) * xc
         return v, g
-
-    def __repr__(self):
-        return f"SqNormOracle(dim={self.dim}, k={len(self.coords)}, scale={self.scale})"
 
 
 class HingeSumOracle(ConvexOracle):
@@ -336,9 +313,6 @@ class HingeSumOracle(ConvexOracle):
         g = np.zeros(self.dim)
         g[self.coords[active]] = -self.scale * self.labels[active]
         return v, g
-
-    def __repr__(self):
-        return f"HingeSumOracle(dim={self.dim}, terms={len(self.coords)}, scale={self.scale})"
 
 
 class LogBarrierOracle(ConvexOracle):
@@ -366,10 +340,6 @@ class LogBarrierOracle(ConvexOracle):
             return -math.log(t) + self.offset, g
         g[self.index] = -1.0 / LOG_SAFEGUARD
         return -math.log(LOG_SAFEGUARD) + self.offset, g
-
-    def __repr__(self):
-        return (f"LogBarrierOracle(dim={self.dim}, index={self.index}, "
-                f"shift={self.shift}, offset={self.offset})")
 
 
 def norm_power_subgrad(z, s):

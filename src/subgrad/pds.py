@@ -49,7 +49,7 @@ def step_length(k, delta_exp):
     return float(k + 1) ** (-1.0 + delta_exp / 2.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class PdsState:
     """Mutable per-run state; z is stored concatenated in ``z_arr``.
 

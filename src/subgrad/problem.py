@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, MaxOracle,
-                      euclidean_norm, norm_power_subgrad)
+                      _as_vector, euclidean_norm, norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
@@ -42,31 +42,27 @@ class ConstrainedProblem:
     """Objective oracle, inequality oracles, and dense equality pair (A, b).
 
     m = 0 and l = 0 are both legal (the problem degenerates gracefully to
-    fewer constraint blocks); an A that is None or has no entries means no
-    equality rows, and b defaults to zeros. All oracles must share the
-    ambient dimension, and every entry of A and b must be finite.
+    fewer constraint blocks); an A that is None, [] or a matrix with no
+    entries means no equality rows, and b defaults to zeros. All oracles
+    must share the ambient dimension. A and b follow the number rule of
+    oracle fields: every entry is a finite number, never a string or a
+    boolean.
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
         self.f0 = f0
         self.ineq = list(ineq)
         self.n = f0.dim
-        A = np.asarray([] if A is None else A, dtype=float)
+        no_rows = A is None or isinstance(A, (list, tuple)) and not A
+        A = np.zeros((0, self.n)) if no_rows else _as_vector(A, "A", ndim=2)
         self.A = A if A.size else np.zeros((0, self.n))
-        if self.A.ndim != 2:
-            raise ValueError(f"A must be a matrix, got shape {self.A.shape}")
-        if b is None:
-            b = np.zeros(self.A.shape[0])
-        self.b = np.asarray(b, dtype=float)
+        self.b = np.zeros(self.A.shape[0]) if b is None else _as_vector(b, "b")
         if self.A.shape[1] != self.n:
             raise ValueError(
                 f"A has {self.A.shape[1]} columns but the problem dimension is {self.n}")
         if self.b.shape != (self.A.shape[0],):
             raise ValueError(
                 f"b has shape {self.b.shape}, expected ({self.A.shape[0]},)")
-        for name, arr in (("A", self.A), ("b", self.b)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has a non-finite entry")
         for i, o in enumerate(self.ineq):
             if o.dim != self.n:
                 raise ValueError(
@@ -128,8 +124,8 @@ def max_constraint_oracle(problem):
     else:
         parts += map(AbsAffineOracle, problem.A, problem.b)
     if not parts:
-        raise ValueError("problem has no constraints; the max-constraint "
-                         "reformulation is undefined for m = l = 0")
+        raise ValueError("the max-constraint form needs at least one constraint; "
+                         "the problem has m = l = 0")
     return MaxOracle(parts)
 
 
@@ -172,10 +168,10 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     """
     n, m, l = problem.n, problem.m, problem.l
     x = z[:n]
-    f0_val, g0 = problem.f0(x)
+    # Tx is summed by rebinding tx, never in place: it starts as the
+    # objective oracle's own subgradient array
+    f0_val, tx = problem.f0(x)
     t = np.empty(n + m + l)
-    tx = t[:n]
-    tx[:] = g0
     penalized = []
     # j indexes row i = j - n of F in both t and z = (x, lam, nu)
     for j, oracle in enumerate(problem.ineq, n):
@@ -185,7 +181,7 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
             if rho != 0.0:
                 penalized.append((j, g))
             elif z[j] != 0.0:
-                tx += z[j] * g
+                tx = tx + z[j] * g
         else:
             t[j] = 0.0 if v <= 0.0 else -v  # a NaN value stays NaN in F
     if penalized:
@@ -193,12 +189,13 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
         for j, g in penalized:
             w = z[j] + rho * pen[j - n]
             if w != 0.0:
-                tx += w * g
+                tx = tx + w * g
     if l:
         nu = z[n + m:]
         r = problem.A @ x - problem.b
         if rho != 0.0:
             nu = nu + rho * norm_power_subgrad(r, s_exp)
-        tx += problem.A.T @ nu
+        tx = tx + problem.A.T @ nu
         t[n + m:] = -r
+    t[:n] = tx
     return t, f0_val

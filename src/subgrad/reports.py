@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracles import _as_int, _check_number
+
 __all__ = [
     "COMPLETED",
     "SADDLE_TERMINATED",
@@ -55,8 +57,13 @@ class SolverConfig:
     nu0: np.ndarray | None = None
 
     def validate(self):
+        """Check every setting; strings and booleans are refused, as in oracle fields."""
         if self.solver not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
+        for name in ("eps", "s_exp", "delta_exp") + (() if self.rho is None else ("rho",)):
+            _check_number(getattr(self, name), name)
+        self.iterations = _as_int(self.iterations, "iterations")
+        self.trace_every = _as_int(self.trace_every, "trace_every")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
         if self.iterations < 0:

@@ -29,11 +29,11 @@ def step(x, eps, f0_grad, fbar_val, fbar_grad):
     x unchanged.
     """
     if fbar_val is None or fbar_val <= eps:
-        gn2 = float(f0_grad @ f0_grad)
+        gn2 = float(f0_grad.dot(f0_grad))
         if gn2 == 0.0:
             return x, True
         return x - (eps / gn2) * f0_grad, False
-    gn2 = float(fbar_grad @ fbar_grad)
+    gn2 = float(fbar_grad.dot(fbar_grad))
     if gn2 == 0.0:
         return x, True
     return x - (fbar_val / gn2) * fbar_grad, False

@@ -16,15 +16,15 @@ class ValidationReport:
     worst_violation: float
 
 
-def _ball_points(rng, dim, radius, count, center):
+def _ball_points(rng, dim, radius, count):
     g = rng.standard_normal((count, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * rng.uniform(size=(count, 1)) ** (1.0 / dim)
-    return center + r * g
+    return r * g
 
 
-def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0, center=None):
-    """Sample (x, y) pairs in a ball and test value(y) >= value(x) + g(x).(y - x).
+def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
+    """Sample (x, y) pairs in a ball about 0 and test value(y) >= value(x) + g(x).(y - x).
 
     The per-pair tolerance is 1e-9 * (1 + |value(y)|). Violations are
     counted and the worst raw excess (positive means violated) reported;
@@ -33,10 +33,8 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0, center=None):
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    if center is None:
-        center = np.zeros(oracle.dim)
-    xs = _ball_points(rng, oracle.dim, radius, n_pairs, center)
-    ys = _ball_points(rng, oracle.dim, radius, n_pairs, center)
+    xs = _ball_points(rng, oracle.dim, radius, n_pairs)
+    ys = _ball_points(rng, oracle.dim, radius, n_pairs)
     n_bad = 0
     worst = -np.inf
     for x, y in zip(xs, ys):

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from subgrad import probio
+from subgrad import SolverConfig, probio, solve
 from subgrad.cli import main
 from subgrad.reports import gap
-from subgrad.testbeds import gen_random
+from subgrad.testbeds import build_svm, gen_random
 
 
 def read_csv(path):
@@ -127,6 +127,10 @@ def test_bad_problem_file_is_config_error(tmp_path):
                     "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
         json.dumps({"objective": {"op": "norm1", "dim": 2, "coords": [True]},
                     "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
+        # the equality rows follow the same number rule
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "ineq": [{"op": "affine", "c": [-1.0, 0.0]}],
+                    "A": [["1", True]], "b": ["0.5"]}),
     ]
     for text in documents:
         bad.write_text(text)
@@ -178,6 +182,23 @@ def test_compare_emits_row_per_method(tmp_path, capsys):
     assert out.read_text().splitlines() == lines
 
 
+def test_compare_infeas_is_one_measure_at_x_out(tmp_path, capsys):
+    # the summary's infeas is problem.infeasibility(x_out) for every method,
+    # whatever measure the solver's own trace uses
+    solvers = ["sg", "sdsg", "mdsg", "pds"]
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": {"kind": "svm", "nbar": 1, "seed": 1},
+                                 "K": 300, "trace_every": 10,
+                                 "methods": [{"solver": s} for s in solvers]}))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    problem = build_svm(1, 1).problem
+    for solver, row in zip(solvers, rows, strict=True):
+        report = solve(problem, SolverConfig(solver=solver, iterations=300, trace_every=10))
+        assert row[:4] == [solver, "NA" if solver != "pds" else "2.0",
+                           repr(report.final.val), repr(problem.infeasibility(report.x_out))]
+
+
 def test_compare_empty_methods_exits_two(tmp_path):
     bfile = tmp_path / "batch.json"
     bfile.write_text(json.dumps({"problem": {"kind": "case1", "n": 6, "seed": 1},
@@ -211,6 +232,8 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
     # json refuses integers of more than 4300 digits
     pytest.param(None, '{"problem": {"kind": "case1", "n": 6}, "valstar": ' + "9" * 5000
                  + ', "methods": [{"solver": "sg"}]}', id="None-overlong-valstar"),
+    # a seed is an integer, not a boolean
+    (None, {"problem": {"kind": "case1", "n": 6, "seed": True}, "methods": [{"solver": "sg"}]}),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     if argv is None:
@@ -225,10 +248,16 @@ def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     ({"solver": "pds", "s": "x"}, {}),
     ({"solver": "pds"}, {"K": "5"}),
     ({"solver": "pds", "rho": float("inf")}, {}),
+    # booleans are not numbers, for any solver
+    ({"solver": "pds"}, {"K": True}),
+    ({"solver": "sg"}, {"eps": True}),
+    ({"solver": "pds", "rho": True}, {}),
+    ({"solver": "sg", "s": True}, {}),
 ])
 def test_bad_method_gives_na_row(tmp_path, capsys, method, extra):
     bfile = tmp_path / "batch.json"
     bfile.write_text(json.dumps({"problem": {"kind": "case1", "n": 6}, "K": 10,
                                  "methods": [method], **extra}))
     assert main(["compare", "--batch", str(bfile)]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("pds,NA,NA,NA,NA,NA  # ")
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith(f"{method['solver']},NA,NA,NA,NA,NA  # ")

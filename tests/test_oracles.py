@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from subgrad import oracles
 from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineBlockOracle, AffineOracle,
                              HingeSumOracle, LogBarrierOracle, MaxOracle,
                              Norm1Oracle, PositivePart, SqNormOracle, SumOracle,
@@ -234,6 +235,15 @@ ORACLES = [
     AffineBlockOracle([[1.0, 0.0, -1.0], [0.5, 2.0, 0.0], [-1.0, 0.0, 0.3]], [0.1, -0.2, 0.0]),
     AffineBlockOracle([[1.0, 2.0, -0.5], [0.0, -1.0, 1.0]], [-0.3, 0.2], absolute=True),
 ]
+
+
+def test_repr_is_class_name_and_dim():
+    sample = ORACLES + [LogBarrierOracle(3, index=0)]
+    exported = {getattr(oracles, name) for name in oracles.__all__}
+    classes = {c for c in exported if isinstance(c, type) and c is not oracles.ConvexOracle}
+    assert {type(o) for o in sample} == classes
+    for o in sample:
+        assert repr(o) == f"{type(o).__name__}(dim=3)"
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: type(o).__name__)

@@ -29,6 +29,20 @@ def test_shape_validation():
         ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0]], b=[np.inf])
 
 
+# A and b follow the number rule of oracle fields
+@pytest.mark.parametrize("A,b,field", [
+    ([["1", 0.0]], [0.0], "A"),
+    ([[1.0, True]], [0.0], "A"),
+    (np.array([[True, False]]), [0.0], "A"),
+    ([[1.0, 0.0]], ["0.5"], "b"),
+    ([[1.0, 0.0]], [False], "b"),
+    ([[1.0, 0.0]], np.array([True]), "b"),
+], ids=["A-str", "A-bool", "A-numpy-bool", "b-str", "b-bool", "b-numpy-bool"])
+def test_constructor_rejects_non_numbers(A, b, field):
+    with pytest.raises(ValueError, match=f"^{field} must hold numbers"):
+        ConstrainedProblem(AffineOracle([1.0, 0.0]), [], A=A, b=b)
+
+
 def test_violation_vector():
     p = ConstrainedProblem(AffineOracle([1.0]))
     assert p.violation_vector(np.array([2.0])).shape == (0,)
