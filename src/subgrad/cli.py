@@ -22,7 +22,7 @@ import sys
 
 from . import probio, runner, simplex
 from .oracles import _as_int, _as_scalar
-from .reports import SolverConfig, gap
+from .reports import SOLVER_NAMES, SolverConfig, gap
 from .testbeds import build_lad, build_svm, gen_random
 
 __all__ = ["main"]
@@ -45,7 +45,7 @@ def _build_parser():
     run_p.add_argument("--n", type=int, help="dimension for case1/case2")
     run_p.add_argument("--nbar", type=int, help="base size for lad/svm")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--solver", required=True, choices=["sg", "sdsg", "mdsg", "pds"])
+    run_p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
     run_p.add_argument("--eps", type=float, default=1e-3)
     run_p.add_argument("--K", type=int, default=10_000)
     run_p.add_argument("--rho", type=float, default=None)
@@ -107,13 +107,21 @@ def _summary_row(method, s_exp, problem, report, val_star):
     else:
         val_s = repr(float(final.val))
         infeas_s = repr(float(problem.infeasibility(report.x_out)))
-        finite = val_star is not None and math.isfinite(final.val) and math.isfinite(val_star)
+        finite = val_star is not None and math.isfinite(final.val)
         gap_s = repr(gap(final.val, val_star)) if finite else "NA"
     s_s = repr(float(s_exp)) if method == "pds" else "NA"
     return f"{method},{s_s},{val_s},{infeas_s},{gap_s},{report.wall_time_s:.3f}"
 
 
+def _as_valstar(v, name):
+    try:
+        return _as_scalar(v, name)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_run(args):
+    val_star = None if args.valstar is None else _as_valstar(args.valstar, "valstar")
     problem = _build_problem(args.problem, args.n, args.nbar, args.seed, args.infile)
     cfg = SolverConfig(solver=args.solver, eps=args.eps, iterations=args.K,
                        rho=args.rho, s_exp=args.s_exp, delta_exp=args.delta_exp,
@@ -125,7 +133,7 @@ def _cmd_run(args):
     if args.out is not None and not _write_trace(args.out, report.trace):
         return 3
     print(SUMMARY_HEADER)
-    print(_summary_row(args.solver, args.s_exp, problem, report, args.valstar))
+    print(_summary_row(args.solver, args.s_exp, problem, report, val_star))
     if report.p_eps is not None:
         print(f"# p_eps={report.p_eps!r} status={report.status}")
     else:
@@ -170,17 +178,14 @@ def _cmd_compare(args):
 
     val_star = batch.get("valstar")
     if val_star is not None:
-        try:
-            val_star = _as_scalar(val_star, "batch valstar")
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from exc
-    rows = []
+        val_star = _as_valstar(val_star, "batch valstar")
+    rows = []  # (summary row, why it is NA or "")
     if batch.get("lp_oracle"):
         import time
         t0 = time.perf_counter()
         res = _lp_value(kind, problem)
         val_star = res.value
-        rows.append(f"oracle,NA,{val_star!r},0.0,0.0,{time.perf_counter() - t0:.3f}")
+        rows.append((f"oracle,NA,{val_star!r},0.0,0.0,{time.perf_counter() - t0:.3f}", ""))
 
     for entry in methods:
         solver = entry.get("solver")
@@ -193,16 +198,17 @@ def _cmd_compare(args):
                                trace_every=batch.get("trace_every", 10))
             report = runner.solve(problem, cfg)
         except (ValueError, TypeError, OverflowError, RuntimeError) as exc:
-            rows.append(f"{solver},NA,NA,NA,NA,NA  # {exc}")
+            # the method field is a solver name or NA, never the raw batch value
+            method = solver if solver in SOLVER_NAMES else "NA"
+            rows.append((f"{method},NA,NA,NA,NA,NA", f"  # {exc}"))
             continue
-        rows.append(_summary_row(solver, s_exp, problem, report, val_star))
+        rows.append((_summary_row(solver, s_exp, problem, report, val_star), ""))
 
-    lines = [SUMMARY_HEADER] + rows
-    print("\n".join(lines))
+    print("\n".join([SUMMARY_HEADER] + [row + why for row, why in rows]))
     if args.out is not None:
         try:
             with open(args.out, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join([SUMMARY_HEADER] + [row for row, _ in rows]) + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 3

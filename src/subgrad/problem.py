@@ -5,8 +5,11 @@ single-max-constraint reformulation.
 A problem is min f0(x) subject to f_i(x) <= 0 (i = 1..m) and A x = b.
 Infeasibility of a point is measured as ||F(x)||_2 + ||A x - b||_2 where
 F_i(x) = max{f_i(x), 0}; the alternative single-constraint form replaces
-all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0,
-evaluated one block per run of at least ROW_BLOCK_MIN affine rows.
+all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
+
+Each run of at least ROW_BLOCK_MIN consecutive affine inequality rows is
+stacked once, when the problem is built, and read as one block by F(x),
+by the saddle direction and by fbar, with the bits of one call per row.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ __all__ = [
 # candidate; the solvers divide by the norm, which is undefined at zero.
 SADDLE_TOL = 1e-14
 
-# Fewest consecutive affine rows that fbar evaluates as one AffineBlockOracle.
-# A block call costs about 5 us and a per-row part 1.5 us, so shorter runs
-# stay one part per row.
+# Fewest consecutive affine inequality rows that are stacked into one
+# AffineBlockOracle. A block call costs about 5 us and a per-row part 1.5 us,
+# so shorter runs stay one oracle per row.
 ROW_BLOCK_MIN = 4
 
 
@@ -47,6 +50,11 @@ class ConstrainedProblem:
     must share the ambient dimension. A and b follow the number rule of
     oracle fields: every entry is a finite number, never a string or a
     boolean.
+
+    ``ineq`` stays one oracle per row. Next to it, each run of at least
+    ROW_BLOCK_MIN consecutive AffineOracles (exact type) is stacked once
+    into an AffineBlockOracle (C, d), which violation_vector,
+    saddle_direction and max_constraint_oracle read as np.vecdot(C, x) + d.
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
@@ -69,6 +77,19 @@ class ConstrainedProblem:
                     f"inequality oracle {i} has dim {o.dim}, expected {self.n}")
         self.m = len(self.ineq)
         self.l = self.A.shape[0]
+        # ineq as evaluated, as (first row i, rows k, oracle): each run of at
+        # least ROW_BLOCK_MIN consecutive AffineOracles is one AffineBlockOracle
+        # of its k stacked rows, any other oracle is one row with k = 0
+        self._blocks = []
+        i = 0
+        for affine, run in itertools.groupby(self.ineq, lambda o: type(o) is AffineOracle):
+            run = list(run)
+            if affine and len(run) >= ROW_BLOCK_MIN:
+                block = AffineBlockOracle([o.c for o in run], [o.d for o in run])
+                self._blocks.append((i, len(run), block))
+            else:
+                self._blocks += [(j, 0, o) for j, o in enumerate(run, i)]
+            i += len(run)
 
     def eval_ineq(self, x):
         """Raw values f_i(x) and their subgradients, as (values, grads)."""
@@ -82,11 +103,12 @@ class ConstrainedProblem:
 
     def violation_vector(self, x):
         """Componentwise max{f_i(x), 0}; empty when m = 0."""
-        if self.m == 0:
-            return np.zeros(0)
         vals = np.empty(self.m)
-        for i, o in enumerate(self.ineq):
-            vals[i] = o(x)[0]
+        for i, k, o in self._blocks:
+            if k:
+                vals[i:i + k] = np.vecdot(o.C, x) + o.d
+            else:
+                vals[i] = o(x)[0]
         return np.maximum(vals, 0.0)
 
     def infeasibility(self, x):
@@ -107,18 +129,13 @@ def max_constraint_oracle(problem):
 
     Parts keep the problem's listing order (inequalities first, then the
     equality rows) so the lowest-index tie rule is reproducible. Each run
-    of at least ROW_BLOCK_MIN consecutive AffineOracle inequalities becomes
-    one AffineBlockOracle, and so do the l absolute residuals when
-    l >= ROW_BLOCK_MIN; shorter runs keep one part per row. Either way the
-    values and subgradients are the same bits. Requires m + l >= 1.
+    of at least ROW_BLOCK_MIN consecutive AffineOracle inequalities is the
+    AffineBlockOracle the problem stacked for it, and the l absolute
+    residuals become one when l >= ROW_BLOCK_MIN; shorter runs keep one
+    part per row. Either way the values and subgradients are the same
+    bits. Requires m + l >= 1.
     """
-    parts = []
-    for affine, run in itertools.groupby(problem.ineq, lambda o: type(o) is AffineOracle):
-        run = list(run)
-        if affine and len(run) >= ROW_BLOCK_MIN:
-            parts.append(AffineBlockOracle([o.c for o in run], [o.d for o in run]))
-        else:
-            parts += run
+    parts = [o for _, _, o in problem._blocks]
     if problem.l >= ROW_BLOCK_MIN:
         parts.append(AffineBlockOracle(problem.A, -problem.b, absolute=True))
     else:
@@ -165,6 +182,12 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     At rho = 0 the penalty terms are skipped and T is the plain saddle
     direction of the Lagrangian, G = (Gx, -F(x), b - Ax). F(x) and Ax - b
     are the negated blocks T[n:n+m] and T[n+m:].
+
+    One walk over the inequality rows fills -F(x) and adds the weighted
+    subgradients to Tx in row order. A stacked run of affine rows is one
+    step of the walk: its values are np.vecdot(C, x) + d, and its weighted
+    rows are added one at a time by an axis-0 reduce, so T has the bits of
+    one oracle call per row.
     """
     n, m, l = problem.n, problem.m, problem.l
     x = z[:n]
@@ -174,19 +197,32 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     t = np.empty(n + m + l)
     penalized = []
     # j indexes row i = j - n of F in both t and z = (x, lam, nu)
-    for j, oracle in enumerate(problem.ineq, n):
+    for j, k, oracle in problem._blocks:
+        j += n
+        if k:
+            v = np.vecdot(oracle.C, x) + oracle.d
+            t[j:j + k] = np.where(v <= 0.0, 0.0, -v)  # a NaN value stays NaN in F
+            if rho != 0.0:
+                penalized.append((j, v, oracle.C))
+            else:
+                tx = _add_rows(tx, z[j:j + k], v, oracle.C)
+            continue
         v, g = oracle(x)
         if v > 0.0:
             t[j] = -v
             if rho != 0.0:
-                penalized.append((j, g))
+                penalized.append((j, None, g))
             elif z[j] != 0.0:
                 tx = tx + z[j] * g
         else:
             t[j] = 0.0 if v <= 0.0 else -v  # a NaN value stays NaN in F
     if penalized:
         pen = norm_power_subgrad(-t[n:n + m], s_exp)
-        for j, g in penalized:
+        for j, v, g in penalized:
+            if v is not None:
+                w = z[j:j + v.size] + rho * pen[j - n:j - n + v.size]
+                tx = _add_rows(tx, w, v, g)
+                continue
             w = z[j] + rho * pen[j - n]
             if w != 0.0:
                 tx = tx + w * g
@@ -199,3 +235,13 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
         t[n + m:] = -r
     t[:n] = tx
     return t, f0_val
+
+
+def _add_rows(tx, w, v, C):
+    """tx + w_i c_i over the rows with v_i > 0 and w_i != 0.
+
+    The axis-0 reduce adds the rows to tx one at a time in row order, which
+    gives the bits of tx = tx + w_i * c_i per row; C.T @ w does not.
+    """
+    rows = (v > 0.0) & (w != 0.0)
+    return np.add.reduce(np.vstack([tx[None, :], w[rows, None] * C[rows]]), axis=0)

@@ -234,6 +234,11 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
                  + ', "methods": [{"solver": "sg"}]}', id="None-overlong-valstar"),
     # a seed is an integer, not a boolean
     (None, {"problem": {"kind": "case1", "n": 6, "seed": True}, "methods": [{"solver": "sg"}]}),
+    # run refuses a non-finite valstar as compare does
+    (["run", "--problem", "case1", "--n", "10", "--solver", "sg", "--K", "10",
+      "--valstar", "nan"], None),
+    (["run", "--problem", "case1", "--n", "10", "--solver", "sg", "--K", "10",
+      "--valstar", "inf"], None),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     if argv is None:
@@ -261,3 +266,17 @@ def test_bad_method_gives_na_row(tmp_path, capsys, method, extra):
     assert main(["compare", "--batch", str(bfile)]) == 0
     row = capsys.readouterr().out.splitlines()[1]
     assert row.startswith(f"{method['solver']},NA,NA,NA,NA,NA  # ")
+
+
+@pytest.mark.parametrize("solver", ["sg,x", ["sg", "pds"], None])
+def test_na_row_names_a_solver_or_na(tmp_path, capsys, solver):
+    bfile, out = tmp_path / "batch.json", tmp_path / "summary.csv"
+    bfile.write_text(json.dumps({"problem": {"kind": "case1", "n": 6}, "K": 10,
+                                 "methods": [{"solver": solver}, {"solver": "pds", "s": "x"}]}))
+    assert main(["compare", "--batch", str(bfile), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    # stdout says why each row is NA; the CSV holds six fields per line
+    assert stdout[1].startswith("NA,NA,NA,NA,NA,NA  # unknown solver")
+    assert stdout[2].startswith("pds,NA,NA,NA,NA,NA  # ")
+    assert out.read_text().splitlines() == ["method,s,val,infeas,gap,time_s",
+                                            "NA,NA,NA,NA,NA,NA", "pds,NA,NA,NA,NA,NA"]

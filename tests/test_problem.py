@@ -5,9 +5,9 @@ import pytest
 
 from subgrad import SolverConfig, solve
 from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, ConvexOracle,
-                             MaxOracle, Norm1Oracle)
+                             MaxOracle, Norm1Oracle, norm_power_subgrad)
 from subgrad.problem import (ROW_BLOCK_MIN, ConstrainedProblem, max_constraint_oracle,
-                             single_constraint_form, start_point)
+                             saddle_direction, single_constraint_form, start_point)
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
 
@@ -145,6 +145,76 @@ def test_block_fbar_ties_and_run_lengths():
         per_run = 1 if k == ROW_BLOCK_MIN else k
         assert len(max_constraint_oracle(s).parts) == 3 * per_run + 1
         assert_same_fbar(s, [np.round(rng.normal(size=2), 1) for _ in range(50)])
+
+
+def per_row_direction(p, z, rho, s_exp):
+    """saddle_direction with one oracle call per row, Tx summed row by row in row order."""
+    n, m = p.n, p.m
+    x, lam, nu = z[:n], z[n:n + m], z[n + m:]
+    f0_val, tx = p.f0(x)
+    rows = [o(x) for o in p.ineq]
+    minus_f = np.array([0.0 if v <= 0.0 else -v for v, _ in rows])
+    pen = norm_power_subgrad(-minus_f, s_exp) if rho != 0.0 else None
+    for i, (v, g) in enumerate(rows):
+        w = lam[i] if rho == 0.0 else lam[i] + rho * pen[i]
+        if v > 0.0 and w != 0.0:
+            tx = tx + w * g
+    r = p.A @ x - p.b
+    if rho != 0.0:
+        nu = nu + rho * norm_power_subgrad(r, s_exp)
+    return np.concatenate([tx + p.A.T @ nu, minus_f, -r]), f0_val
+
+
+def test_block_direction_matches_per_row_direction():
+    rng = np.random.Generator(np.random.PCG64(3))
+    n = 7
+
+    def run(k):  # dense rows: every pair of rows shares every coordinate
+        return [AffineOracle(c, d) for c, d in zip(rng.standard_normal((k, n)),
+                                                   rng.uniform(-1.0, 0.5, k))]
+
+    ineq = run(3) + [Norm1Oracle(n, offset=-2.0)] + run(4) + [Norm1Oracle(n, offset=-3.0)] + run(5)
+    p = ConstrainedProblem(AffineOracle(rng.standard_normal(n)), ineq,
+                           A=rng.standard_normal((2, n)), b=rng.standard_normal(2))
+    # the run of 3 keeps one part per row, the runs of 4 and 5 are blocks
+    assert [type(q) for q in max_constraint_oracle(p).parts] == [AffineOracle] * 3 + [
+        Norm1Oracle, AffineBlockOracle, Norm1Oracle, AffineBlockOracle] + [AbsAffineOracle] * 2
+
+    def zs(count):
+        for _ in range(count):
+            lam = rng.uniform(0.0, 2.0, p.m) * (rng.uniform(size=p.m) < 0.6)
+            yield np.concatenate([rng.uniform(-2.0, 2.0, n), lam, rng.standard_normal(p.l)])
+
+    # x = (inf, -inf, ...) reads inf - inf, a NaN, on rows whose first two
+    # entries share a sign
+    z_inf = next(zs(1))
+    z_inf[:2] = np.inf, -np.inf
+    points = list(zs(40)) + [z_inf]
+    settings = [(0.0, 2.0)] + [(0.7, s) for s in (1.0, 1.5, 2.0)]
+    block_rows = n + np.r_[4:8, 9:14]
+    active = 0
+    with np.errstate(invalid="ignore"):
+        for rho, s_exp in settings:
+            for z in points:
+                (t, f0_val), (t_ref, f0_ref) = (saddle_direction(p, z, rho, s_exp),
+                                                per_row_direction(p, z, rho, s_exp))
+                assert t.tobytes() == t_ref.tobytes(), (rho, s_exp, z)
+                assert np.float64(f0_val).tobytes() == np.float64(f0_ref).tobytes()
+                active += np.count_nonzero(t[block_rows] < 0.0)
+        vv = [p.violation_vector(z[:n]) for z in points]
+        ref = [np.maximum([o(z[:n])[0] for o in p.ineq], 0.0) for z in points]
+        assert [v.tobytes() for v in vv] == [v.tobytes() for v in ref]
+        t = saddle_direction(p, z_inf)[0]
+    assert np.isnan(t[block_rows]).any() and np.isnan(vv[-1]).any()
+    assert active > 500  # many block rows are violated, so their rows are summed
+
+    # an AffineBlockOracle constraint is one row, max_j r_j, however many it follows
+    q = ConstrainedProblem(p.f0, [max_constraint_oracle(p).parts[4]] * ROW_BLOCK_MIN)
+    for rho, s_exp in settings:
+        for z in points[:10]:
+            z = np.concatenate([z[:n], z[n:n + q.m]])
+            t, t_ref = saddle_direction(q, z, rho, s_exp)[0], per_row_direction(q, z, rho, s_exp)[0]
+            assert t.tobytes() == t_ref.tobytes()
 
 
 def test_single_constraint_form_shape():

@@ -4,11 +4,18 @@ Each digest is sha256 over the exact bits of (k, val, infeas) of every
 trace row, packed as little-endian (int64, float64, float64). The pinned
 values were recorded before the solve loops were merged into one driver;
 a refactor of the iteration path must leave all of them unchanged.
+
+The dense-rows instance has eight affine rows that share every coordinate,
+one run of them read as a row block; its digests were recorded while the
+solvers still read one oracle per row, so any change in the order in which
+the rows are summed into a direction shows here. The box rows of case2 have
+disjoint supports and cannot show it.
 """
 
 import hashlib
 import struct
 
+import numpy as np
 import pytest
 
 from subgrad import SolverConfig, solve
@@ -16,12 +23,21 @@ from subgrad.oracles import AffineOracle
 from subgrad.problem import ConstrainedProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
+def dense_rows():
+    rng = np.random.Generator(np.random.PCG64(8))
+    C = rng.standard_normal((8, 6))
+    d = -rng.uniform(0.5, 1.5, 8)
+    return ConstrainedProblem(AffineOracle(rng.standard_normal(6)),
+                              [AffineOracle(c, dj) for c, dj in zip(C, d)])
+
+
 INSTANCES = {
     "one_d": lambda: ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])]),
     "case1-n10-s1": lambda: gen_random(1, 10, 1).problem,
     "case2-n4-s2": lambda: gen_random(2, 4, 2).problem,
     "lad-nbar3-s1": lambda: build_lad(3, 1).problem,
     "svm-nbar1-s1": lambda: build_svm(1, 1).problem,
+    "dense-rows-s8": dense_rows,
 }
 
 # (instance, solver) -> (status, trace digest) at K = 200, trace_every = 1
@@ -46,6 +62,10 @@ PINNED = {
     ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
     ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "af54193ab48f8031a3568dac3f1138a11e4e09fd42ad67169b92d0633431a0e4"),
     ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "6b34b16218959ebe71e64630ea2e61409d56d328fbed9334aeefcda3950e14a4"),
+    ("dense-rows-s8", "sg"): ("COMPLETED", "7874fbf7317154d6c444e198734ebbd0ee3b990d93ed655ca51ff2a5aa497ba5"),
+    ("dense-rows-s8", "sdsg"): ("COMPLETED", "f34b4b274a0bc9414258b57ba497575dcd2d0ae329a456e9f42262eb8ade9f9e"),
+    ("dense-rows-s8", "mdsg"): ("COMPLETED", "2903bade91c1d5cf31bffe1872df209852280f021cd8140d6ebfb34a53faed0a"),
+    ("dense-rows-s8", "pds"): ("COMPLETED", "907b96fb11a07735a242039943e046f8bf4b4441193f5535c0ec3d036d9462b2"),
 }
 
 
