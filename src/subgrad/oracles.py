@@ -100,10 +100,13 @@ def _as_int(v, name):
 
 
 def _as_coords(coords, dim):
-    """Index array over coordinates [0, dim); None selects all of them."""
+    """Index array of distinct coordinates in [0, dim); None selects all of them."""
     idx = np.arange(dim) if coords is None else _as_numbers(coords, "coords")
     if not np.all((idx >= 0) & (idx < dim) & (idx == np.floor(idx))):
         raise ValueError(f"coords must be integer indices in [0, {dim}), got {coords}")
+    s = np.sort(idx)  # np.unique would import numpy.ma, a megabyte, on its first call
+    if (s[1:] == s[:-1]).any():  # a repeat counts twice in a value, once in a subgradient
+        raise ValueError(f"coords must be distinct indices, got {coords}")
     return idx.astype(int)
 
 
@@ -197,8 +200,8 @@ class AffineBlockOracle(ConvexOracle):
     absolute) of the lowest index i attaining the max, and a NaN row wins.
     So values, subgradients and ties are bit for bit those of a MaxOracle
     over one AffineOracle(c_j, d_j) or AbsAffineOracle(c_j, -d_j) per row:
-    np.vecdot computes each c_j.x as the per-row product does, which C @ x
-    does not.
+    ``rows``, the only code that computes stacked row values, uses np.vecdot,
+    which computes each c_j.x as the per-row product does; C @ x does not.
     """
 
     def __init__(self, C, d, absolute=False):
@@ -210,13 +213,17 @@ class AffineBlockOracle(ConvexOracle):
         self.absolute = absolute
         self.dim = self.C.shape[1]
 
+    def rows(self, x):
+        """(r, C): every row value r = C x + d, and the rows C."""
+        return np.vecdot(self.C, x) + self.d, self.C
+
     def __call__(self, x):
-        r = np.vecdot(self.C, x) + self.d
+        r, C = self.rows(x)
         i = int(np.argmax(np.abs(r) if self.absolute else r))
         v = float(r[i])
         if not self.absolute or v >= 0.0:
-            return v, self.C[i]
-        return -v, -self.C[i]
+            return v, C[i]
+        return -v, -C[i]
 
 
 class PositivePart(ConvexOracle):

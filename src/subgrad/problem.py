@@ -53,8 +53,8 @@ class ConstrainedProblem:
 
     ``ineq`` stays one oracle per row. Next to it, each run of at least
     ROW_BLOCK_MIN consecutive AffineOracles (exact type) is stacked once
-    into an AffineBlockOracle (C, d), which violation_vector,
-    saddle_direction and max_constraint_oracle read as np.vecdot(C, x) + d.
+    into an AffineBlockOracle (C, d), whose rows(x) violation_vector and
+    saddle_direction read, and which max_constraint_oracle reuses.
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
@@ -106,7 +106,7 @@ class ConstrainedProblem:
         vals = np.empty(self.m)
         for i, k, o in self._blocks:
             if k:
-                vals[i:i + k] = np.vecdot(o.C, x) + o.d
+                vals[i:i + k] = o.rows(x)[0]
             else:
                 vals[i] = o(x)[0]
         return np.maximum(vals, 0.0)
@@ -154,13 +154,13 @@ def single_constraint_form(problem):
 def start_point(problem, x0=None, lam0=None, nu0=None):
     """Concatenated start z0 = (x0, lam0, nu0); a block left as None is zero.
 
-    Raises ValueError naming the block whose shape is not (n,), (m,) or
-    (l,) for the problem, and on a negative entry of lam0.
+    Raises ValueError naming a block that breaks the number rule of oracle
+    fields or whose shape is not (n,), (m,) or (l,), and on a negative lam0.
     """
     blocks = []
     for name, v, size in (("x0", x0, problem.n), ("lam0", lam0, problem.m),
                           ("nu0", nu0, problem.l)):
-        v = np.zeros(size) if v is None else np.asarray(v, dtype=float)
+        v = np.zeros(size) if v is None else _as_vector(v, name, ndim=np.ndim(v))
         if v.shape != (size,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
         blocks.append(v)
@@ -176,18 +176,17 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     Returns (T, f0(x)) where F_i(x) = max{f_i(x), 0} and
 
         T  = (Tx, -F(x), b - Ax),
-        Tx = g0 + sum_{F_i > 0} (lam_i + rho p_i) g_i + A^T (nu + rho q),
+        Tx = g0 + sum_{F_i > 0} w_i g_i + A^T (nu + rho q),
 
-    with p and q the subgradients of ||.||_2^s_exp at F(x) and at Ax - b.
-    At rho = 0 the penalty terms are skipped and T is the plain saddle
-    direction of the Lagrangian, G = (Gx, -F(x), b - Ax). F(x) and Ax - b
-    are the negated blocks T[n:n+m] and T[n+m:].
+    with p and q the subgradients of ||.||_2^s_exp at F(x) and at Ax - b,
+    and w = lam + rho p (w = lam at rho = 0, where T is the plain saddle
+    direction G of the Lagrangian). F(x) and Ax - b are -T[n:n+m], -T[n+m:].
 
-    One walk over the inequality rows fills -F(x) and adds the weighted
-    subgradients to Tx in row order. A stacked run of affine rows is one
-    step of the walk: its values are np.vecdot(C, x) + d, and its weighted
-    rows are added one at a time by an axis-0 reduce, so T has the bits of
-    one oracle call per row.
+    One walk over the inequality rows writes -F(x) and keeps every stacked
+    run of affine rows (read by AffineBlockOracle.rows) and every single
+    row with f_i(x) > 0. Then w is formed once, and one loop adds the kept
+    rows to Tx in row order, a run by an axis-0 reduce, so T has the bits
+    of one oracle call per row.
     """
     n, m, l = problem.n, problem.m, problem.l
     x = z[:n]
@@ -195,37 +194,26 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     # objective oracle's own subgradient array
     f0_val, tx = problem.f0(x)
     t = np.empty(n + m + l)
-    penalized = []
-    # j indexes row i = j - n of F in both t and z = (x, lam, nu)
-    for j, k, oracle in problem._blocks:
-        j += n
+    kept = []  # (row i of F, rows k or 0 for a single row, values, subgradient rows)
+    for i, k, oracle in problem._blocks:
+        j = n + i
         if k:
-            v = np.vecdot(oracle.C, x) + oracle.d
+            v, g = oracle.rows(x)
             t[j:j + k] = np.where(v <= 0.0, 0.0, -v)  # a NaN value stays NaN in F
-            if rho != 0.0:
-                penalized.append((j, v, oracle.C))
-            else:
-                tx = _add_rows(tx, z[j:j + k], v, oracle.C)
-            continue
-        v, g = oracle(x)
-        if v > 0.0:
-            t[j] = -v
-            if rho != 0.0:
-                penalized.append((j, None, g))
-            elif z[j] != 0.0:
-                tx = tx + z[j] * g
         else:
-            t[j] = 0.0 if v <= 0.0 else -v  # a NaN value stays NaN in F
-    if penalized:
-        pen = norm_power_subgrad(-t[n:n + m], s_exp)
-        for j, v, g in penalized:
-            if v is not None:
-                w = z[j:j + v.size] + rho * pen[j - n:j - n + v.size]
-                tx = _add_rows(tx, w, v, g)
-                continue
-            w = z[j] + rho * pen[j - n]
-            if w != 0.0:
-                tx = tx + w * g
+            v, g = oracle(x)
+            t[j] = 0.0 if v <= 0.0 else -v
+        if k or v > 0.0:
+            kept.append((i, k, v, g))
+    if kept:
+        w = z[n:n + m]
+        if rho != 0.0:
+            w = w + rho * norm_power_subgrad(-t[n:n + m], s_exp)
+        for i, k, v, g in kept:
+            if k:
+                tx = _add_rows(tx, w[i:i + k], v, g)
+            elif w[i] != 0.0:
+                tx = tx + w[i] * g
     if l:
         nu = z[n + m:]
         r = problem.A @ x - problem.b

@@ -120,6 +120,9 @@ def test_bad_problem_file_is_config_error(tmp_path):
                     "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
         json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
                     "ineq": [{"op": "norm1", "dim": 2, "coords": [0.5, 1.7]}]}),
+        # a repeated coordinate would give a wrong subgradient
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "ineq": [{"op": "norm1", "dim": 2, "coords": [0, 0]}]}),
         # strings and booleans are not numbers
         json.dumps({"objective": {"op": "affine", "c": ["1", "0"], "d": True},
                     "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),

@@ -11,12 +11,10 @@ import os
 import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from subgrad.cli import main  # noqa: E402
+from subgrad.cli import main
 
 MAX_SIZE = 5
 BAD = st.sampled_from([float("nan"), float("inf"), -float("inf"), "x", None, True,
@@ -45,8 +43,9 @@ def node(draw, dim, faulty, depth=0):
         ops.append("bogus")
     op = draw(st.sampled_from(ops))
     size = field(st.integers(-1, MAX_SIZE) if faulty else st.just(dim), faulty)
+    # coords are distinct in a well-formed node
     coords = st.lists(st.integers(-1 if faulty else 0, dim if faulty else dim - 1),
-                      max_size=MAX_SIZE)
+                      max_size=MAX_SIZE, unique=not faulty)
     if op == "affine":
         fields = {"c": vector(dim, faulty), "d": field(NUMBER, faulty)}
     elif op == "abs_affine":

@@ -195,10 +195,15 @@ NAN, INF = float("nan"), float("inf")
     (lambda: HingeSumOracle(2, [0, 1], ["1", "-1"]), "labels"),
     (lambda: AffineBlockOracle([[1.0, 0.0]], [0.0, 1.0]), "C"),
     (lambda: AffineBlockOracle([[NAN, 0.0]], [0.0]), "C"),
+    # a repeated index would count twice in the value but once in the subgradient
+    (lambda: Norm1Oracle(2, coords=[0, 0]), "coords"),
+    (lambda: SqNormOracle(3, coords=np.array([2, 0, 2])), "coords"),
+    (lambda: HingeSumOracle(2, [1, 1], [1.0, -1.0]), "coords"),
 ], ids=["affine-d", "abs-b", "norm1-offset", "sq-scale", "hinge-scale", "hinge-labels",
         "log-shift", "log-offset", "dim", "index", "coords", "coords-nan",
         "c-str", "c-bool", "c-numpy-bool", "d-bool", "b-str", "dim-bool", "index-str",
-        "coords-numpy-bool", "labels-str", "block-shape", "block-nan"])
+        "coords-numpy-bool", "labels-str", "block-shape", "block-nan",
+        "norm1-coords-repeated", "sq-coords-repeated", "hinge-coords-repeated"])
 def test_constructor_rejects_bad_field(make, field):
     with pytest.raises(ValueError, match=field):
         make()

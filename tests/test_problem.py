@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subgrad import SolverConfig, solve
+from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig, dsg, pds, solve
 from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, ConvexOracle,
-                             MaxOracle, Norm1Oracle, norm_power_subgrad)
+                             MaxOracle, Norm1Oracle, euclidean_norm, norm_power_subgrad)
 from subgrad.problem import (ROW_BLOCK_MIN, ConstrainedProblem, max_constraint_oracle,
                              saddle_direction, single_constraint_form, start_point)
 from subgrad.testbeds import build_lad, build_svm, gen_random
@@ -275,6 +277,17 @@ def test_start_point_shape_is_checked(solver, field):
             solve(p, cfg)
 
 
+# start blocks follow the number rule of oracle fields; sg refuses any lam0
+@pytest.mark.parametrize("solver", ["sg", "sdsg", "mdsg", "pds"])
+@pytest.mark.parametrize("field,bad", [("x0", ["1"]), ("x0", [True]), ("x0", [math.nan]),
+                                       ("lam0", [math.nan])],
+                         ids=["x0-str", "x0-bool", "x0-nan", "lam0-nan"])
+def test_start_point_follows_number_rule(solver, field, bad):
+    p = one_d(ineq_c=-1.0)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        solve(p, SolverConfig(solver=solver, iterations=5, **{field: bad}))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("solver", ["sg", "sdsg", "mdsg", "pds"])
@@ -302,3 +315,107 @@ def test_nan_constraint_is_never_reported_feasible(solver):
         assert math.isnan(max_constraint_oracle(p)(np.array([1.0]))[0])
         rep = solve(p, SolverConfig(solver=solver, iterations=20))
         assert rep.trace and all(math.isnan(r.infeas) for r in rep.trace)
+
+
+SEED = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def instance_spec(draw):
+    """(n, run lengths, separators, l, seed) of a small problem: runs of 0-6
+    dense affine rows, split by Norm1Oracle or MaxOracle rows, and 0-5
+    equality rows; the numbers come from a PCG64 stream of the seed."""
+    runs = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    seps = draw(st.lists(st.sampled_from(["norm1", "max"]),
+                         min_size=len(runs) - 1, max_size=len(runs) - 1))
+    return draw(st.integers(1, 4)), runs, seps, draw(st.integers(0, 5)), draw(SEED)
+
+
+def build_instance(n, runs, seps, l, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def run(k):  # dense rows; one in five has d = 0, which reads exactly 0 at x = 0
+        d = rng.uniform(-1.0, 0.5, k) * (rng.uniform(size=k) < 0.8)
+        return [AffineOracle(c, dj) for c, dj in zip(rng.standard_normal((k, n)), d)]
+
+    ineq = run(runs[0])
+    for sep, k in zip(seps, runs[1:]):
+        ineq.append(Norm1Oracle(n, offset=-rng.uniform(0.5, 2.0)) if sep == "norm1"
+                    else MaxOracle(run(2)))
+        ineq += run(k)
+    return ConstrainedProblem(AffineOracle(rng.standard_normal(n)), ineq,
+                              A=rng.standard_normal((l, n)), b=rng.standard_normal(l))
+
+
+def random_z(p, seed):
+    """z = (x, lam, nu) with lam >= 0; x and lam hold some exact zeros."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(-2.0, 2.0, p.n) * (rng.uniform(size=p.n) < 0.8)
+    lam = rng.uniform(0.0, 2.0, p.m) * (rng.uniform(size=p.m) < 0.6)
+    return np.concatenate([x, lam, rng.standard_normal(p.l)])
+
+
+RHO = st.one_of(st.floats(0.1, 2.0), st.just(0.0))
+S_EXP = st.sampled_from([1.0, 1.5, 2.0])
+
+
+def test_walk_matches_per_row_walk_on_random_instances():
+    seen = set()  # (end, length) of the first and last runs drawn
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(instance_spec(), SEED, RHO, S_EXP)
+    def check(spec, z_seed, rho, s_exp):
+        p = build_instance(*spec)
+        z = random_z(p, z_seed)
+        (t, f0_val), (t_ref, f0_ref) = (saddle_direction(p, z, rho, s_exp),
+                                        per_row_direction(p, z, rho, s_exp))
+        assert t.tobytes() == t_ref.tobytes()
+        assert np.float64(f0_val).tobytes() == np.float64(f0_ref).tobytes()
+        x = z[:p.n]
+        ref = np.maximum([o(x)[0] for o in p.ineq], 0.0)
+        assert p.violation_vector(x).tobytes() == ref.tobytes()
+        seen.update({("first", spec[1][0]), ("last", spec[1][-1])})
+
+    check()
+    # blocks of exactly ROW_BLOCK_MIN rows, and of the longest length, sat at both ends
+    assert {(end, k) for end in ("first", "last") for k in (ROW_BLOCK_MIN, 6)} <= seen
+
+
+def test_solver_invariants_on_random_instances():
+    statuses = {COMPLETED, SADDLE_TERMINATED, NO_EPS_FEASIBLE}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(instance_spec(), st.integers(1, 30), st.floats(0.1, 2.0), S_EXP,
+           st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([1e-3, 1.0]))
+    def check(spec, iterations, rho, s_exp, delta_exp, eps):
+        p = build_instance(*spec)
+        n, m = p.n, p.m
+        # lam >= 0 along DSG and PDS runs, and every PDS step has length gamma_k
+        dst = dsg.init_state(p)
+        pst = pds.init_state(p, rho, s_exp, delta_exp)
+        for k in range(iterations):
+            if dsg.step(p, dst):
+                assert np.min(dst.z_arr[n:n + m], initial=0.0) >= 0.0
+            z_before = pst.z_arr
+            if pds.step(p, pst):
+                assert np.min(pst.z_arr[n:n + m], initial=0.0) >= 0.0
+                gamma = pds.step_length(k, delta_exp)
+                assert abs(euclidean_norm(pst.z_arr - z_before) - gamma) <= 1e-12 * gamma
+        # a documented status, p_eps finite or None, and the same trace twice
+        for solver in ("sg", "sdsg", "mdsg", "pds"):
+            cfg = dict(solver=solver, iterations=iterations, eps=eps, rho=rho, s_exp=s_exp,
+                       delta_exp=delta_exp)
+            if solver == "sdsg" and p.m + p.l == 0:
+                with pytest.raises(ValueError, match="at least one constraint"):
+                    solve(p, SolverConfig(**cfg))
+                continue
+            runs = [solve(p, SolverConfig(**cfg)) for _ in range(2)]
+            for rep in runs:
+                assert rep.status in statuses
+                assert rep.p_eps is None or math.isfinite(rep.p_eps)
+            a, b = ([(r.k, r.val, r.infeas) for r in rep.trace] for rep in runs)
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+            assert runs[0].x_out.tobytes() == runs[1].x_out.tobytes()
+            assert (runs[0].status, runs[0].p_eps) == (runs[1].status, runs[1].p_eps)
+
+    check()
