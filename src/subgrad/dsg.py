@@ -44,9 +44,7 @@ class DsgState:
 
     @property
     def x_bar(self):
-        """Weighted primal average; None until the first step is taken."""
-        if self.delta == 0.0:
-            return None
+        """Weighted primal average x_hat / delta, once a step has been taken."""
         return self.x_hat / self.delta
 
 
@@ -99,17 +97,11 @@ def solve(problem, cfg, mode="multi"):
     def advance():
         if not step(run, state):
             return None
-        x_bar = state.x_hat / state.delta
+        x_bar = state.x_bar
         val = run.f0.value(x_bar)
         if fbar is None:
-            return val, run.infeasibility(x_bar)
+            return x_bar, val, run.infeasibility(x_bar)
         fv = fbar.value(x_bar)
-        return val, (0.0 if fv <= 0.0 else fv)
+        return x_bar, val, (0.0 if fv <= 0.0 else fv)
 
-    def x_out():
-        # No step was taken (iterations = 0 or immediate saddle); there is
-        # no averaged iterate to report, fall back to the start point.
-        x_bar = state.x_bar
-        return state.z0[:run.n].copy() if x_bar is None else x_bar
-
-    return reports.drive(cfg, advance, x_out)
+    return reports.drive(cfg, advance, state.z0[:run.n])

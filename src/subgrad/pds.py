@@ -118,6 +118,6 @@ def solve(problem, cfg):
             infeas += euclidean_norm(state.t[n:n + m])
         if l:
             infeas += euclidean_norm(state.t[n + m:])
-        return state.f0_val, infeas
+        return state.z_arr[:n], state.f0_val, infeas
 
-    return reports.drive(cfg, advance, lambda: state.z_arr[:n].copy())
+    return reports.drive(cfg, advance, state.z_arr[:n])

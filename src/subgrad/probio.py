@@ -24,6 +24,8 @@ where each oracle node is one of
 
 Node keys are the oracle's constructor arguments (and attributes), so the
 table ``_NODES`` is this schema in code; a key left out takes the default.
+An AffineBlockOracle is written as the "max" node of its rows: "affine"
+(c_j, d_j), or "abs_affine" (c_j, -d_j) when absolute.
 
 Floats round-trip exactly (json uses repr), so a reloaded problem
 reproduces the original solver trace bit for bit.
@@ -35,9 +37,9 @@ import json
 
 import numpy as np
 
-from .oracles import (AbsAffineOracle, AffineOracle, ConvexOracle, HingeSumOracle,
-                      LogBarrierOracle, MaxOracle, Norm1Oracle, PositivePart,
-                      SqNormOracle, SumOracle)
+from .oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, ConvexOracle,
+                      HingeSumOracle, LogBarrierOracle, MaxOracle, Norm1Oracle,
+                      PositivePart, SqNormOracle, SumOracle, _as_int)
 from .problem import ConstrainedProblem
 
 __all__ = ["oracle_to_node", "oracle_from_node", "problem_to_dict",
@@ -66,6 +68,9 @@ def _to_json(v):
 
 
 def oracle_to_node(oracle):
+    if isinstance(oracle, AffineBlockOracle):  # a max node of its rows, one node per row
+        oracle = MaxOracle([AbsAffineOracle(c, -dj) if oracle.absolute else AffineOracle(c, dj)
+                            for c, dj in zip(oracle.C, oracle.d)])
     for op, (cls, keys) in _NODES.items():
         if isinstance(oracle, cls):
             return {"op": op, **{key: _to_json(getattr(oracle, key)) for key in keys}}
@@ -107,7 +112,7 @@ def problem_from_dict(doc):
     ineq = [oracle_from_node(node) for node in doc.get("ineq", [])]
     problem = ConstrainedProblem(f0, ineq, doc.get("A"), doc.get("b"))
     for key in ("n", "m", "l"):
-        if key in doc and doc[key] != getattr(problem, key):
+        if key in doc and _as_int(doc[key], key) != getattr(problem, key):
             raise ValueError(f"document says {key}={doc[key]} but the oracles "
                              f"give {key}={getattr(problem, key)}")
     return problem

@@ -93,7 +93,7 @@ class TraceRecord:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: thinned trace, eps-feasible best value, final point.
+    """Outcome of one solve: p_eps, the final point x_out and a thinned trace ending at it.
 
     ``p_eps`` is the running minimum of the objective over *all* iterates
     whose recorded infeasibility is at most eps and whose value is finite
@@ -113,12 +113,12 @@ class SolveReport:
 
 
 class TraceCollector:
-    """Accumulates the thinned trace and the full-resolution p_eps minimum."""
+    """Accumulates every ``trace_every``-th trace row and the full-resolution
+    p_eps minimum; ``note`` returns the row of iterate k, kept or not."""
 
-    def __init__(self, eps, trace_every, total_iters):
+    def __init__(self, eps, trace_every):
         self.eps = eps
-        self.trace_every = max(1, int(trace_every))
-        self.total = int(total_iters)
+        self.trace_every = trace_every
         self.records = []
         self.p_eps = None
         self._t0 = time.perf_counter()
@@ -129,35 +129,41 @@ class TraceCollector:
         if (infeas <= self.eps and (self.p_eps is None or val < self.p_eps)
                 and math.isfinite(val)):
             self.p_eps = val
-        if k % self.trace_every == 0 or k == self.total:
-            self.records.append(TraceRecord(k, val, infeas, time.perf_counter() - self._t0))
+        row = TraceRecord(k, val, infeas, time.perf_counter() - self._t0)
+        if k % self.trace_every == 0:
+            self.records.append(row)
+        return row
 
     def elapsed(self):
         return time.perf_counter() - self._t0
 
 
-def drive(cfg, advance, x_out):
+def drive(cfg, advance, x0):
     """Run ``advance()`` for k = 1..cfg.iterations and assemble the report.
 
-    ``advance()`` takes one step and returns (val, infeas) of the point the
-    solver reports at iterate k, or None when the direction vanished, which
-    stops the run as SADDLE_TERMINATED. ``x_out()`` gives the reported point
-    once the loop has ended.
+    ``advance()`` takes one step and returns (x, val, infeas) of the point
+    the solver reports at iterate k, or None when the direction vanished,
+    which stops the run as SADDLE_TERMINATED. ``x_out`` is a copy of the last
+    x returned, or of ``x0`` if none was, and the trace ends with its row.
     """
-    collector = TraceCollector(cfg.eps, cfg.trace_every, cfg.iterations)
+    collector = TraceCollector(cfg.eps, cfg.trace_every)
     status = COMPLETED
+    x, row = x0, None
     for k in range(1, cfg.iterations + 1):
         point = advance()
         if point is None:
             status = SADDLE_TERMINATED
             break
-        collector.note(k, *point)
+        x, val, infeas = point
+        row = collector.note(k, val, infeas)
+    if row is not None and row.k % cfg.trace_every:  # x_out's row was not kept
+        collector.records.append(row)
     if status is COMPLETED and collector.p_eps is None:
         status = NO_EPS_FEASIBLE
     return SolveReport(
         trace=collector.records,
         p_eps=collector.p_eps,
-        x_out=x_out(),
+        x_out=x.copy(),
         status=status,
         wall_time_s=collector.elapsed(),
     )

@@ -64,8 +64,8 @@ def solve(problem, cfg):
             return None
         f0_val, f0_grad = run.f0(x)
         if fbar is None:
-            return f0_val, 0.0
+            return x, f0_val, 0.0
         fbar_val, fbar_grad = fbar(x)
-        return f0_val, (0.0 if fbar_val <= 0.0 else fbar_val)
+        return x, f0_val, (0.0 if fbar_val <= 0.0 else fbar_val)
 
-    return reports.drive(cfg, advance, lambda: x)
+    return reports.drive(cfg, advance, x)

@@ -46,6 +46,23 @@ def test_run_writes_trace_csv(tmp_path, capsys):
     assert fields[0] == "pds" and fields[4] == "NA"
 
 
+def test_trace_of_an_early_stop_ends_at_the_reported_point(tmp_path, capsys):
+    # f0 = max{x + 1, 0} from x = 0 in steps of eps: x_4 = -1.2 has f0 = 0 and
+    # a zero subgradient, so step 5 stops the run before the row of k = 6
+    pfile = tmp_path / "pos.json"
+    pfile.write_text(json.dumps(
+        {"objective": {"op": "pos", "arg": {"op": "affine", "c": [1.0], "d": 1.0}}}))
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--problem", "file", "--in", str(pfile), "--solver", "sg",
+                 "--eps", "0.3", "--K", "10", "--trace-every", "3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [int(r[0]) for r in rows] == [3, 4]
+    assert float(rows[-1][1]) == 0.0
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[1].split(",")[2] == "0.0"
+    assert summary[2] == "# p_eps=0.0 status=SADDLE_TERMINATED"
+
+
 def test_run_is_deterministic_modulo_elapsed(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -134,6 +151,11 @@ def test_bad_problem_file_is_config_error(tmp_path):
         json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
                     "ineq": [{"op": "affine", "c": [-1.0, 0.0]}],
                     "A": [["1", True]], "b": ["0.5"]}),
+        # so do the sizes: True == 1, and "1" is no number
+        json.dumps({"n": True, "objective": {"op": "affine", "c": [1.0]},
+                    "ineq": [{"op": "affine", "c": [-1.0]}]}),
+        json.dumps({"n": "1", "objective": {"op": "affine", "c": [1.0]},
+                    "ineq": [{"op": "affine", "c": [-1.0]}]}),
     ]
     for text in documents:
         bad.write_text(text)

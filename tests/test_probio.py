@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from subgrad import pds, probio, sg
-from subgrad.oracles import (AbsAffineOracle, AffineOracle, HingeSumOracle,
+from test_replay import INSTANCES, trace_digest
+
+from subgrad import pds, probio, sg, solve
+from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, HingeSumOracle,
                              LogBarrierOracle, MaxOracle, Norm1Oracle,
                              PositivePart, SqNormOracle, SumOracle)
-from subgrad.problem import ConstrainedProblem
+from subgrad.problem import ConstrainedProblem, single_constraint_form
 from subgrad.reports import SolverConfig
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
@@ -88,6 +90,21 @@ def test_problem_round_trip_preserves_traces(tmp_path, inst_fn):
         assert a.val == b.val and a.infeas == b.infeas
 
 
+@pytest.mark.parametrize("label", ["case2-n4-s2", "lad-nbar3-s1", "svm-nbar1-s1", "dense-rows-s8"])
+def test_max_constraint_form_round_trip_preserves_traces(label):
+    # the form stacks row runs and the equality residuals into AffineBlockOracles,
+    # which are written as max nodes of one affine or abs_affine node per row
+    single = single_constraint_form(INSTANCES[label]())
+    assert any(isinstance(part, AffineBlockOracle) for part in single.ineq[0].parts)
+    text = json.dumps(probio.problem_to_dict(single))
+    back = probio.problem_from_dict(json.loads(text))
+    for solver in ("sg", "sdsg"):
+        cfg = SolverConfig(solver=solver, iterations=200)
+        r1, r2 = solve(single, cfg), solve(back, cfg)
+        assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
+        assert r1.x_out.tobytes() == r2.x_out.tobytes()
+
+
 def test_unknown_op_rejected():
     with pytest.raises(ValueError):
         probio.oracle_from_node({"op": "mystery"})
@@ -97,6 +114,14 @@ def test_inconsistent_sizes_rejected():
     doc = probio.problem_to_dict(gen_random(1, 5, 1).problem)
     doc["m"] = 7
     with pytest.raises(ValueError):
+        probio.problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [("n", True), ("n", "1"), ("m", 1.5), ("l", None)])
+def test_document_sizes_follow_number_rule(key, value):
+    doc = probio.problem_to_dict(ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])]))
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be"):
         probio.problem_from_dict(doc)
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig, dsg, pds, solve
 from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, ConvexOracle,
-                             MaxOracle, Norm1Oracle, euclidean_norm, norm_power_subgrad)
+                             MaxOracle, Norm1Oracle, PositivePart, euclidean_norm,
+                             norm_power_subgrad)
 from subgrad.problem import (ROW_BLOCK_MIN, ConstrainedProblem, max_constraint_oracle,
                              saddle_direction, single_constraint_form, start_point)
 from subgrad.testbeds import build_lad, build_svm, gen_random
@@ -419,3 +420,35 @@ def test_solver_invariants_on_random_instances():
             assert (runs[0].status, runs[0].p_eps) == (runs[1].status, runs[1].p_eps)
 
     check()
+
+
+def test_thinned_trace_ends_at_x_out_on_random_instances():
+    stops = set()  # solvers seen stopping after some steps but before the last one
+
+    def row_bits(r):
+        return np.array([r.k, r.val, r.infeas]).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(instance_spec(), st.integers(1, 30), st.sampled_from([1e-3, 0.5]))
+    def check(spec, iterations, eps):
+        p = build_instance(*spec)
+        # f0 = max{c.x + 1, 0} has a zero subgradient where c.x <= -1, so runs can stop there
+        p = ConstrainedProblem(PositivePart(AffineOracle(p.f0.c, 1.0)), p.ineq, p.A, p.b)
+        for solver in ("sg", "sdsg", "mdsg", "pds"):
+            if solver == "sdsg" and p.m + p.l == 0:
+                continue
+            cfg = dict(solver=solver, iterations=iterations, eps=eps)
+            full = solve(p, SolverConfig(**cfg))
+            k_last = full.trace[-1].k if full.trace else 0
+            if 0 < k_last < iterations:
+                stops.add(solver)
+            for every in (2, 3, 7):
+                rep = solve(p, SolverConfig(**cfg, trace_every=every))
+                kept = {*range(every, k_last, every), k_last} - {0}
+                assert [r.k for r in rep.trace] == sorted(kept)
+                if full.trace:
+                    assert row_bits(rep.trace[-1]) == row_bits(full.trace[-1])
+                assert rep.x_out.tobytes() == full.x_out.tobytes()
+
+    check()
+    assert {"sg", "mdsg", "pds"} <= stops

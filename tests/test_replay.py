@@ -68,6 +68,34 @@ PINNED = {
     ("dense-rows-s8", "pds"): ("COMPLETED", "907b96fb11a07735a242039943e046f8bf4b4441193f5535c0ec3d036d9462b2"),
 }
 
+# the same runs with trace_every = 7: rows k = 7, 14, .., 196 and the last, k = 200
+PINNED_THINNED = {
+    ("one_d", "sg"): ("COMPLETED", "613205e8823e1fd81124c2c313512e7937b90bc3327a3a6aeb8b903e5d56adc0"),
+    ("one_d", "sdsg"): ("COMPLETED", "1d0086fbb6b588ad9ea83c1aaaa7cc284831e5bc33411cb0875abae7febdaa37"),
+    ("one_d", "mdsg"): ("COMPLETED", "1d0086fbb6b588ad9ea83c1aaaa7cc284831e5bc33411cb0875abae7febdaa37"),
+    ("one_d", "pds"): ("COMPLETED", "17723072993fbf7be0ae3d428eb7eee8f2cddc344668b4545c774844fe7f252f"),
+    ("case1-n10-s1", "sg"): ("COMPLETED", "8b5e8b4906f71ec2be7e081fc2de8a62acdc7d16bf64800c50e3370e1ddc156f"),
+    ("case1-n10-s1", "sdsg"): ("NO_EPS_FEASIBLE", "6331a775bea4115fa6e96f9925bd50e0dcf7140a1c208f00b658a3d02cd6e9eb"),
+    ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "c0b1e859e127a33be4403c4c70159419bb6e057368c46ee7b2296a134a5dc0a7"),
+    ("case1-n10-s1", "pds"): ("NO_EPS_FEASIBLE", "5e838f349b1e156d094a3feec3323f099dd7a1b1cb7e651f1d74a4594578d1d6"),
+    ("case2-n4-s2", "sg"): ("COMPLETED", "3b640c470bf14ba2ff960c16b30b98c4d39c7a722f019bea8f531307c1922876"),
+    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "1fe2f9c653f9fbe91c30a424126badbe3535cc2de248c1fd9e46a0206b51923a"),
+    ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "268c42add8c45cc561482af9cf1a0758caec203dfc3e3ce69a999a6b114d9d6d"),
+    ("case2-n4-s2", "pds"): ("NO_EPS_FEASIBLE", "febf4c6f3cda242d23a6841d77f5123cc06d4aaf0c9f97e7aaed14371d5b1996"),
+    ("lad-nbar3-s1", "sg"): ("COMPLETED", "e768dd6cb36cc4e33f463f73af31db675989b8e9d8f84d20f1369e36c0b023be"),
+    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "c833e7b4a5d5236bdc3233f5f297565e7b9c0785de47b45ec99d6d7ab3b3d185"),
+    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "2700addcfc6c61506973b7b7da0d36c7f3463315ae785d8476fa6f4062122ac3"),
+    ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "f9acbfef0d4199f2aeb40ff4ebac2dbe87b5748f272a1a72396624fc256704f7"),
+    ("svm-nbar1-s1", "sg"): ("COMPLETED", "53fd4474732345b2957d567ed3797a9e4495141205aeafa5399d741e73724a1f"),
+    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "32f225de7158cd982e6df44491d754358551d7e4760d42596773178dd22d7470"),
+    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "9ffc78ff04a6bab0bd1e657eac11e0eb8a4c835498d73d5ae5a361a3f48b3b58"),
+    ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "a8cb0407e8ba0d5698cdd00206c8a86a1623c49b8db8b3948e8c9d91202f2e20"),
+    ("dense-rows-s8", "sg"): ("COMPLETED", "46c5fb6fa97bf787a4a7f4bbb028af2bcf71ed72f29b1b491d9041145a4930ad"),
+    ("dense-rows-s8", "sdsg"): ("COMPLETED", "dcb400ce1613d4a47cf7eef3ae34218b272a786cfd479f718ce1f7570536b946"),
+    ("dense-rows-s8", "mdsg"): ("COMPLETED", "adf4ba08944a7d21921e52807f5f154db64fe16f76132bd8d4bab3c5e93f922a"),
+    ("dense-rows-s8", "pds"): ("COMPLETED", "16f4cc799590b8e4aa3387b4379ad0d7ab9b70b250c04bce8ada1c5a7db8ee44"),
+}
+
 
 def trace_digest(records):
     h = hashlib.sha256()
@@ -81,3 +109,10 @@ def test_trace_matches_pinned_digest(label, solver):
     report = solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200, trace_every=1))
     assert len(report.trace) == 200
     assert (report.status, trace_digest(report.trace)) == PINNED[label, solver]
+
+
+@pytest.mark.parametrize("label,solver", sorted(PINNED_THINNED))
+def test_thinned_trace_matches_pinned_digest(label, solver):
+    report = solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200, trace_every=7))
+    assert [r.k for r in report.trace] == list(range(7, 200, 7)) + [200]
+    assert (report.status, trace_digest(report.trace)) == PINNED_THINNED[label, solver]
