@@ -11,8 +11,9 @@ Subgradient selections are deterministic. Ties are resolved by fixed rules
 sign(0) = +1 in absolute values, zero at the boundary of positive parts) so
 solver runs are replayable bit for bit.
 
-Returned subgradient arrays may alias oracle-internal storage; treat them
-as read-only.
+``value(x)`` gives the value alone, with the same bits, and builds no
+subgradient. Returned subgradient arrays may alias oracle-internal storage;
+treat them as read-only.
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ def _as_scalar(v, name):
     return f
 
 
+def _as_scale(v):
+    f = _as_scalar(v, "scale")
+    if f < 0.0:  # scale * (a convex function) is concave for scale < 0
+        raise ValueError(f"scale must be nonnegative, got {v!r}")
+    return f
+
+
 def _as_int(v, name):
     _check_number(v, name)
     i = int(v)
@@ -127,6 +135,10 @@ class ConvexOracle:
     ``subgrad`` is some valid element of the subdifferential at ``x``.
     Which element is returned is fixed per class, so repeated evaluations
     agree exactly.
+
+    ``value(x)`` equals ``self(x)[0]`` bit for bit. A subclass overrides it
+    only to skip building the subgradient, never to compute the value
+    another way.
     """
 
     dim: int
@@ -172,6 +184,10 @@ class AbsAffineOracle(ConvexOracle):
             return r, self.a
         return -r, self._neg_a
 
+    def value(self, x):
+        r = float(self.a.dot(x)) - self.b
+        return r if r >= 0.0 else -r  # not abs(r): a NaN r comes back negated, as above
+
 
 class MaxOracle(ConvexOracle):
     """Pointwise maximum of several oracles on the same space.
@@ -191,6 +207,14 @@ class MaxOracle(ConvexOracle):
             if not v <= best_v and best_v == best_v:
                 best_v, best_g = v, g
         return best_v, best_g
+
+    def value(self, x):
+        best_v = self.parts[0].value(x)
+        for part in self.parts[1:]:
+            v = part.value(x)
+            if not v <= best_v and best_v == best_v:
+                best_v = v
+        return best_v
 
 
 class AffineBlockOracle(ConvexOracle):
@@ -217,13 +241,21 @@ class AffineBlockOracle(ConvexOracle):
         """(r, C): every row value r = C x + d, and the rows C."""
         return np.vecdot(self.C, x) + self.d, self.C
 
-    def __call__(self, x):
-        r, C = self.rows(x)
+    def _top(self, x):
+        """(i, r_i) for the lowest row index i attaining the max."""
+        r = self.rows(x)[0]
         i = int(np.argmax(np.abs(r) if self.absolute else r))
-        v = float(r[i])
+        return i, float(r[i])
+
+    def __call__(self, x):
+        i, v = self._top(x)
         if not self.absolute or v >= 0.0:
-            return v, C[i]
-        return -v, -C[i]
+            return v, self.C[i]
+        return -v, -self.C[i]
+
+    def value(self, x):
+        v = self._top(x)[1]
+        return v if not self.absolute or v >= 0.0 else -v
 
 
 class PositivePart(ConvexOracle):
@@ -245,6 +277,10 @@ class PositivePart(ConvexOracle):
             return v, g
         return 0.0, self._zero
 
+    def value(self, x):
+        v = self.arg.value(x)
+        return v if v > 0.0 else 0.0
+
 
 class SumOracle(ConvexOracle):
     """Sum of several oracles; values and subgradients add."""
@@ -261,8 +297,42 @@ class SumOracle(ConvexOracle):
             total_g += g
         return total_v, total_g
 
+    def value(self, x):
+        total_v = self.parts[0].value(x)
+        for part in self.parts[1:]:
+            total_v += part.value(x)
+        return total_v
 
-class Norm1Oracle(ConvexOracle):
+
+class _CoordsOracle(ConvexOracle):
+    """An oracle that reads only x[coords], an index array of distinct coordinates.
+
+    When coords form one ascending run a..b-1, x is read and the subgradient
+    written through the slice a:b, and when they are every coordinate in
+    order the entries on coords are the subgradient itself. Either way the
+    bits are those of indexing by coords and scattering into zeros, for a
+    contiguous x such as every solver passes (a BLAS dot over a strided
+    view may add in another order).
+    """
+
+    def _set_coords(self, dim, coords):
+        self.dim = _as_int(dim, "dim")
+        self.coords = _as_coords(coords, self.dim)
+        c = self.coords
+        run = c.size > 0 and bool((c[1:] - c[:-1] == 1).all())
+        self._at = slice(int(c[0]), int(c[-1]) + 1) if run else c
+        self._all = run and c.size == self.dim
+
+    def _spread(self, gc):
+        """The dim-vector with the fresh array gc on coords and zeros elsewhere."""
+        if self._all:
+            return gc
+        g = np.zeros(self.dim)
+        g[self._at] = gc
+        return g
+
+
+class Norm1Oracle(_CoordsOracle):
     """sum_j |x_j| over the given coordinates, plus a constant offset.
 
     Subgradient entry is sign(x_j) with sign(0) = +1, matching the abs
@@ -270,56 +340,62 @@ class Norm1Oracle(ConvexOracle):
     """
 
     def __init__(self, dim, coords=None, offset=0.0):
-        self.dim = _as_int(dim, "dim")
-        self.coords = _as_coords(coords, self.dim)
+        self._set_coords(dim, coords)
         self.offset = _as_scalar(offset, "offset")
 
     def __call__(self, x):
-        xc = x[self.coords]
-        v = float(np.sum(np.abs(xc))) + self.offset
-        g = np.zeros(self.dim)
-        g[self.coords] = np.where(xc >= 0.0, 1.0, -1.0)
-        return v, g
+        xc = x[self._at]
+        v = float(np.abs(xc).sum()) + self.offset
+        return v, self._spread(np.where(xc >= 0.0, 1.0, -1.0))
+
+    def value(self, x):
+        return float(np.abs(x[self._at]).sum()) + self.offset
 
 
-class SqNormOracle(ConvexOracle):
-    """scale * sum_j x_j^2 over the given coordinates (smooth)."""
+class SqNormOracle(_CoordsOracle):
+    """scale * sum_j x_j^2 over the given coordinates (smooth); scale >= 0."""
 
     def __init__(self, dim, coords=None, scale=1.0):
-        self.dim = _as_int(dim, "dim")
-        self.coords = _as_coords(coords, self.dim)
-        self.scale = _as_scalar(scale, "scale")
+        self._set_coords(dim, coords)
+        self.scale = _as_scale(scale)
 
     def __call__(self, x):
-        xc = x[self.coords]
+        xc = x[self._at]
         v = self.scale * float(xc.dot(xc))
-        g = np.zeros(self.dim)
-        g[self.coords] = (2.0 * self.scale) * xc
-        return v, g
+        return v, self._spread((2.0 * self.scale) * xc)
+
+    def value(self, x):
+        xc = x[self._at]
+        return self.scale * float(xc.dot(xc))
 
 
-class HingeSumOracle(ConvexOracle):
-    """scale * sum_i max{0, 1 - labels_i * x[coords_i]}, vectorized.
+class HingeSumOracle(_CoordsOracle):
+    """scale * sum_i max{0, 1 - labels_i * x[coords_i]}, vectorized; scale >= 0.
 
     At a kink (margin exactly 0) the zero selection is used, consistent
     with PositivePart.
     """
 
     def __init__(self, dim, coords, labels, scale=1.0):
-        self.dim = _as_int(dim, "dim")
-        self.coords = _as_coords(coords, self.dim)
+        self._set_coords(dim, coords)
         self.labels = _as_vector(labels, "labels")
         if self.coords.shape != self.labels.shape:
             raise ValueError("coords and labels must have equal length")
-        self.scale = _as_scalar(scale, "scale")
+        self.scale = _as_scale(scale)
+
+    def _margins(self, x):
+        """(margins, active): 1 - labels * x[coords] and where they are positive."""
+        margins = 1.0 - self.labels * x[self._at]
+        return margins, margins > 0.0
 
     def __call__(self, x):
-        margins = 1.0 - self.labels * x[self.coords]
-        active = margins > 0.0
-        v = self.scale * float(np.sum(margins[active]))
-        g = np.zeros(self.dim)
-        g[self.coords[active]] = -self.scale * self.labels[active]
-        return v, g
+        margins, active = self._margins(x)
+        v = self.scale * float(margins[active].sum())
+        return v, self._spread(np.where(active, -self.scale * self.labels, 0.0))
+
+    def value(self, x):
+        margins, active = self._margins(x)
+        return self.scale * float(margins[active].sum())
 
 
 class LogBarrierOracle(ConvexOracle):

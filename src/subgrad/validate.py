@@ -39,7 +39,7 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
     worst = -np.inf
     for x, y in zip(xs, ys):
         vx, gx = oracle(x)
-        vy = oracle(y)[0]
+        vy = oracle.value(y)
         excess = vx + float(gx @ (y - x)) - vy
         if excess > worst:
             worst = excess

@@ -156,6 +156,12 @@ def test_bad_problem_file_is_config_error(tmp_path):
                     "ineq": [{"op": "affine", "c": [-1.0]}]}),
         json.dumps({"n": "1", "objective": {"op": "affine", "c": [1.0]},
                     "ineq": [{"op": "affine", "c": [-1.0]}]}),
+        # a negative scale makes a squared norm or a hinge sum concave
+        json.dumps({"objective": {"op": "sq_norm", "dim": 2, "scale": -1},
+                    "ineq": [{"op": "affine", "c": [-1.0, 0.0]}]}),
+        json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                    "ineq": [{"op": "hinge_sum", "dim": 2, "coords": [0, 1],
+                              "labels": [1.0, -1.0], "scale": -0.5}]}),
     ]
     for text in documents:
         bad.write_text(text)

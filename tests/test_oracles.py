@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgrad import oracles
 from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineBlockOracle, AffineOracle,
@@ -199,11 +201,15 @@ NAN, INF = float("nan"), float("inf")
     (lambda: Norm1Oracle(2, coords=[0, 0]), "coords"),
     (lambda: SqNormOracle(3, coords=np.array([2, 0, 2])), "coords"),
     (lambda: HingeSumOracle(2, [1, 1], [1.0, -1.0]), "coords"),
+    # a negative scale makes the function concave
+    (lambda: SqNormOracle(2, scale=-1.0), "scale"),
+    (lambda: HingeSumOracle(2, [0, 1], [1.0, -1.0], scale=-1e-300), "scale"),
 ], ids=["affine-d", "abs-b", "norm1-offset", "sq-scale", "hinge-scale", "hinge-labels",
         "log-shift", "log-offset", "dim", "index", "coords", "coords-nan",
         "c-str", "c-bool", "c-numpy-bool", "d-bool", "b-str", "dim-bool", "index-str",
         "coords-numpy-bool", "labels-str", "block-shape", "block-nan",
-        "norm1-coords-repeated", "sq-coords-repeated", "hinge-coords-repeated"])
+        "norm1-coords-repeated", "sq-coords-repeated", "hinge-coords-repeated",
+        "sq-scale-negative", "hinge-scale-negative"])
 def test_constructor_rejects_bad_field(make, field):
     with pytest.raises(ValueError, match=field):
         make()
@@ -213,6 +219,9 @@ def test_constructor_accepts_numpy_numbers():
     assert AffineOracle(np.array([1, 2]), np.float32(0.5))(np.ones(2))[0] == 3.5
     assert Norm1Oracle(np.int64(2), coords=[np.int32(1)], offset=np.int8(1))(np.ones(2))[0] == 2.0
     assert LogBarrierOracle(2.0, np.int64(1), shift=np.float64(1.0)).index == 1
+    # a zero scale is the zero function, which is convex
+    assert SqNormOracle(2, scale=0.0)(np.ones(2))[0] == 0.0
+    assert HingeSumOracle(2, [0, 1], [1.0, -1.0], scale=-0.0).scale == 0.0
 
 
 def test_hinge_sum_oracle():
@@ -281,3 +290,116 @@ def test_subgradient_inequality_log_barrier_wide_sweep():
         assert vy >= vx + gx @ (y - x) - 1e-9 * (1.0 + abs(vy))
         checked += 1
     assert checked > 100
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+# Transcriptions of the index-array formulas that the coordinate oracles
+# computed before they read one ascending run of coords through a slice.
+def _norm1_by_index(o, x):
+    xc = x[o.coords]
+    g = np.zeros(o.dim)
+    g[o.coords] = np.where(xc >= 0.0, 1.0, -1.0)
+    return float(np.sum(np.abs(xc))) + o.offset, g
+
+
+def _sq_norm_by_index(o, x):
+    xc = x[o.coords]
+    g = np.zeros(o.dim)
+    g[o.coords] = (2.0 * o.scale) * xc
+    return o.scale * float(xc.dot(xc)), g
+
+
+def _hinge_sum_by_index(o, x):
+    margins = 1.0 - o.labels * x[o.coords]
+    active = margins > 0.0
+    g = np.zeros(o.dim)
+    g[o.coords[active]] = -o.scale * o.labels[active]
+    return o.scale * float(np.sum(margins[active])), g
+
+
+COORDS = {
+    "all": None,
+    "all-listed": list(range(16)),
+    "run-3-12": list(range(3, 13)),
+    "descending": list(range(12, 2, -1)),
+    "scattered": [9, 1, 15, 4, 5],
+    "single": [7],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("coords", COORDS.values(), ids=COORDS.keys())
+@pytest.mark.parametrize("make,by_index", [
+    (lambda dim, c: Norm1Oracle(dim, c, offset=-0.75), _norm1_by_index),
+    (lambda dim, c: SqNormOracle(dim, c, scale=0.3), _sq_norm_by_index),
+    (lambda dim, c: HingeSumOracle(dim, np.arange(dim) if c is None else c,
+                                   np.resize([1.0, -1.0, 0.5], dim if c is None else len(c)),
+                                   scale=0.2), _hinge_sum_by_index),
+], ids=["norm1", "sq_norm", "hinge_sum"])
+def test_coordinate_selection_matches_index_formula(make, by_index, coords):
+    dim = 16
+    oracle = make(dim, coords)
+    assert isinstance(oracle.coords, np.ndarray) and oracle.coords.dtype.kind == "i"
+    np.testing.assert_array_equal(oracle.coords, np.arange(dim) if coords is None else coords)
+    rng = np.random.default_rng(8)
+    points = [rng.normal(size=dim) for _ in range(20)]
+    points += [np.where(rng.uniform(size=dim) < 0.5, 0.0, -0.0),
+               np.array([0.0, -0.0, 1.0, -1.0] * 4),
+               np.array([1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.0, -0.0] * 2)]
+    for x in points:
+        v, g = oracle(x)
+        v_ref, g_ref = by_index(oracle, x)
+        assert _bits(v) == _bits(v_ref) == _bits(oracle.value(x))
+        assert g.dtype == g_ref.dtype and g.tobytes() == g_ref.tobytes()
+
+
+VALUE_DIM = 4
+
+# Entries of x: numbers, both zeros, NaN and both infinities.
+_entries = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]),
+                     st.floats(-4.0, 4.0))
+_rows = st.lists(st.floats(-2.0, 2.0), min_size=VALUE_DIM, max_size=VALUE_DIM)
+_coords = st.lists(st.integers(0, VALUE_DIM - 1), max_size=VALUE_DIM, unique=True)
+_leaves = st.one_of(
+    st.builds(AffineOracle, _rows, st.floats(-2.0, 2.0)),
+    st.builds(AbsAffineOracle, _rows, st.floats(-2.0, 2.0)),
+    st.builds(AffineBlockOracle, st.lists(_rows, min_size=3, max_size=3),
+              st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), st.booleans()),
+    st.builds(Norm1Oracle, st.just(VALUE_DIM), st.none() | _coords, st.floats(-2.0, 2.0)),
+    st.builds(SqNormOracle, st.just(VALUE_DIM), st.none() | _coords, st.floats(0.0, 2.0)),
+    _coords.flatmap(lambda c: st.builds(
+        HingeSumOracle, st.just(VALUE_DIM), st.just(c),
+        st.lists(st.sampled_from([1.0, -1.0]), min_size=len(c), max_size=len(c)),
+        st.floats(0.0, 2.0))),
+    st.builds(LogBarrierOracle, st.just(VALUE_DIM), st.integers(0, VALUE_DIM - 1)),
+)
+_nested = st.recursive(_leaves, lambda inner: st.one_of(
+    st.builds(MaxOracle, st.lists(inner, min_size=1, max_size=4)),
+    st.builds(SumOracle, st.lists(inner, min_size=1, max_size=3)),
+    st.builds(PositivePart, inner),
+), max_leaves=8)
+
+
+def test_value_strategy_covers_every_value_override():
+    overrides = {cls for cls in vars(oracles).values()
+                 if isinstance(cls, type) and issubclass(cls, oracles.ConvexOracle)
+                 and "value" in vars(cls) and cls is not oracles.ConvexOracle}
+    assert overrides == {MaxOracle, SumOracle, PositivePart, AbsAffineOracle,
+                         AffineBlockOracle, Norm1Oracle, SqNormOracle, HingeSumOracle}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_leaves | _nested, st.lists(_entries, min_size=VALUE_DIM, max_size=VALUE_DIM),
+       st.integers(0, VALUE_DIM - 1))
+def test_value_equals_call_by_bits(oracle, x, i):
+    # x as drawn, and with its entry i set to each special value in turn
+    points = [np.array(x)]
+    for special in (math.nan, math.inf, -math.inf, -0.0):
+        points.append(points[0].copy())
+        points[-1][i] = special
+    with np.errstate(all="ignore"):
+        for y in points:
+            assert _bits(oracle.value(y)) == _bits(oracle(y)[0])
