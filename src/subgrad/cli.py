@@ -16,7 +16,6 @@ Exit codes: 0 solved, 2 configuration error, 3 unwritable output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -157,9 +156,8 @@ def _lp_value(kind, problem):
 
 def _cmd_compare(args):
     try:
-        with open(args.batch) as fh:
-            batch = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an overlong integer
+        batch = probio._read_json(args.batch)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, too deep, or an overlong integer
         raise ConfigError(f"cannot read batch file: {exc}") from exc
 
     if not isinstance(batch, dict):

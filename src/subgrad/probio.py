@@ -28,7 +28,10 @@ An AffineBlockOracle is written as the "max" node of its rows: "affine"
 (c_j, d_j), or "abs_affine" (c_j, -d_j) when absolute.
 
 Floats round-trip exactly (json uses repr), so a reloaded problem
-reproduces the original solver trace bit for bit.
+reproduces the original solver trace bit for bit. ``save_problem`` encodes
+the whole document before it opens the file, so a problem that cannot be
+written leaves the file as it was. Nodes nest at most ``MAX_NODE_DEPTH``
+deep.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ from .problem import ConstrainedProblem
 
 __all__ = ["oracle_to_node", "oracle_from_node", "problem_to_dict",
            "problem_from_dict", "save_problem", "load_problem"]
+
+# the objective or an ineq entry is depth 0; the generators nest at most 2 deep
+MAX_NODE_DEPTH = 32
 
 # op -> (oracle class, node keys in document order)
 _NODES = {
@@ -77,7 +83,9 @@ def oracle_to_node(oracle):
     raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
-def oracle_from_node(node):
+def oracle_from_node(node, depth=0):
+    if depth > MAX_NODE_DEPTH:
+        raise ValueError(f"oracle node at depth {depth} is nested deeper than {MAX_NODE_DEPTH}")
     if not isinstance(node, dict):
         raise ValueError(f"oracle node must be an object, got {node!r}")
     op = node.get("op")
@@ -86,9 +94,9 @@ def oracle_from_node(node):
     cls, keys = _NODES[op]
     args = {key: node[key] for key in keys if key in node}
     if "parts" in args:
-        args["parts"] = [oracle_from_node(p) for p in args["parts"]]
+        args["parts"] = [oracle_from_node(p, depth + 1) for p in args["parts"]]
     if "arg" in args:
-        args["arg"] = oracle_from_node(args["arg"])
+        args["arg"] = oracle_from_node(args["arg"], depth + 1)
     return cls(**args)
 
 
@@ -119,10 +127,20 @@ def problem_from_dict(doc):
 
 
 def save_problem(path, problem, label=None):
+    # json.dumps runs the C encoder; json.dump never does
+    text = json.dumps(problem_to_dict(problem, label=label))
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem, label=label), fh)
+        fh.write(text)
+
+
+def _read_json(path):
+    """json.load of a file, with a too deeply nested document as a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON is nested too deeply to decode") from None
 
 
 def load_problem(path):
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+    return problem_from_dict(_read_json(path))

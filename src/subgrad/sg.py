@@ -7,8 +7,9 @@ certificate (optimality at an eps-feasible point, or infeasibility of the
 constraint system) and stops the run.
 
 ``step`` is that rule alone: it takes the oracle outputs at x and calls no
-oracle. ``solve`` evaluates f0 and fbar once per iterate and runs ``step``
-in the shared ``reports.drive`` loop.
+oracle. ``solve`` evaluates fbar and then f0 once per iterate, f0 without
+its subgradient when the next step descends fbar, and runs ``step`` in the
+shared ``reports.drive`` loop.
 """
 
 from __future__ import annotations
@@ -62,10 +63,14 @@ def solve(problem, cfg):
         x, stopped = step(x, cfg.eps, f0_grad, fbar_val, fbar_grad)
         if stopped:
             return None
-        f0_val, f0_grad = run.f0(x)
         if fbar is None:
+            f0_val, f0_grad = run.f0(x)
             return x, f0_val, 0.0
         fbar_val, fbar_grad = fbar(x)
+        if fbar_val <= cfg.eps:  # the next step descends f0; NaN takes the fbar branch
+            f0_val, f0_grad = run.f0(x)
+        else:
+            f0_val = run.f0.value(x)
         return x, f0_val, (0.0 if fbar_val <= 0.0 else fbar_val)
 
     return reports.drive(cfg, advance, x)

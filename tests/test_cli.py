@@ -113,7 +113,12 @@ def test_unwritable_output_exits_three(tmp_path):
     assert code == 3
 
 
-def test_bad_problem_file_is_config_error(tmp_path):
+def _pos_chain_text(depth):
+    # built as text: json.dumps itself refuses a few thousand levels
+    return '{"op": "pos", "arg": ' * depth + '{"op": "affine", "c": [-1.0]}' + "}" * depth
+
+
+def test_bad_problem_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     documents = [
         "{not json",
@@ -162,11 +167,20 @@ def test_bad_problem_file_is_config_error(tmp_path):
         json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
                     "ineq": [{"op": "hinge_sum", "dim": 2, "coords": [0, 1],
                               "labels": [1.0, -1.0], "scale": -0.5}]}),
+        # nodes nested past probio.MAX_NODE_DEPTH: 600 would decode and then
+        # overflow the stack in a solve, 5000 overflow it in the decoder
+        '{"objective": {"op": "affine", "c": [1.0]}, "ineq": [%s]}' % _pos_chain_text(600),
+        '{"objective": %s}' % _pos_chain_text(5000),
     ]
     for text in documents:
         bad.write_text(text)
         assert main(["run", "--problem", "file", "--in", str(bad), "--solver", "mdsg",
                      "--K", "10"]) == 2, text
+    # a batch file nested too deeply to decode
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["compare", "--batch", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read batch file:")
 
 
 def test_run_solver_refusal_exits_two(tmp_path, capsys):

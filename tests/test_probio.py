@@ -7,8 +7,8 @@ import pytest
 from test_replay import INSTANCES, trace_digest
 
 from subgrad import pds, probio, sg, solve
-from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, HingeSumOracle,
-                             LogBarrierOracle, MaxOracle, Norm1Oracle,
+from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, ConvexOracle,
+                             HingeSumOracle, LogBarrierOracle, MaxOracle, Norm1Oracle,
                              PositivePart, SqNormOracle, SumOracle)
 from subgrad.problem import ConstrainedProblem, single_constraint_form
 from subgrad.reports import SolverConfig
@@ -61,6 +61,74 @@ def test_document_bytes_are_pinned(build, digest):
     # reading the document back writes the same bytes; all-nodes has "A": []
     back = probio.problem_from_dict(json.loads(text))
     assert json.dumps(probio.problem_to_dict(back)) == text
+
+
+# the digests above, of the file that save_problem writes
+@pytest.mark.parametrize("build,digest", [
+    (lambda: gen_random(1, 6, 3).problem,
+     "42a6ef4de9038d35823762268bd759e7869d3d7508c42b2c74e27090ecb3a4be"),
+    (lambda: gen_random(2, 5, 3).problem,
+     "f2151dc609fd9c7463baac10ea3d04beb9af9a6f0336d6148887803d73e76a0b"),
+    (lambda: build_lad(3, 3).problem,
+     "6c201cc33db84b3d0ef75eb277e83b42956f234574220fe86ef6fe5f98fd0ce2"),
+    (lambda: build_svm(1, 3).problem,
+     "ca2a8502c8b632e09d74c6512652619678494813bf5cdab07023e7f4cea57112"),
+    (lambda: ConstrainedProblem(ROUND_TRIP_ORACLES[0], ROUND_TRIP_ORACLES[1:]),
+     "26cfccd34210015aae37755772349f99c19dd2347b2af4e15fa6218753b97b0a"),
+], ids=["case1", "case2", "lad", "svm", "all-nodes"])
+def test_saved_file_bytes_are_pinned(tmp_path, build, digest):
+    problem = build()
+    path = tmp_path / "problem.json"
+    probio.save_problem(path, problem)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    probio.save_problem(path, problem, label="case-\u00e9")
+    text = json.dumps(probio.problem_to_dict(problem, label="case-\u00e9"))
+    assert path.read_bytes() == text.encode()
+
+
+class _Unwritable(ConvexOracle):
+    """A user oracle that the document format has no node for."""
+
+    dim = 1
+
+    def __call__(self, x):
+        return float(x[0]), np.ones(1)
+
+
+def test_failed_save_leaves_file_unchanged(tmp_path):
+    path = tmp_path / "problem.json"
+    probio.save_problem(path, gen_random(1, 5, 1).problem, label="kept")
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="cannot serialize oracle of type _Unwritable"):
+        probio.save_problem(path, ConstrainedProblem(_Unwritable(), [AffineOracle([-1.0])]))
+    assert path.read_bytes() == before
+
+
+def _pos_chain(depth):
+    node = {"op": "affine", "c": [-1.0], "d": 0.0}
+    for _ in range(depth):
+        node = {"op": "pos", "arg": node}
+    return node
+
+
+def test_node_depth_limit():
+    # the objective is at depth 0, so a chain of MAX_NODE_DEPTH pos nodes is the deepest
+    deepest = probio.oracle_from_node(_pos_chain(probio.MAX_NODE_DEPTH))
+    assert deepest.value(np.array([-2.0])) == 2.0
+    depth = probio.MAX_NODE_DEPTH + 1
+    with pytest.raises(ValueError, match=f"^oracle node at depth {depth} is nested deeper"):
+        probio.oracle_from_node(_pos_chain(depth))
+    doc = {"objective": {"op": "affine", "c": [1.0]},
+           "ineq": [{"op": "sum", "parts": [_pos_chain(probio.MAX_NODE_DEPTH)]}]}
+    with pytest.raises(ValueError, match=f"depth {depth}"):
+        probio.problem_from_dict(doc)
+
+
+def test_undecodable_nesting_is_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        probio.load_problem(path)
 
 
 @pytest.mark.parametrize("inst_fn", [

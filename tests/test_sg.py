@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from subgrad import sg
-from subgrad.oracles import AbsAffineOracle, AffineOracle
+from subgrad.oracles import AbsAffineOracle, AffineOracle, ConvexOracle
 from subgrad.problem import ConstrainedProblem
 from subgrad.reports import COMPLETED, SADDLE_TERMINATED, SolverConfig
+from subgrad.testbeds import gen_random
 
 
 def analytic_problem():
@@ -130,3 +131,34 @@ def test_solve_rejects_multiplier_start(field):
     cfg = SolverConfig(solver="sg", iterations=5, **{field: np.zeros(1)})
     with pytest.raises(ValueError, match=f"^{field} is set"):
         sg.solve(analytic_problem(), cfg)
+
+
+class _CountingOracle(ConvexOracle):
+    """Counts subgradient calls and value-only calls of the oracle it wraps."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+        self.calls = self.values = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.inner(x)
+
+    def value(self, x):
+        self.values += 1
+        return self.inner.value(x)
+
+
+def test_objective_subgradient_only_before_objective_steps():
+    # f0's subgradient is built at x0 and at each later iterate whose fbar(x) <= eps,
+    # i.e. only where the next step descends f0; elsewhere only its value is read
+    p = gen_random(1, 10, 5).problem
+    counted = _CountingOracle(p.f0)
+    cfg = SolverConfig(solver="sg", eps=1e-3, iterations=400, trace_every=1)
+    r = sg.solve(ConstrainedProblem(counted, p.ineq, p.A, p.b), cfg)
+    assert [row.k for row in r.trace] == list(range(1, 401))  # one row per iterate after x0
+    objective_iterates = sum(row.infeas <= cfg.eps for row in r.trace)
+    assert 0 < objective_iterates < 400
+    assert (counted.calls, counted.values) == (1 + objective_iterates, 400 - objective_iterates)
+    plain = sg.solve(p, cfg)
+    assert [(a.val, a.infeas) for a in r.trace] == [(a.val, a.infeas) for a in plain.trace]
