@@ -24,8 +24,9 @@ where each oracle node is one of
 
 Node keys are the oracle's constructor arguments (and attributes), so the
 table ``_NODES`` is this schema in code; a key left out takes the default.
-An AffineBlockOracle is written as the "max" node of its rows: "affine"
-(c_j, d_j), or "abs_affine" (c_j, -d_j) when absolute.
+An AffineBlockOracle is written as its rows, "affine" (c_j, d_j) or, when
+absolute, "abs_affine" (c_j, -d_j): in place inside a "max" node, which
+stacks them again when read, and as one "max" node anywhere else.
 
 Floats round-trip exactly (json uses repr), so a reloaded problem
 reproduces the original solver trace bit for bit. ``save_problem`` encodes
@@ -65,21 +66,30 @@ _NODES = {
 }
 
 
-def _to_json(v):
+def _part_nodes(part, op):
+    """part's nodes in an op node: in a max, a block's rows (the max of a max is the max)."""
+    if op != "max" or not isinstance(part, AffineBlockOracle):
+        return [oracle_to_node(part)]
+    rows = zip(part.C.tolist(), part.d.tolist())
+    if part.absolute:
+        return [{"op": "abs_affine", "a": c, "b": -d} for c, d in rows]
+    return [{"op": "affine", "c": c, "d": d} for c, d in rows]
+
+
+def _to_json(v, op):
     if isinstance(v, list):  # parts
-        return [oracle_to_node(p) for p in v]
+        return [node for p in v for node in _part_nodes(p, op)]
     if isinstance(v, ConvexOracle):  # arg
         return oracle_to_node(v)
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def oracle_to_node(oracle):
-    if isinstance(oracle, AffineBlockOracle):  # a max node of its rows, one node per row
-        oracle = MaxOracle([AbsAffineOracle(c, -dj) if oracle.absolute else AffineOracle(c, dj)
-                            for c, dj in zip(oracle.C, oracle.d)])
+    if isinstance(oracle, AffineBlockOracle):  # a max of its rows
+        return {"op": "max", "parts": _part_nodes(oracle, "max")}
     for op, (cls, keys) in _NODES.items():
         if isinstance(oracle, cls):
-            return {"op": op, **{key: _to_json(getattr(oracle, key)) for key in keys}}
+            return {"op": op, **{key: _to_json(getattr(oracle, key), op) for key in keys}}
     raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
@@ -94,6 +104,8 @@ def oracle_from_node(node, depth=0):
     cls, keys = _NODES[op]
     args = {key: node[key] for key in keys if key in node}
     if "parts" in args:
+        if not isinstance(args["parts"], list):
+            raise ValueError(f"parts must be an array of oracle nodes, got {args['parts']!r}")
         args["parts"] = [oracle_from_node(p, depth + 1) for p in args["parts"]]
     if "arg" in args:
         args["arg"] = oracle_from_node(args["arg"], depth + 1)

@@ -7,19 +7,16 @@ Infeasibility of a point is measured as ||F(x)||_2 + ||A x - b||_2 where
 F_i(x) = max{f_i(x), 0}; the alternative single-constraint form replaces
 all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
 
-Each run of at least ROW_BLOCK_MIN consecutive affine inequality rows is
-stacked once, when the problem is built, and read as one block by F(x),
-by the saddle direction and by fbar, with the bits of one call per row.
+Runs of affine inequality rows are stacked once, by oracles._stack_rows, and
+read as one block by F(x), the saddle direction and fbar, with per-row bits.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, MaxOracle,
-                      _as_vector, euclidean_norm, norm_power_subgrad)
+from .oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineOracle, MaxOracle, _as_vector,
+                      _block_or_rows, _stack_rows, euclidean_norm, norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
@@ -35,11 +32,6 @@ __all__ = [
 # candidate; the solvers divide by the norm, which is undefined at zero.
 SADDLE_TOL = 1e-14
 
-# Fewest consecutive affine inequality rows that are stacked into one
-# AffineBlockOracle. A block call costs about 5 us and a per-row part 1.5 us,
-# so shorter runs stay one oracle per row.
-ROW_BLOCK_MIN = 4
-
 
 class ConstrainedProblem:
     """Objective oracle, inequality oracles, and dense equality pair (A, b).
@@ -51,10 +43,8 @@ class ConstrainedProblem:
     oracle fields: every entry is a finite number, never a string or a
     boolean.
 
-    ``ineq`` stays one oracle per row. Next to it, each run of at least
-    ROW_BLOCK_MIN consecutive AffineOracles (exact type) is stacked once
-    into an AffineBlockOracle (C, d), whose rows(x) violation_vector and
-    saddle_direction read, and which max_constraint_oracle reuses.
+    ``ineq`` stays one oracle per row; violation_vector and saddle_direction
+    read its stacked AffineOracle runs (AbsAffineOracles stay single rows).
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
@@ -77,19 +67,9 @@ class ConstrainedProblem:
                     f"inequality oracle {i} has dim {o.dim}, expected {self.n}")
         self.m = len(self.ineq)
         self.l = self.A.shape[0]
-        # ineq as evaluated, as (first row i, rows k, oracle): each run of at
-        # least ROW_BLOCK_MIN consecutive AffineOracles is one AffineBlockOracle
-        # of its k stacked rows, any other oracle is one row with k = 0
-        self._blocks = []
-        i = 0
-        for affine, run in itertools.groupby(self.ineq, lambda o: type(o) is AffineOracle):
-            run = list(run)
-            if affine and len(run) >= ROW_BLOCK_MIN:
-                block = AffineBlockOracle([o.c for o in run], [o.d for o in run])
-                self._blocks.append((i, len(run), block))
-            else:
-                self._blocks += [(j, 0, o) for j, o in enumerate(run, i)]
-            i += len(run)
+        # ineq as evaluated, as (first row i, rows k, oracle), k = 0 for one row;
+        # AbsAffineOracle runs stay single rows, as F(x) reads signed rows
+        self._blocks = list(_stack_rows(self.ineq, (AffineOracle,)))
 
     def eval_ineq(self, x):
         """Raw values f_i(x) and their subgradients, as (values, grads)."""
@@ -128,18 +108,12 @@ def max_constraint_oracle(problem):
     """Single oracle for max{f_1, ..., f_m, |a_1.x - b_1|, ..., |a_l.x - b_l|}.
 
     Parts keep the problem's listing order (inequalities first, then the
-    equality rows) so the lowest-index tie rule is reproducible. Each run
-    of at least ROW_BLOCK_MIN consecutive AffineOracle inequalities is the
-    AffineBlockOracle the problem stacked for it, and the l absolute
-    residuals become one when l >= ROW_BLOCK_MIN; shorter runs keep one
-    part per row. Either way the values and subgradients are the same
-    bits. Requires m + l >= 1.
+    equality rows) so the lowest-index tie rule is reproducible. Row runs
+    are stacked by the rule of MaxOracle, the equality rows straight from
+    (A, -b), with the bits of one part per row. Requires m + l >= 1.
     """
-    parts = [o for _, _, o in problem._blocks]
-    if problem.l >= ROW_BLOCK_MIN:
-        parts.append(AffineBlockOracle(problem.A, -problem.b, absolute=True))
-    else:
-        parts += map(AbsAffineOracle, problem.A, problem.b)
+    eq = _block_or_rows(problem.A, -problem.b, True, map(AbsAffineOracle, problem.A, problem.b))
+    parts = [o for _, _, o in problem._blocks + eq]
     if not parts:
         raise ValueError("the max-constraint form needs at least one constraint; "
                          "the problem has m = l = 0")

@@ -171,6 +171,10 @@ def test_bad_problem_file_is_config_error(tmp_path, capsys):
         # overflow the stack in a solve, 5000 overflow it in the decoder
         '{"objective": {"op": "affine", "c": [1.0]}, "ineq": [%s]}' % _pos_chain_text(600),
         '{"objective": %s}' % _pos_chain_text(5000),
+        # parts must be an array: a number, or an object, which would iterate its keys
+        json.dumps({"objective": {"op": "affine", "c": [1.0]},
+                    "ineq": [{"op": "sum", "parts": 5}]}),
+        json.dumps({"objective": {"op": "max", "parts": {"op": "affine", "c": [1.0]}}}),
     ]
     for text in documents:
         bad.write_text(text)

@@ -158,19 +158,52 @@ def test_problem_round_trip_preserves_traces(tmp_path, inst_fn):
         assert a.val == b.val and a.infeas == b.infeas
 
 
-@pytest.mark.parametrize("label", ["case2-n4-s2", "lad-nbar3-s1", "svm-nbar1-s1", "dense-rows-s8"])
+MAX_FORM_LABELS = ["case2-n4-s2", "lad-nbar3-s1", "svm-nbar1-s1", "dense-rows-s8"]
+
+
+@pytest.mark.parametrize("label", MAX_FORM_LABELS)
 def test_max_constraint_form_round_trip_preserves_traces(label):
     # the form stacks row runs and the equality residuals into AffineBlockOracles,
-    # which are written as max nodes of one affine or abs_affine node per row
+    # which are written as one affine or abs_affine node per row
     single = single_constraint_form(INSTANCES[label]())
     assert any(isinstance(part, AffineBlockOracle) for part in single.ineq[0].parts)
-    text = json.dumps(probio.problem_to_dict(single))
+    doc = probio.problem_to_dict(single)
+    text = json.dumps(doc)
     back = probio.problem_from_dict(json.loads(text))
     for solver in ("sg", "sdsg"):
         cfg = SolverConfig(solver=solver, iterations=200)
         r1, r2 = solve(single, cfg), solve(back, cfg)
         assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
         assert r1.x_out.tobytes() == r2.x_out.tobytes()
+    # the rows stand in the max node in place of their blocks, and stack again on reading
+    parts = single.ineq[0].parts
+    assert [type(q) for q in back.ineq[0].parts] == [type(q) for q in parts]
+    nested = [node for node in doc["ineq"][0]["parts"] if node["op"] == "max"]
+    assert len(nested) == sum(isinstance(q, MaxOracle) for q in parts)  # case2's domain max
+    assert all(node["op"] != "max" for q in nested for node in q["parts"])
+
+
+@pytest.mark.parametrize("label", MAX_FORM_LABELS)
+def test_nested_max_layout_still_loads(label):
+    # documents written before a block's rows stood in place hold one max node per block
+    single = single_constraint_form(INSTANCES[label]())
+    doc = probio.problem_to_dict(single)
+    doc["ineq"] = [{"op": "max", "parts": [probio.oracle_to_node(q) for q in single.ineq[0].parts]}]
+    back = probio.problem_from_dict(json.loads(json.dumps(doc)))
+    for solver in ("sg", "sdsg"):
+        cfg = SolverConfig(solver=solver, iterations=200)
+        r1, r2 = solve(single, cfg), solve(back, cfg)
+        assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
+    for q, q_back in zip(single.ineq[0].parts, back.ineq[0].parts):
+        if isinstance(q, AffineBlockOracle):  # one MaxOracle of the restacked block
+            assert [type(r) for r in q_back.parts] == [AffineBlockOracle]
+
+
+@pytest.mark.parametrize("parts", [5, {"op": "affine", "c": [1.0]}], ids=["number", "object"])
+def test_parts_must_be_an_array(parts):
+    for op in ("max", "sum"):
+        with pytest.raises(ValueError, match="^parts must be an array of oracle nodes"):
+            probio.oracle_from_node({"op": op, "parts": parts})
 
 
 def test_unknown_op_rejected():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig, dsg, pds, solve
@@ -83,9 +83,20 @@ def test_max_constraint_oracle():
         max_constraint_oracle(ConstrainedProblem(AffineOracle([1.0])))
 
 
+def per_row_max(parts):
+    """max over parts by one call per part: the first NaN value wins, else the
+    largest value at the lowest index. What a stacked MaxOracle must reproduce."""
+    def evaluate(x):
+        pairs = [o(x) for o in parts]
+        nan = [i for i, (v, _) in enumerate(pairs) if math.isnan(v)]
+        i = nan[0] if nan else max(range(len(pairs)), key=lambda i: (pairs[i][0], -i))
+        return pairs[i]
+    return evaluate
+
+
 def per_row_fbar(p):
-    """fbar with one MaxOracle part per constraint row: what the blocks must reproduce."""
-    return MaxOracle(list(p.ineq) + [AbsAffineOracle(a, b) for a, b in zip(p.A, p.b)])
+    """fbar with one call per constraint row: what the blocks must reproduce."""
+    return per_row_max(list(p.ineq) + [AbsAffineOracle(a, b) for a, b in zip(p.A, p.b)])
 
 
 def assert_same_fbar(p, points):
@@ -218,6 +229,29 @@ def test_block_direction_matches_per_row_direction():
             z = np.concatenate([z[:n], z[n:n + q.m]])
             t, t_ref = saddle_direction(q, z, rho, s_exp)[0], per_row_direction(q, z, rho, s_exp)[0]
             assert t.tobytes() == t_ref.tobytes()
+
+
+def test_abs_affine_inequalities_stay_single_rows():
+    # F(x) reads signed rows, so a problem stacks no AbsAffineOracle run; fbar stacks it
+    rng = np.random.Generator(np.random.PCG64(5))
+    n = 3
+    ineq = [AbsAffineOracle(c, b) for c, b in zip(rng.standard_normal((ROW_BLOCK_MIN + 1, n)),
+                                                   rng.uniform(0.5, 2.0, ROW_BLOCK_MIN + 1))]
+    p = ConstrainedProblem(AffineOracle(rng.standard_normal(n)), ineq)
+    assert [(i, k) for i, k, _ in p._blocks] == [(i, 0) for i in range(ROW_BLOCK_MIN + 1)]
+    points = [np.concatenate([rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, 2.0, p.m)])
+              for _ in range(20)]
+    for z in points:
+        x = z[:n]
+        ref = np.maximum([o(x)[0] for o in p.ineq], 0.0)
+        assert p.violation_vector(x).tobytes() == ref.tobytes()
+        for rho, s_exp in ((0.0, 2.0), (0.7, 1.5)):
+            t, t_ref = saddle_direction(p, z, rho, s_exp)[0], per_row_direction(p, z, rho, s_exp)[0]
+            assert t.tobytes() == t_ref.tobytes()
+    [block] = max_constraint_oracle(p).parts
+    assert isinstance(block, AffineBlockOracle) and block.absolute
+    assert block.C.shape == (ROW_BLOCK_MIN + 1, n)
+    assert_same_fbar(p, [z[:n] for z in points])
 
 
 def test_single_constraint_form_shape():
@@ -452,3 +486,71 @@ def test_thinned_trace_ends_at_x_out_on_random_instances():
 
     check()
     assert {"sg", "mdsg", "pds"} <= stops
+
+
+# Entries of x: numbers, both zeros, NaN and both infinities.
+X_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0]),
+                      st.floats(-4.0, 4.0))
+
+
+@st.composite
+def stacked_max_spec(draw):
+    """(n, runs, lead, seed, x) of a max: runs of 0-6 AffineOracle or AbsAffineOracle
+    rows, one type per run, each after a Norm1Oracle (the first one only when lead);
+    the numbers come from a PCG64 stream of the seed."""
+    n = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(["affine", "abs"]), st.integers(0, 6)),
+                         min_size=1, max_size=4))
+    x = draw(st.lists(X_ENTRIES, min_size=n, max_size=n))
+    return n, runs, draw(st.booleans()), draw(SEED), np.array(x)
+
+
+def stacked_max_parts(n, runs, lead, seed):
+    """The parts, and the parts a max must hold: the same oracles, with each run of
+    at least ROW_BLOCK_MIN rows as ("block", type, rows)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    parts, expected = [], []
+    for j, (kind, k) in enumerate(runs):
+        if lead or j:  # its coordinates may miss a NaN entry of x that every row reads
+            coords = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            parts.append(Norm1Oracle(n, coords=coords, offset=-rng.uniform(0.0, 2.0)))
+            expected.append(parts[-1])
+        cls = AffineOracle if kind == "affine" else AbsAffineOracle
+        # one entry in three is an exact zero, which reads 0 * inf, a NaN
+        C = rng.standard_normal((k, n)) * (rng.uniform(size=(k, n)) < 0.67)
+        rows = [cls(c, d) for c, d in zip(C, rng.uniform(-1.0, 1.0, k) * (rng.uniform(size=k) < 0.8))]
+        parts += rows
+        expected += [("block", kind, k)] if k >= ROW_BLOCK_MIN else rows
+    return parts, expected
+
+
+def test_stacked_max_matches_per_row_max_on_random_parts():
+    seen = set()  # (type, length) of the runs drawn
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(stacked_max_spec(), st.integers(0, 3))
+    def check(spec, i):
+        n, runs, lead, seed, x = spec
+        parts, expected = stacked_max_parts(n, runs, lead, seed)
+        assume(parts)
+        o = MaxOracle(parts)
+        assert [("block", "abs" if q.absolute else "affine", q.C.shape[0])
+                if isinstance(q, AffineBlockOracle) else q for q in o.parts] == expected
+        ref = per_row_max(parts)
+        # x as drawn, and with its entry i set to each special value in turn
+        points = [x]
+        for special in (math.nan, math.inf, -math.inf, -0.0):
+            points.append(x.copy())
+            points[-1][i % n] = special
+        with np.errstate(invalid="ignore"):
+            for y in points:
+                (v, g), (v_ref, g_ref) = o(y), ref(y)
+                assert np.float64(v).tobytes() == np.float64(v_ref).tobytes(), y
+                assert g.tobytes() == g_ref.tobytes(), y
+                assert np.float64(o.value(y)).tobytes() == np.float64(v_ref).tobytes(), y
+        seen.update(runs)
+
+    check()
+    # runs one row short of a block and of exactly ROW_BLOCK_MIN rows, of both types
+    assert {(kind, k) for kind in ("affine", "abs")
+            for k in (ROW_BLOCK_MIN - 1, ROW_BLOCK_MIN)} <= seen
