@@ -177,8 +177,11 @@ def _cmd_compare(args):
     val_star = batch.get("valstar")
     if val_star is not None:
         val_star = _as_valstar(val_star, "batch valstar")
+    lp_oracle = batch.get("lp_oracle")
+    if lp_oracle is not None and not isinstance(lp_oracle, bool):
+        raise ConfigError(f"batch lp_oracle must be true, false or null, got {lp_oracle!r}")
     rows = []  # (summary row, why it is NA or "")
-    if batch.get("lp_oracle"):
+    if lp_oracle:
         import time
         t0 = time.perf_counter()
         res = _lp_value(kind, problem)

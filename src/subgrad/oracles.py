@@ -204,7 +204,8 @@ class MaxOracle(ConvexOracle):
 
     def __init__(self, parts):
         parts, self.dim = _parts_and_dim(self, parts)
-        self.parts = [o for _, _, o in _stack_rows(parts, (AffineOracle, AbsAffineOracle))]
+        kinds = (AffineOracle, AbsAffineOracle)
+        self.parts = [o for _, _, o in _stack_rows(parts, kinds, _row_type)]
 
     def __call__(self, x):
         best_v, best_g = self.parts[0](x)
@@ -265,17 +266,28 @@ class AffineBlockOracle(ConvexOracle):
         return v if not self.absolute or v >= 0.0 else -v
 
 
-# (c_j, d_j) of a stacked row part; a.x + (-b) has the bits of a.x - b in IEEE arithmetic
-_ROW_OF = {AffineOracle: lambda o: (o.c, o.d), AbsAffineOracle: lambda o: (o.a, -o.b)}
+# the rows (c_j, d_j) of a stacked part; a.x + (-b) has the bits of a.x - b in IEEE arithmetic
+_ROWS_OF = {AffineOracle: lambda o: [(o.c, o.d)], AbsAffineOracle: lambda o: [(o.a, -o.b)],
+            AffineBlockOracle: lambda o: zip(o.C, o.d)}
 
 
-def _stack_rows(parts, kinds):
+def _row_type(part):
+    """The type of part's rows: a block's rows are AffineOracle or, when absolute,
+    AbsAffineOracle rows, so in a max it joins the rows of that type beside it."""
+    if type(part) is AffineBlockOracle:
+        return AbsAffineOracle if part.absolute else AffineOracle
+    return type(part)
+
+
+def _stack_rows(parts, kinds, key=type):
     """(first index i, rows k, oracle) per part, but one AffineBlockOracle of k
-    rows per run of at least ROW_BLOCK_MIN parts of one type in kinds."""
+    rows per run of at least ROW_BLOCK_MIN rows of one type in kinds, the type
+    of a part being key(part). A run of one part stays that part."""
     i = 0
-    for kind, run in itertools.groupby(parts, type):
+    for kind, run in itertools.groupby(parts, key):
         run = list(run)
-        C, d = zip(*map(_ROW_OF[kind], run)) if kind in kinds else ((), ())
+        stack = kind in kinds and len(run) > 1
+        C, d = zip(*(r for o in run for r in _ROWS_OF[type(o)](o))) if stack else ((), ())
         yield from _block_or_rows(C, d, kind is AbsAffineOracle, run, i)
         i += len(run)
 

@@ -2,8 +2,14 @@
 
 Two-phase primal simplex on a dense tableau with Bland's anti-cycling
 rule. Built for desk-scale certification runs (thousands of nonzeros, not
-millions): correctness and a termination guarantee matter here, speed does
-not.
+millions): correctness and a termination guarantee matter here, speed comes
+second.
+
+Pricing, the ratio test and the drive-out of artificials scan the tableau
+by array expressions. The pivot still updates one row at a time, over the
+rows with a nonzero entry in the pivot column: a rank-1 update of the same
+rows gives the same bits, but its gather and scatter copies made the
+2,150-column case1 n=1000 tableau about 5x slower.
 
 ``encode_case1`` and ``encode_lad`` map the benchmark problem families
 onto LpProblem instances (split variables for the l1 terms).
@@ -14,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .oracles import _as_numbers, _as_vector
 
 __all__ = [
     "LpProblem",
@@ -35,7 +43,13 @@ NUMERICAL_LIMIT = "NUMERICAL_LIMIT"
 
 @dataclass
 class LpProblem:
-    """min c.x subject to A_eq x = b_eq and lower <= x <= upper (+-inf ok)."""
+    """min c.x subject to A_eq x = b_eq and lower <= x <= upper (+-inf ok).
+
+    c, A_eq and b_eq follow the number rule of oracle fields: finite
+    numbers, never strings or booleans. An empty A_eq ([] or shape (0, n))
+    means no rows; any other A_eq is 2-D with n columns. The bounds are
+    numbers too, infinite only on their own side, and never NaN.
+    """
 
     c: np.ndarray
     A_eq: np.ndarray
@@ -44,16 +58,22 @@ class LpProblem:
     upper: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
+        self.c = _as_vector(self.c, "c")
         n = self.c.shape[0]
-        self.A_eq = np.asarray(self.A_eq, dtype=float).reshape(-1, n)
-        self.b_eq = np.asarray(self.b_eq, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.b_eq.shape[0] != self.A_eq.shape[0]:
+        no_rows = isinstance(self.A_eq, (list, tuple)) and not self.A_eq
+        self.A_eq = np.zeros((0, n)) if no_rows else _as_vector(self.A_eq, "A_eq", ndim=2)
+        if self.A_eq.shape[1] != n:
+            raise ValueError(f"A_eq has {self.A_eq.shape[1]} columns, expected {n}")
+        self.b_eq = _as_vector(self.b_eq, "b_eq")
+        if self.b_eq.shape != (self.A_eq.shape[0],):
             raise ValueError("A_eq and b_eq disagree on row count")
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bounds must match the variable count")
+        self.lower = _as_numbers(self.lower, "lower")
+        self.upper = _as_numbers(self.upper, "upper")
+        for name, v, wrong in (("lower", self.lower, np.inf), ("upper", self.upper, -np.inf)):
+            if v.shape != (n,):
+                raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+            if np.isnan(v).any() or (v == wrong).any():
+                raise ValueError(f"{name} has a NaN or {wrong} entry")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound above upper bound")
 
@@ -72,86 +92,68 @@ def _standardize(lp):
 
     Variables are shifted by a finite lower bound, flipped around a finite
     upper bound, or split into u+ - u- when free. Two-sided bounds add a
-    row u + slack = upper - lower.
+    row u + slack = upper - lower. Column k of A_std holds sign[k] times
+    variable var[k].
     """
-    n = lp.c.shape[0]
-    cols = []          # columns of A_std as (orig var index, sign)
-    shift = np.zeros(n)
-    ranged = []        # (std col index, range width) rows to append
-    for j in range(n):
-        lo, up = lp.lower[j], lp.upper[j]
-        if np.isfinite(lo):
-            shift[j] = lo
-            cols.append((j, 1.0))
-            if np.isfinite(up):
-                ranged.append((len(cols) - 1, up - lo))
-        elif np.isfinite(up):
-            shift[j] = up
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    n_main = len(cols)
-    n_slack = len(ranged)
+    lo_fin, up_fin = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    free = ~(lo_fin | up_fin)
+    shift = np.where(lo_fin, lp.lower, np.where(up_fin, lp.upper, 0.0))
+    var = np.repeat(np.arange(lp.c.size), np.where(free, 2, 1))
+    # minus: flipped around an upper bound, or the u- column of a free variable
+    minus = ~lo_fin[var] & up_fin[var] | np.r_[False, var[1:] == var[:-1]]
+    sign = np.where(minus, -1.0, 1.0)
+    ranged = np.flatnonzero((lo_fin & up_fin)[var])  # std columns that get a slack row
+    n_main, n_slack = var.size, ranged.size
     meq = lp.A_eq.shape[0]
-    m_rows = meq + n_slack
 
-    A = np.zeros((m_rows, n_main + n_slack))
-    for idx, (j, sign) in enumerate(cols):
-        A[:meq, idx] = sign * lp.A_eq[:, j]
-    b = np.concatenate([lp.b_eq - lp.A_eq @ shift, np.zeros(n_slack)])
-    c = np.zeros(n_main + n_slack)
-    for idx, (j, sign) in enumerate(cols):
-        c[idx] = sign * lp.c[j]
-    for r, (col, width) in enumerate(ranged):
-        A[meq + r, col] = 1.0
-        A[meq + r, n_main + r] = 1.0
-        b[meq + r] = width
+    A = np.zeros((meq + n_slack, n_main + n_slack))
+    A[:meq, :n_main] = sign * lp.A_eq[:, var]
+    A[meq + np.arange(n_slack), ranged] = 1.0
+    A[meq:, n_main:] = np.eye(n_slack)
+    ranged_var = var[ranged]
+    b = np.concatenate([lp.b_eq - lp.A_eq @ shift, lp.upper[ranged_var] - lp.lower[ranged_var]])
+    c = np.concatenate([sign * lp.c[var], np.zeros(n_slack)])
     const = float(lp.c @ shift)
-    return A, b, c, cols, shift, const, n_main
+    return A, b, c, var, sign, shift, const
 
 
 def _pivot(tab, basis, row, col):
     tab[row] /= tab[row, col]
     piv = tab[row]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
+    for i in np.flatnonzero(tab[:, col]):
+        if i != row:
             tab[i] -= tab[i, col] * piv
     basis[row] = col
 
 
-def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots_done):
+def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
     """Bland-rule pivoting until the given cost row is optimal.
 
-    Returns (outcome, n_pivots) with outcome one of "optimal", "unbounded",
-    "limit". ``allowed`` marks columns that may enter.
+    Returns (status, n_pivots) with status OPTIMAL, UNBOUNDED or
+    NUMERICAL_LIMIT (pivot cap hit). ``allowed`` marks columns that may enter;
+    ``pivots`` counts the pivots made before this phase.
     """
     m = len(basis)
-    pivots = pivots_done
     while True:
-        enter = -1
-        row_cost = tab[cost_row]
-        for j in range(tab.shape[1] - 1):
-            if allowed[j] and row_cost[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", pivots
-        ratio = None
-        leave = -1
-        for i in range(m):
-            a = tab[i, enter]
-            if a > tol:
-                r = tab[i, -1] / a
-                if ratio is None or r < ratio - 1e-15 or (
-                        abs(r - ratio) <= 1e-15 and basis[i] < basis[leave]):
-                    ratio, leave = r, i
-        if leave < 0:
-            return "unbounded", pivots
+        # Bland: the lowest allowed column with a negative reduced cost enters
+        entering = np.flatnonzero(allowed & (tab[cost_row, :-1] < -tol))
+        if not entering.size:
+            return OPTIMAL, pivots
+        enter = entering[0]
+        rows = np.flatnonzero(tab[:m, enter] > tol)
+        if not rows.size:
+            return UNBOUNDED, pivots
+        ratios = tab[rows, -1] / tab[rows, enter]
+        # The lowest ratio leaves, a tie within 1e-15 going to the lower
+        # basis index. The scan runs in row order, as ties can chain.
+        leave, ratio = rows[0], ratios[0]
+        for i, r in zip(rows[1:].tolist(), ratios[1:].tolist()):
+            if r < ratio - 1e-15 or (abs(r - ratio) <= 1e-15 and basis[i] < basis[leave]):
+                leave, ratio = i, r
         _pivot(tab, basis, leave, enter)
         pivots += 1
         if pivots >= max_pivots:
-            return "limit", pivots
+            return NUMERICAL_LIMIT, pivots
 
 
 def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
@@ -162,14 +164,12 @@ def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     clipped onto its bounds, and dual_obj carries the dual objective of the
     standardized system for a strong-duality spot check.
     """
-    A, b, c, cols, shift, const, n_main = _standardize(lp)
+    A, b, c, var, sign, shift, const = _standardize(lp)
     m, n_std = A.shape
 
     # Normalize to b >= 0 so the artificial basis is feasible.
     flip = b < 0
-    A = A.copy()
     A[flip] *= -1.0
-    b = b.copy()
     b[flip] *= -1.0
 
     n_tot = n_std + m  # artificials appended
@@ -184,12 +184,10 @@ def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     basis = list(range(n_std, n_tot))
 
     allowed = np.ones(n_tot, dtype=bool)
-    outcome, pivots = _run_phase(tab, basis, m + 1, allowed, tol, max_pivots, 0)
-    if outcome == "limit":
-        return LpResult(NUMERICAL_LIMIT, None, None, n_pivots=pivots)
-    if outcome == "unbounded":
-        # Phase-1 objective is bounded below by zero; a ratio-test failure
-        # here means the tableau degraded numerically.
+    status, pivots = _run_phase(tab, basis, m + 1, allowed, tol, max_pivots, 0)
+    if status != OPTIMAL:
+        # The phase-1 objective is bounded below by zero, so UNBOUNDED here
+        # means the tableau degraded numerically.
         return LpResult(NUMERICAL_LIMIT, None, None, n_pivots=pivots)
     scale = 1.0 + float(np.linalg.norm(b))
     if -tab[m + 1, -1] > tol * scale:
@@ -200,49 +198,35 @@ def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n_std:
-            target = -1
-            for j in range(n_std):
-                if abs(tab[i, j]) > tol:
-                    target = j
-                    break
-            if target >= 0:
-                _pivot(tab, basis, i, target)
+            target = np.flatnonzero(np.abs(tab[i, :n_std]) > tol)
+            if target.size:
+                _pivot(tab, basis, i, target[0])
                 pivots += 1
             else:
                 keep[i] = False
-    if not np.all(keep):
-        rows = np.concatenate([np.nonzero(keep)[0], [m, m + 1]])
-        tab = tab[rows]
-        basis = [basis[i] for i in range(m) if keep[i]]
-        m = len(basis)
+    tab = tab[np.r_[np.flatnonzero(keep), m, m + 1]]
+    basis = [bi for bi, k in zip(basis, keep) if k]
+    m = len(basis)
 
     allowed[n_std:] = False
-    outcome, pivots = _run_phase(tab, basis, m, allowed, tol, max_pivots, pivots)
-    if outcome == "limit":
-        return LpResult(NUMERICAL_LIMIT, None, None, n_pivots=pivots)
-    if outcome == "unbounded":
-        return LpResult(UNBOUNDED, None, None, n_pivots=pivots)
+    status, pivots = _run_phase(tab, basis, m, allowed, tol, max_pivots, pivots)
+    if status != OPTIMAL:
+        return LpResult(status, None, None, n_pivots=pivots)
 
+    # After the drive-out pass every kept basis entry is structural. Its value
+    # is clipped at 0 as by Python's max(v, 0.0), which keeps a -0.0.
     u = np.zeros(n_std)
-    for i, bi in enumerate(basis):
-        if bi < n_std:
-            u[bi] = max(tab[i, -1], 0.0)
+    u[basis] = np.where(tab[:m, -1] < 0.0, 0.0, tab[:m, -1])
     x = shift.copy()
-    for idx, (j, sign) in enumerate(cols):
-        x[j] += sign * u[idx]
+    np.add.at(x, var, sign * u[:var.size])  # in column order, so u+ before u-
     x = np.clip(x, lp.lower, lp.upper)
     value = float(lp.c @ x)
 
     # Dual objective of the standardized system (y solves B^T y = c_B);
-    # together with dual feasibility this certifies optimality. After the
-    # drive-out pass every kept basis entry is structural.
-    dual_obj = None
+    # together with dual feasibility this certifies optimality.
     try:
-        A_kept = A[keep]
-        b_kept = b[keep]
-        Bmat = A_kept[:, basis]
-        y = np.linalg.solve(Bmat.T, c[basis])
-        dual_obj = float(y @ b_kept) + const
+        y = np.linalg.solve(A[keep][:, basis].T, c[basis])
+        dual_obj = float(y @ b[keep]) + const
     except np.linalg.LinAlgError:
         dual_obj = None
 

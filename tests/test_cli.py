@@ -231,6 +231,16 @@ def test_compare_emits_row_per_method(tmp_path, capsys):
     assert out.read_text().splitlines() == lines
 
 
+@pytest.mark.parametrize("lp_oracle", [None, False])
+def test_compare_without_lp_oracle_has_no_oracle_row(tmp_path, capsys, lp_oracle):
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": {"kind": "case1", "n": 6}, "K": 10,
+                                 "lp_oracle": lp_oracle, "methods": [{"solver": "sg"}]}))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "method", "sg"]
+
+
 def test_compare_infeas_is_one_measure_at_x_out(tmp_path, capsys):
     # the summary's infeas is problem.infeasibility(x_out) for every method,
     # whatever measure the solver's own trace uses
@@ -288,6 +298,15 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
       "--valstar", "nan"], None),
     (["run", "--problem", "case1", "--n", "10", "--solver", "sg", "--K", "10",
       "--valstar", "inf"], None),
+    # lp_oracle is a JSON boolean or null: these once ran the LP or skipped it
+    (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "lp_oracle": "false",
+            "methods": [{"solver": "sg"}]}),
+    (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "lp_oracle": 0.5,
+            "methods": [{"solver": "sg"}]}),
+    (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "lp_oracle": 1,
+            "methods": [{"solver": "sg"}]}),
+    (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "lp_oracle": [],
+            "methods": [{"solver": "sg"}]}),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     if argv is None:
@@ -295,7 +314,10 @@ def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
         bfile.write_text(batch if isinstance(batch, str) else json.dumps(batch))
         argv = ["compare", "--batch", str(bfile)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if isinstance(batch, dict) and "lp_oracle" in batch:
+        assert "lp_oracle" in err
 
 
 @pytest.mark.parametrize("method,extra", [

@@ -183,6 +183,23 @@ def test_max_constraint_form_round_trip_preserves_traces(label):
     assert all(node["op"] != "max" for q in nested for node in q["parts"])
 
 
+def test_max_form_of_short_abs_run_and_equality_block_reads_back_its_parts():
+    # two AbsAffineOracle rows and l = 4: the equality block joins the rows in the
+    # max as it does when the flat rows of the document are read back
+    rng = np.random.default_rng(3)
+    p = ConstrainedProblem(AffineOracle(rng.standard_normal(3)),
+                           [AbsAffineOracle(rng.standard_normal(3), 0.5),
+                            AbsAffineOracle(rng.standard_normal(3), -0.25)],
+                           rng.standard_normal((4, 3)), rng.standard_normal(4))
+    single = single_constraint_form(p)
+    back = probio.problem_from_dict(json.loads(json.dumps(probio.problem_to_dict(single))))
+    assert [type(q) for q in back.ineq[0].parts] == [type(q) for q in single.ineq[0].parts]
+    for solver in ("sg", "sdsg"):
+        cfg = SolverConfig(solver=solver, iterations=200)
+        r1, r2 = solve(single, cfg), solve(back, cfg)
+        assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
+
+
 @pytest.mark.parametrize("label", MAX_FORM_LABELS)
 def test_nested_max_layout_still_loads(label):
     # documents written before a block's rows stood in place hold one max node per block

@@ -495,48 +495,65 @@ X_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
 
 @st.composite
 def stacked_max_spec(draw):
-    """(n, runs, lead, seed, x) of a max: runs of 0-6 AffineOracle or AbsAffineOracle
-    rows, one type per run, each after a Norm1Oracle (the first one only when lead);
-    the numbers come from a PCG64 stream of the seed."""
+    """(n, runs, lead, seed, x, blocks) of a max: runs of 0-6 AffineOracle or
+    AbsAffineOracle rows, one type per run, each after a Norm1Oracle (the first
+    one only when lead), and per run the rows a:e that one AffineBlockOracle of
+    the run's type holds in their place (none when a = e); the numbers come from
+    a PCG64 stream of the seed."""
     n = draw(st.integers(1, 4))
     runs = draw(st.lists(st.tuples(st.sampled_from(["affine", "abs"]), st.integers(0, 6)),
                          min_size=1, max_size=4))
     x = draw(st.lists(X_ENTRIES, min_size=n, max_size=n))
-    return n, runs, draw(st.booleans()), draw(SEED), np.array(x)
+    lead, seed = draw(st.booleans()), draw(SEED)
+    blocks = []
+    for _, k in runs:
+        a = draw(st.integers(0, k))
+        blocks.append((a, draw(st.integers(a, k))))
+    return n, runs, lead, seed, np.array(x), blocks
 
 
-def stacked_max_parts(n, runs, lead, seed):
-    """The parts, and the parts a max must hold: the same oracles, with each run of
-    at least ROW_BLOCK_MIN rows as ("block", type, rows)."""
+def stacked_max_parts(n, runs, lead, seed, blocks):
+    """The parts, the same rows as one oracle per row, and the parts a max must
+    hold: the same oracles, with each run of at least ROW_BLOCK_MIN rows as
+    ("block", type, rows), but a run of one block part as that part."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    parts, expected = [], []
-    for j, (kind, k) in enumerate(runs):
+    parts, rows, expected = [], [], []
+    for j, ((kind, k), (a, e)) in enumerate(zip(runs, blocks)):
         if lead or j:  # its coordinates may miss a NaN entry of x that every row reads
             coords = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
             parts.append(Norm1Oracle(n, coords=coords, offset=-rng.uniform(0.0, 2.0)))
+            rows.append(parts[-1])
             expected.append(parts[-1])
         cls = AffineOracle if kind == "affine" else AbsAffineOracle
         # one entry in three is an exact zero, which reads 0 * inf, a NaN
         C = rng.standard_normal((k, n)) * (rng.uniform(size=(k, n)) < 0.67)
-        rows = [cls(c, d) for c, d in zip(C, rng.uniform(-1.0, 1.0, k) * (rng.uniform(size=k) < 0.8))]
-        parts += rows
-        expected += [("block", kind, k)] if k >= ROW_BLOCK_MIN else rows
-    return parts, expected
+        d = rng.uniform(-1.0, 1.0, k) * (rng.uniform(size=k) < 0.8)
+        run_rows = [cls(c, dj) for c, dj in zip(C, d)]
+        # a row AbsAffineOracle(c, b) is the block row (c, -b)
+        block = [AffineBlockOracle(C[a:e], d[a:e] if cls is AffineOracle else -d[a:e],
+                                   absolute=cls is AbsAffineOracle)] if e > a else []
+        run = run_rows[:a] + block + run_rows[e:]
+        parts += run
+        rows += run_rows
+        expected += [("block", kind, k)] if k >= ROW_BLOCK_MIN and len(run) > 1 else run
+    return parts, rows, expected
 
 
 def test_stacked_max_matches_per_row_max_on_random_parts():
-    seen = set()  # (type, length) of the runs drawn
+    seen = set()  # (type, length) of the runs drawn, and whether a block part had rows beside it
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(stacked_max_spec(), st.integers(0, 3))
     def check(spec, i):
-        n, runs, lead, seed, x = spec
-        parts, expected = stacked_max_parts(n, runs, lead, seed)
+        n, runs, lead, seed, x, blocks = spec
+        parts, rows, expected = stacked_max_parts(n, runs, lead, seed, blocks)
         assume(parts)
         o = MaxOracle(parts)
+        # a block the max built is shown by its rows; a block part is itself
         assert [("block", "abs" if q.absolute else "affine", q.C.shape[0])
-                if isinstance(q, AffineBlockOracle) else q for q in o.parts] == expected
-        ref = per_row_max(parts)
+                if isinstance(q, AffineBlockOracle) and q not in parts else q
+                for q in o.parts] == expected
+        ref = per_row_max(rows)
         # x as drawn, and with its entry i set to each special value in turn
         points = [x]
         for special in (math.nan, math.inf, -math.inf, -0.0):
@@ -549,8 +566,11 @@ def test_stacked_max_matches_per_row_max_on_random_parts():
                 assert g.tobytes() == g_ref.tobytes(), y
                 assert np.float64(o.value(y)).tobytes() == np.float64(v_ref).tobytes(), y
         seen.update(runs)
+        seen.update(("block part", e - a < k) for (_, k), (a, e) in zip(runs, blocks) if e > a)
 
     check()
     # runs one row short of a block and of exactly ROW_BLOCK_MIN rows, of both types
     assert {(kind, k) for kind in ("affine", "abs")
             for k in (ROW_BLOCK_MIN - 1, ROW_BLOCK_MIN)} <= seen
+    # a block part with rows of its type beside it, and one alone in its run
+    assert {("block part", True), ("block part", False)} <= seen
