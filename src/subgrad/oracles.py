@@ -3,8 +3,8 @@
 These classes are the building blocks for objectives and constraints:
 affine pieces, absolute residuals, pointwise maxima, positive parts, and a
 few vectorized aggregates (l1 norm, scaled squared norm, hinge sums, the
-max over a block of affine rows, into which every maximum stacks its row
-runs by _stack_rows) that keep large instances cheap to evaluate.
+max over a block of affine rows, into which a maximum stacks each run of
+its row parts) that keep large instances cheap to evaluate.
 
 Subgradient selections are deterministic. Ties are resolved by fixed rules
 (lowest index wins in maxima, and a NaN part wins over any number,
@@ -88,6 +88,16 @@ def _as_vector(v, name, ndim=1):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has a non-finite entry")
     return a
+
+
+def _as_rows(A, n, name):
+    """A as a 2-D array of n columns; [] or shape (0, n) is no rows."""
+    if isinstance(A, (list, tuple)) and not A:
+        return np.zeros((0, n))
+    A = _as_vector(A, name, ndim=2)
+    if A.shape[1] != n:
+        raise ValueError(f"{name} has {A.shape[1]} columns, expected {n}")
+    return A
 
 
 def _as_scalar(v, name):
@@ -199,13 +209,13 @@ class MaxOracle(ConvexOracle):
     """Pointwise maximum of several oracles on the same space.
 
     The subgradient comes from the lowest-index part attaining the max, a
-    valid element of the max-subdifferential; _stack_rows stacks ``parts``.
+    valid element of the max-subdifferential. _stack_rows stacks the runs of
+    AffineOracle or AbsAffineOracle parts; a block part stays as given.
     """
 
     def __init__(self, parts):
         parts, self.dim = _parts_and_dim(self, parts)
-        kinds = (AffineOracle, AbsAffineOracle)
-        self.parts = [o for _, _, o in _stack_rows(parts, kinds, _row_type)]
+        self.parts = [o for _, _, o in _stack_rows(parts, (AffineOracle, AbsAffineOracle))]
 
     def __call__(self, x):
         best_v, best_g = self.parts[0](x)
@@ -242,7 +252,9 @@ class AffineBlockOracle(ConvexOracle):
         if self.C.shape[0] != self.d.shape[0] or not self.d.size:
             raise ValueError(f"C must have one row per entry of d, got shape {self.C.shape} "
                              f"for {self.d.size} entries")
-        self.absolute = absolute
+        if not isinstance(absolute, (bool, np.bool_)):  # 1 or "true" would pass a truth test
+            raise ValueError(f"absolute must be a boolean, got {absolute!r}")
+        self.absolute = bool(absolute)
         self.dim = self.C.shape[1]
 
     def rows(self, x):
@@ -266,28 +278,17 @@ class AffineBlockOracle(ConvexOracle):
         return v if not self.absolute or v >= 0.0 else -v
 
 
-# the rows (c_j, d_j) of a stacked part; a.x + (-b) has the bits of a.x - b in IEEE arithmetic
-_ROWS_OF = {AffineOracle: lambda o: [(o.c, o.d)], AbsAffineOracle: lambda o: [(o.a, -o.b)],
-            AffineBlockOracle: lambda o: zip(o.C, o.d)}
+# (c_j, d_j) of a stacked row part; a.x + (-b) has the bits of a.x - b in IEEE arithmetic
+_ROW_OF = {AffineOracle: lambda o: (o.c, o.d), AbsAffineOracle: lambda o: (o.a, -o.b)}
 
 
-def _row_type(part):
-    """The type of part's rows: a block's rows are AffineOracle or, when absolute,
-    AbsAffineOracle rows, so in a max it joins the rows of that type beside it."""
-    if type(part) is AffineBlockOracle:
-        return AbsAffineOracle if part.absolute else AffineOracle
-    return type(part)
-
-
-def _stack_rows(parts, kinds, key=type):
+def _stack_rows(parts, kinds):
     """(first index i, rows k, oracle) per part, but one AffineBlockOracle of k
-    rows per run of at least ROW_BLOCK_MIN rows of one type in kinds, the type
-    of a part being key(part). A run of one part stays that part."""
+    rows per run of at least ROW_BLOCK_MIN parts of one type in kinds."""
     i = 0
-    for kind, run in itertools.groupby(parts, key):
+    for kind, run in itertools.groupby(parts, type):
         run = list(run)
-        stack = kind in kinds and len(run) > 1
-        C, d = zip(*(r for o in run for r in _ROWS_OF[type(o)](o))) if stack else ((), ())
+        C, d = zip(*map(_ROW_OF[kind], run)) if kind in kinds else ((), ())
         yield from _block_or_rows(C, d, kind is AbsAffineOracle, run, i)
         i += len(run)
 
@@ -300,7 +301,7 @@ def _block_or_rows(C, d, absolute, rows, i=0):
 
 
 class PositivePart(ConvexOracle):
-    """max{f(x), 0} with the zero subgradient wherever f(x) <= 0.
+    """max{f(x), 0} with the zero subgradient wherever f(x) <= 0; a NaN f(x) is kept.
 
     Zero is a valid selection from conv(subdiff(f) | {0}) at f(x) = 0 and
     from {0} when f(x) < 0; choosing it keeps multiplier updates inert on
@@ -314,13 +315,13 @@ class PositivePart(ConvexOracle):
 
     def __call__(self, x):
         v, g = self.arg(x)
-        if v > 0.0:
+        if not v <= 0.0:  # a NaN f(x) stays NaN, as in MaxOracle
             return v, g
         return 0.0, self._zero
 
     def value(self, x):
         v = self.arg.value(x)
-        return v if v > 0.0 else 0.0
+        return v if not v <= 0.0 else 0.0
 
 
 class SumOracle(ConvexOracle):

@@ -12,21 +12,22 @@ A problem document looks like
 
 where each oracle node is one of
 
-    {"op": "affine",      "c": [..], "d": f}
-    {"op": "abs_affine",  "a": [..], "b": f}
-    {"op": "max",         "parts": [node, ..]}
-    {"op": "sum",         "parts": [node, ..]}
-    {"op": "pos",         "arg": node}
-    {"op": "norm1",       "dim": i, "coords": [..], "offset": f}
-    {"op": "sq_norm",     "dim": i, "coords": [..], "scale": f}
-    {"op": "hinge_sum",   "dim": i, "coords": [..], "labels": [..], "scale": f}
-    {"op": "log_barrier", "dim": i, "index": i, "shift": f, "offset": f}
+    {"op": "affine",       "c": [..], "d": f}
+    {"op": "abs_affine",   "a": [..], "b": f}
+    {"op": "max",          "parts": [node, ..]}
+    {"op": "affine_block", "C": [[..], ..], "d": [..], "absolute": bool}
+    {"op": "sum",          "parts": [node, ..]}
+    {"op": "pos",          "arg": node}
+    {"op": "norm1",        "dim": i, "coords": [..], "offset": f}
+    {"op": "sq_norm",      "dim": i, "coords": [..], "scale": f}
+    {"op": "hinge_sum",    "dim": i, "coords": [..], "labels": [..], "scale": f}
+    {"op": "log_barrier",  "dim": i, "index": i, "shift": f, "offset": f}
 
 Node keys are the oracle's constructor arguments (and attributes), so the
 table ``_NODES`` is this schema in code; a key left out takes the default.
-An AffineBlockOracle is written as its rows, "affine" (c_j, d_j) or, when
-absolute, "abs_affine" (c_j, -d_j): in place inside a "max" node, which
-stacks them again when read, and as one "max" node anywhere else.
+An AffineBlockOracle is one "affine_block" node wherever it stands. Older
+documents that hold a block as its rows, in place inside a "max" node or as
+a "max" node of its own, still load: a "max" node stacks its row runs again.
 
 Floats round-trip exactly (json uses repr), so a reloaded problem
 reproduces the original solver trace bit for bit. ``save_problem`` encodes
@@ -57,6 +58,7 @@ _NODES = {
     "affine": (AffineOracle, ("c", "d")),
     "abs_affine": (AbsAffineOracle, ("a", "b")),
     "max": (MaxOracle, ("parts",)),
+    "affine_block": (AffineBlockOracle, ("C", "d", "absolute")),
     "sum": (SumOracle, ("parts",)),
     "pos": (PositivePart, ("arg",)),
     "norm1": (Norm1Oracle, ("dim", "coords", "offset")),
@@ -66,30 +68,18 @@ _NODES = {
 }
 
 
-def _part_nodes(part, op):
-    """part's nodes in an op node: in a max, a block's rows (the max of a max is the max)."""
-    if op != "max" or not isinstance(part, AffineBlockOracle):
-        return [oracle_to_node(part)]
-    rows = zip(part.C.tolist(), part.d.tolist())
-    if part.absolute:
-        return [{"op": "abs_affine", "a": c, "b": -d} for c, d in rows]
-    return [{"op": "affine", "c": c, "d": d} for c, d in rows]
-
-
-def _to_json(v, op):
+def _to_json(v):
     if isinstance(v, list):  # parts
-        return [node for p in v for node in _part_nodes(p, op)]
+        return [oracle_to_node(p) for p in v]
     if isinstance(v, ConvexOracle):  # arg
         return oracle_to_node(v)
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def oracle_to_node(oracle):
-    if isinstance(oracle, AffineBlockOracle):  # a max of its rows
-        return {"op": "max", "parts": _part_nodes(oracle, "max")}
     for op, (cls, keys) in _NODES.items():
         if isinstance(oracle, cls):
-            return {"op": op, **{key: _to_json(getattr(oracle, key), op) for key in keys}}
+            return {"op": op, **{key: _to_json(getattr(oracle, key)) for key in keys}}
     raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 

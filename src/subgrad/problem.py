@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineOracle, MaxOracle, _as_vector,
-                      _block_or_rows, _stack_rows, euclidean_norm, norm_power_subgrad)
+from .oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineOracle, MaxOracle, _as_rows,
+                      _as_vector, _block_or_rows, _stack_rows, euclidean_norm,
+                      norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
@@ -37,11 +38,11 @@ class ConstrainedProblem:
     """Objective oracle, inequality oracles, and dense equality pair (A, b).
 
     m = 0 and l = 0 are both legal (the problem degenerates gracefully to
-    fewer constraint blocks); an A that is None, [] or a matrix with no
-    entries means no equality rows, and b defaults to zeros. All oracles
-    must share the ambient dimension. A and b follow the number rule of
-    oracle fields: every entry is a finite number, never a string or a
-    boolean.
+    fewer constraint blocks); an A that is None, [] or of shape (0, n) means
+    no equality rows, any other A must be 2-D with n columns, and b defaults
+    to zeros. All oracles must share the ambient dimension. A and b follow
+    the number rule of oracle fields: every entry is a finite number, never
+    a string or a boolean.
 
     ``ineq`` stays one oracle per row; violation_vector and saddle_direction
     read its stacked AffineOracle runs (AbsAffineOracles stay single rows).
@@ -51,13 +52,8 @@ class ConstrainedProblem:
         self.f0 = f0
         self.ineq = list(ineq)
         self.n = f0.dim
-        no_rows = A is None or isinstance(A, (list, tuple)) and not A
-        A = np.zeros((0, self.n)) if no_rows else _as_vector(A, "A", ndim=2)
-        self.A = A if A.size else np.zeros((0, self.n))
+        self.A = _as_rows([] if A is None else A, self.n, "A")
         self.b = np.zeros(self.A.shape[0]) if b is None else _as_vector(b, "b")
-        if self.A.shape[1] != self.n:
-            raise ValueError(
-                f"A has {self.A.shape[1]} columns but the problem dimension is {self.n}")
         if self.b.shape != (self.A.shape[0],):
             raise ValueError(
                 f"b has shape {self.b.shape}, expected ({self.A.shape[0]},)")

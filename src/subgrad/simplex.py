@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import _as_numbers, _as_vector
+from .oracles import _as_numbers, _as_rows, _as_vector
 
 __all__ = [
     "LpProblem",
@@ -60,10 +60,7 @@ class LpProblem:
     def __post_init__(self):
         self.c = _as_vector(self.c, "c")
         n = self.c.shape[0]
-        no_rows = isinstance(self.A_eq, (list, tuple)) and not self.A_eq
-        self.A_eq = np.zeros((0, n)) if no_rows else _as_vector(self.A_eq, "A_eq", ndim=2)
-        if self.A_eq.shape[1] != n:
-            raise ValueError(f"A_eq has {self.A_eq.shape[1]} columns, expected {n}")
+        self.A_eq = _as_rows(self.A_eq, n, "A_eq")
         self.b_eq = _as_vector(self.b_eq, "b_eq")
         if self.b_eq.shape != (self.A_eq.shape[0],):
             raise ValueError("A_eq and b_eq disagree on row count")
@@ -130,8 +127,9 @@ def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
     """Bland-rule pivoting until the given cost row is optimal.
 
     Returns (status, n_pivots) with status OPTIMAL, UNBOUNDED or
-    NUMERICAL_LIMIT (pivot cap hit). ``allowed`` marks columns that may enter;
-    ``pivots`` counts the pivots made before this phase.
+    NUMERICAL_LIMIT (a pivot is due once max_pivots are made). ``allowed``
+    marks columns that may enter; ``pivots`` counts the pivots made before
+    this phase.
     """
     m = len(basis)
     while True:
@@ -143,6 +141,8 @@ def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
         rows = np.flatnonzero(tab[:m, enter] > tol)
         if not rows.size:
             return UNBOUNDED, pivots
+        if pivots >= max_pivots:  # a pivot is due, and max_pivots are made
+            return NUMERICAL_LIMIT, pivots
         ratios = tab[rows, -1] / tab[rows, enter]
         # The lowest ratio leaves, a tie within 1e-15 going to the lower
         # basis index. The scan runs in row order, as ties can chain.
@@ -152,17 +152,16 @@ def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
                 leave, ratio = i, r
         _pivot(tab, basis, leave, enter)
         pivots += 1
-        if pivots >= max_pivots:
-            return NUMERICAL_LIMIT, pivots
 
 
 def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     """Two-phase dense simplex with Bland's rule.
 
     Returns an LpResult whose status is OPTIMAL, INFEASIBLE, UNBOUNDED, or
-    NUMERICAL_LIMIT (pivot cap hit). On OPTIMAL the primal solution is
-    clipped onto its bounds, and dual_obj carries the dual objective of the
-    standardized system for a strong-duality spot check.
+    NUMERICAL_LIMIT (a pivot is due once max_pivots are made). On OPTIMAL
+    the primal solution is clipped onto its bounds, and dual_obj carries the
+    dual objective of the standardized system for a strong-duality spot
+    check.
     """
     A, b, c, var, sign, shift, const = _standardize(lp)
     m, n_std = A.shape

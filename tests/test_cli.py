@@ -6,7 +6,8 @@ import pytest
 from subgrad import SolverConfig, probio, solve
 from subgrad.cli import main
 from subgrad.reports import gap
-from subgrad.testbeds import build_svm, gen_random
+from subgrad.simplex import encode_lad, lp_solve_small
+from subgrad.testbeds import build_lad, build_svm, gen_random
 
 
 def read_csv(path):
@@ -26,6 +27,25 @@ def test_gap_formula():
         assert 0.0 <= g
         if abs(a - b) < 1.0 + max(abs(a), abs(b)):
             assert g < 1.0
+
+
+@pytest.mark.parametrize("val,val_star", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0)])
+def test_gap_refuses_a_nonfinite_value(val, val_star):
+    with pytest.raises(ValueError, match="^gap requires finite values"):
+        gap(val, val_star)
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(iterations=-1), "iterations must be nonnegative"),
+    (dict(trace_every=0), "trace_every must be >= 1"),
+    (dict(solver="pds", s_exp=0.5), r"s_exp must lie in \[1, 2\]"),
+    (dict(solver="pds", s_exp=2.5), r"s_exp must lie in \[1, 2\]"),
+    (dict(solver="pds", delta_exp=0.0), r"delta_exp must lie in \(0, 1\)"),
+    (dict(solver="pds", delta_exp=1.0), r"delta_exp must lie in \(0, 1\)"),
+])
+def test_solver_config_refuses_out_of_range_settings(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SolverConfig(**fields).validate()
 
 
 def test_run_writes_trace_csv(tmp_path, capsys):
@@ -175,6 +195,17 @@ def test_bad_problem_file_is_config_error(tmp_path, capsys):
         json.dumps({"objective": {"op": "affine", "c": [1.0]},
                     "ineq": [{"op": "sum", "parts": 5}]}),
         json.dumps({"objective": {"op": "max", "parts": {"op": "affine", "c": [1.0]}}}),
+        # an affine_block node: ragged or NaN C, a d of another length, and an
+        # absolute that is not a JSON boolean
+        *(json.dumps({"objective": {"op": "affine", "c": [1.0, 0.0]},
+                      "ineq": [{"op": "affine_block", **block}]}) for block in [
+            {"C": [[1.0, 0.0], [0.0]], "d": [0.0, 0.0]},
+            {"C": [[1.0, float("nan")]], "d": [0.0]},
+            {"C": [[1.0, 0.0], [0.0, 1.0]], "d": [0.0]},
+            {"C": [[1.0, 0.0]], "d": [0.0], "absolute": 1},
+            {"C": [[1.0, 0.0]], "d": [0.0], "absolute": "true"},
+            {"C": [[1.0, 0.0]], "d": [0.0], "absolute": None},
+        ]),
     ]
     for text in documents:
         bad.write_text(text)
@@ -229,6 +260,30 @@ def test_compare_emits_row_per_method(tmp_path, capsys):
     # gap column filled from the LP oracle
     assert all(line.split(",")[4] != "NA" for line in lines[2:])
     assert out.read_text().splitlines() == lines
+
+
+def test_compare_lp_oracle_on_lad(tmp_path, capsys):
+    # nbar = 10: at nbar = 100 the LP oracle ends NUMERICAL_LIMIT
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": {"kind": "lad", "nbar": 10, "seed": 1},
+                                 "K": 50, "lp_oracle": True, "methods": [{"solver": "mdsg"}]}))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    oracle, mdsg = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    lp = lp_solve_small(encode_lad(build_lad(10, 1).problem, 10))
+    assert oracle[:5] == ["oracle", "NA", repr(lp.value), "0.0", "0.0"]
+    assert mdsg[0] == "mdsg" and mdsg[4] == repr(gap(float(mdsg[2]), lp.value))
+
+
+def test_compare_unwritable_out_exits_three_after_printing(tmp_path, capsys):
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": {"kind": "case1", "n": 6}, "K": 10,
+                                 "methods": [{"solver": "sg"}]}))
+    out = tmp_path / "missing_dir" / "summary.csv"
+    assert main(["compare", "--batch", str(bfile), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert [line.split(",")[0] for line in captured.out.splitlines()] == ["method", "sg"]
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("lp_oracle", [None, False])

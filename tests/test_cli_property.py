@@ -36,7 +36,8 @@ def vector(size, faulty):
 
 @st.composite
 def node(draw, dim, faulty, depth=0):
-    ops = ["affine", "abs_affine", "norm1", "sq_norm", "hinge_sum", "log_barrier"]
+    ops = ["affine", "abs_affine", "affine_block", "norm1", "sq_norm", "hinge_sum",
+           "log_barrier"]
     if depth < 2:
         ops += ["max", "sum", "pos"]
     if faulty:
@@ -50,6 +51,16 @@ def node(draw, dim, faulty, depth=0):
         fields = {"c": vector(dim, faulty), "d": field(NUMBER, faulty)}
     elif op == "abs_affine":
         fields = {"a": vector(dim, faulty), "b": field(NUMBER, faulty)}
+    elif op == "affine_block":
+        # a faulty block may hold ragged or NaN rows, a d of another length,
+        # or an absolute that is no JSON boolean
+        rows = draw(st.integers(1, MAX_SIZE))
+        absolute = st.booleans()
+        if faulty:
+            absolute = st.one_of(absolute, absolute, st.sampled_from([1, "true", None]))
+        fields = {"C": field(st.lists(vector(dim, faulty), min_size=rows, max_size=rows),
+                             faulty),
+                  "d": vector(rows, faulty), "absolute": absolute}
     elif op in ("max", "sum"):
         fields = {"parts": field(st.lists(node(dim, faulty, depth + 1),
                                           min_size=1, max_size=3), faulty)}
@@ -108,6 +119,15 @@ def problem_document(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(problem_document())
 @example({"objective": {"op": "norm1", "dim": float("inf")}})  # int(inf) overflows
+@example({"objective": {"op": "affine_block", "C": [[1.0], []], "d": [0.0, 0.0]}})
+@example({"objective": {"op": "affine_block", "C": [[float("nan")]], "d": [0.0]}})
+@example({"objective": {"op": "affine_block", "C": [[1.0]], "d": [0.0, 1.0]}})
+@example({"objective": {"op": "affine_block", "C": [[1.0]], "d": [0.0], "absolute": 1}})
+@example({"objective": {"op": "affine_block", "C": [[1.0]], "d": [0.0], "absolute": "true"}})
+@example({"objective": {"op": "affine_block", "C": [[1.0]], "d": [0.0], "absolute": None}})
+@example({"objective": {"op": "affine", "c": [1.0]},
+          "ineq": [{"op": "affine_block", "C": [[-1.0], [1.0]], "d": [0.0, -2.0],
+                    "absolute": True}]})
 def test_run_exit_code_is_defined_for_any_document(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.json")

@@ -80,6 +80,14 @@ def test_positive_part_selection():
     assert v == 0.0 and g[0] == 0.0
 
 
+def test_positive_part_keeps_nan():
+    # max{NaN, 0} is NaN, as in MaxOracle: a zero here would read as a satisfied constraint
+    o = PositivePart(AffineOracle([1.0]))
+    v, g = o(np.array([np.nan]))
+    assert math.isnan(v) and g.tolist() == [1.0]
+    assert math.isnan(o.value(np.array([np.nan])))
+
+
 def test_positive_part_dominates_inner():
     rng = np.random.default_rng(5)
     inner = AffineOracle(rng.normal(size=3), -0.2)
@@ -197,6 +205,10 @@ NAN, INF = float("nan"), float("inf")
     (lambda: HingeSumOracle(2, [0, 1], ["1", "-1"]), "labels"),
     (lambda: AffineBlockOracle([[1.0, 0.0]], [0.0, 1.0]), "C"),
     (lambda: AffineBlockOracle([[NAN, 0.0]], [0.0]), "C"),
+    # absolute is a boolean: 1 or "true" would pass a truth test
+    (lambda: AffineBlockOracle([[1.0]], [0.0], 1), "absolute"),
+    (lambda: AffineBlockOracle([[1.0]], [0.0], "true"), "absolute"),
+    (lambda: AffineBlockOracle([[1.0]], [0.0], None), "absolute"),
     # a repeated index would count twice in the value but once in the subgradient
     (lambda: Norm1Oracle(2, coords=[0, 0]), "coords"),
     (lambda: SqNormOracle(3, coords=np.array([2, 0, 2])), "coords"),
@@ -208,6 +220,7 @@ NAN, INF = float("nan"), float("inf")
         "log-shift", "log-offset", "dim", "index", "coords", "coords-nan",
         "c-str", "c-bool", "c-numpy-bool", "d-bool", "b-str", "dim-bool", "index-str",
         "coords-numpy-bool", "labels-str", "block-shape", "block-nan",
+        "block-absolute-int", "block-absolute-str", "block-absolute-none",
         "norm1-coords-repeated", "sq-coords-repeated", "hinge-coords-repeated",
         "sq-scale-negative", "hinge-scale-negative"])
 def test_constructor_rejects_bad_field(make, field):

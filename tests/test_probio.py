@@ -27,11 +27,17 @@ ROUND_TRIP_ORACLES = [
 ]
 
 
-@pytest.mark.parametrize("oracle", ROUND_TRIP_ORACLES, ids=lambda o: type(o).__name__)
+# an AffineBlockOracle is one affine_block node, and reads back as a block
+BLOCKS = [AffineBlockOracle([[1.0, -2.0], [0.5, 0.0], [0.0, 1.0]], [0.0, 0.25, -1.0]),
+          AffineBlockOracle([[1.0, -2.0], [0.5, 0.0], [0.0, 1.0]], [0.0, 0.25, -1.0], True)]
+
+
+@pytest.mark.parametrize("oracle", ROUND_TRIP_ORACLES + BLOCKS, ids=lambda o: type(o).__name__)
 def test_oracle_round_trip(oracle):
     node = oracle_json = probio.oracle_to_node(oracle)
     json.dumps(node)  # must be serializable
     back = probio.oracle_from_node(oracle_json)
+    assert type(back) is type(oracle)
     assert probio.oracle_to_node(back) == node
     rng = np.random.default_rng(6)
     for _ in range(25):
@@ -160,60 +166,93 @@ def test_problem_round_trip_preserves_traces(tmp_path, inst_fn):
 
 MAX_FORM_LABELS = ["case2-n4-s2", "lad-nbar3-s1", "svm-nbar1-s1", "dense-rows-s8"]
 
+# the op of each oracle type, as oracle_to_node writes it
+OPS = {cls: op for op, (cls, _) in probio._NODES.items()}
 
-@pytest.mark.parametrize("label", MAX_FORM_LABELS)
-def test_max_constraint_form_round_trip_preserves_traces(label):
-    # the form stacks row runs and the equality residuals into AffineBlockOracles,
-    # which are written as one affine or abs_affine node per row
-    single = single_constraint_form(INSTANCES[label]())
-    assert any(isinstance(part, AffineBlockOracle) for part in single.ineq[0].parts)
-    doc = probio.problem_to_dict(single)
-    text = json.dumps(doc)
-    back = probio.problem_from_dict(json.loads(text))
+
+def assert_same_runs(single, back):
+    """sg and sdsg give the same status, trace digest and x_out bytes on both forms."""
     for solver in ("sg", "sdsg"):
         cfg = SolverConfig(solver=solver, iterations=200)
         r1, r2 = solve(single, cfg), solve(back, cfg)
         assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
         assert r1.x_out.tobytes() == r2.x_out.tobytes()
-    # the rows stand in the max node in place of their blocks, and stack again on reading
-    parts = single.ineq[0].parts
-    assert [type(q) for q in back.ineq[0].parts] == [type(q) for q in parts]
-    nested = [node for node in doc["ineq"][0]["parts"] if node["op"] == "max"]
-    assert len(nested) == sum(isinstance(q, MaxOracle) for q in parts)  # case2's domain max
-    assert all(node["op"] != "max" for q in nested for node in q["parts"])
-
-
-def test_max_form_of_short_abs_run_and_equality_block_reads_back_its_parts():
-    # two AbsAffineOracle rows and l = 4: the equality block joins the rows in the
-    # max as it does when the flat rows of the document are read back
-    rng = np.random.default_rng(3)
-    p = ConstrainedProblem(AffineOracle(rng.standard_normal(3)),
-                           [AbsAffineOracle(rng.standard_normal(3), 0.5),
-                            AbsAffineOracle(rng.standard_normal(3), -0.25)],
-                           rng.standard_normal((4, 3)), rng.standard_normal(4))
-    single = single_constraint_form(p)
-    back = probio.problem_from_dict(json.loads(json.dumps(probio.problem_to_dict(single))))
-    assert [type(q) for q in back.ineq[0].parts] == [type(q) for q in single.ineq[0].parts]
-    for solver in ("sg", "sdsg"):
-        cfg = SolverConfig(solver=solver, iterations=200)
-        r1, r2 = solve(single, cfg), solve(back, cfg)
-        assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
 
 
 @pytest.mark.parametrize("label", MAX_FORM_LABELS)
-def test_nested_max_layout_still_loads(label):
-    # documents written before a block's rows stood in place hold one max node per block
+def test_max_constraint_form_round_trip_preserves_traces(label):
+    # the form stacks row runs and the equality residuals into AffineBlockOracles,
+    # and each part of the max, a block too, is written as one node
     single = single_constraint_form(INSTANCES[label]())
+    parts = single.ineq[0].parts
+    assert any(isinstance(part, AffineBlockOracle) for part in parts)
     doc = probio.problem_to_dict(single)
-    doc["ineq"] = [{"op": "max", "parts": [probio.oracle_to_node(q) for q in single.ineq[0].parts]}]
     back = probio.problem_from_dict(json.loads(json.dumps(doc)))
-    for solver in ("sg", "sdsg"):
-        cfg = SolverConfig(solver=solver, iterations=200)
-        r1, r2 = solve(single, cfg), solve(back, cfg)
-        assert (r1.status, trace_digest(r1.trace)) == (r2.status, trace_digest(r2.trace))
-    for q, q_back in zip(single.ineq[0].parts, back.ineq[0].parts):
+    assert_same_runs(single, back)
+    assert [node["op"] for node in doc["ineq"][0]["parts"]] == [OPS[type(q)] for q in parts]
+    assert [type(q) for q in back.ineq[0].parts] == [type(q) for q in parts]
+
+
+def short_abs_run():
+    """Two AbsAffineOracle inequalities and l = 4 equality rows."""
+    rng = np.random.default_rng(3)
+    return ConstrainedProblem(AffineOracle(rng.standard_normal(3)),
+                              [AbsAffineOracle(rng.standard_normal(3), 0.5),
+                               AbsAffineOracle(rng.standard_normal(3), -0.25)],
+                              rng.standard_normal((4, 3)), rng.standard_normal(4))
+
+
+def max_form(label):
+    return single_constraint_form(short_abs_run() if label == "short-abs-run"
+                                  else INSTANCES[label]())
+
+
+def test_max_form_of_short_abs_run_and_equality_block_reads_back_its_parts():
+    # the equality block stays one part beside the two rows, in memory and after a reload
+    single = max_form("short-abs-run")
+    back = probio.problem_from_dict(json.loads(json.dumps(probio.problem_to_dict(single))))
+    for form in (single, back):
+        assert [type(q) for q in form.ineq[0].parts] == [AbsAffineOracle, AbsAffineOracle,
+                                                         AffineBlockOracle]
+        assert form.ineq[0].parts[2].C.shape == (4, 3)
+    assert_same_runs(single, back)
+
+
+def block_row_nodes(block):
+    """A block as the row nodes that documents held before the affine_block node."""
+    rows = zip(block.C.tolist(), block.d.tolist())
+    if block.absolute:
+        return [{"op": "abs_affine", "a": c, "b": -d} for c, d in rows]
+    return [{"op": "affine", "c": c, "d": d} for c, d in rows]
+
+
+@pytest.mark.parametrize("label", MAX_FORM_LABELS + ["short-abs-run"])
+def test_nested_max_layout_still_loads(label):
+    # older documents hold one max node of rows per block
+    single = max_form(label)
+    doc = probio.problem_to_dict(single)
+    doc["ineq"] = [{"op": "max", "parts": [
+        {"op": "max", "parts": block_row_nodes(q)} if isinstance(q, AffineBlockOracle)
+        else probio.oracle_to_node(q) for q in single.ineq[0].parts]}]
+    back = probio.problem_from_dict(json.loads(json.dumps(doc)))
+    assert_same_runs(single, back)
+    for q, q_back in zip(single.ineq[0].parts, back.ineq[0].parts, strict=True):
         if isinstance(q, AffineBlockOracle):  # one MaxOracle of the restacked block
             assert [type(r) for r in q_back.parts] == [AffineBlockOracle]
+
+
+@pytest.mark.parametrize("label", MAX_FORM_LABELS + ["short-abs-run"])
+def test_rows_in_place_layout_still_loads(label):
+    # older documents hold a block's rows in place inside the max node
+    single = max_form(label)
+    doc = probio.problem_to_dict(single)
+    doc["ineq"] = [{"op": "max", "parts": [
+        node for q in single.ineq[0].parts
+        for node in (block_row_nodes(q) if isinstance(q, AffineBlockOracle)
+                     else [probio.oracle_to_node(q)])]}]
+    back = probio.problem_from_dict(json.loads(json.dumps(doc)))
+    assert_same_runs(single, back)
+    assert any(isinstance(q, AffineBlockOracle) for q in back.ineq[0].parts)
 
 
 @pytest.mark.parametrize("parts", [5, {"op": "affine", "c": [1.0]}], ids=["number", "object"])

@@ -30,6 +30,19 @@ def test_shape_validation():
         ConstrainedProblem(AffineOracle([1.0, 0.0]), [], A=[[np.nan, 1.0]], b=[0.0])
     with pytest.raises(ValueError, match="^b has a non-finite entry"):
         ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0]], b=[np.inf])
+    for no_rows in (None, [], np.zeros((0, 1))):
+        assert ConstrainedProblem(AffineOracle([1.0]), [], A=no_rows).A.shape == (0, 1)
+
+
+@pytest.mark.parametrize("A,b", [
+    (np.zeros((2, 0)), None),  # two rows, not none
+    (np.zeros((2, 0)), [0.0, 0.0]),  # the error names A, not b
+    ([[]], None),
+    (np.zeros((0, 5)), None),
+], ids=["2x0", "2x0-with-b", "empty-row", "0x5"])
+def test_equality_rows_need_n_columns(A, b):
+    with pytest.raises(ValueError, match=r"^A has \d columns, expected 3"):
+        ConstrainedProblem(AffineOracle([1.0, 0.0, 0.0]), [], A=A, b=b)
 
 
 # A and b follow the number rule of oracle fields
@@ -515,7 +528,8 @@ def stacked_max_spec(draw):
 def stacked_max_parts(n, runs, lead, seed, blocks):
     """The parts, the same rows as one oracle per row, and the parts a max must
     hold: the same oracles, with each run of at least ROW_BLOCK_MIN rows as
-    ("block", type, rows), but a run of one block part as that part."""
+    ("block", type, rows). A block part stays itself, and the rows on either
+    side of it are runs of their own."""
     rng = np.random.Generator(np.random.PCG64(seed))
     parts, rows, expected = [], [], []
     for j, ((kind, k), (a, e)) in enumerate(zip(runs, blocks)):
@@ -535,7 +549,8 @@ def stacked_max_parts(n, runs, lead, seed, blocks):
         run = run_rows[:a] + block + run_rows[e:]
         parts += run
         rows += run_rows
-        expected += [("block", kind, k)] if k >= ROW_BLOCK_MIN and len(run) > 1 else run
+        for seg in [run_rows[:a], block, run_rows[e:]] if block else [run_rows]:
+            expected += [("block", kind, len(seg))] if len(seg) >= ROW_BLOCK_MIN else seg
     return parts, rows, expected
 
 

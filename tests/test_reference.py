@@ -235,6 +235,15 @@ def test_lp_results_are_pinned(name, status, pivots, value, digest):
     assert res.dual_obj == pytest.approx(value, rel=1e-8, abs=1e-8)
 
 
+@pytest.mark.parametrize("cap,status", [(7, OPTIMAL), (6, NUMERICAL_LIMIT)])
+def test_pivot_cap_counts_the_pivots_made(cap, status):
+    # int-ties-redundant is OPTIMAL after 7 pivots, so a cap of 7 lets it finish
+    lp = PINNED_LPS["int-ties-redundant"]()
+    res = lp_solve_small(lp, max_pivots=cap)
+    assert (res.status, res.n_pivots) == (status, cap)
+    assert loop_reference_solve(lp, max_pivots=cap)[:2] == (status, cap)
+
+
 @st.composite
 def integer_lps(draw):
     """A small LP of integers: m <= 5 rows, n <= 8 variables, each free, bounded
@@ -309,10 +318,10 @@ def loop_reference_solve(lp, tol=1e-9, max_pivots=10**6):
                         ratio, leave = r, i
             if leave < 0:
                 return UNBOUNDED
-            pivot(leave, enter)
-            pivots += 1
             if pivots >= max_pivots:
                 return NUMERICAL_LIMIT
+            pivot(leave, enter)
+            pivots += 1
 
     if run_phase(m + 1, n_std + m) != OPTIMAL:
         return NUMERICAL_LIMIT, pivots, None
