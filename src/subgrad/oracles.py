@@ -6,14 +6,15 @@ few vectorized aggregates (l1 norm, scaled squared norm, hinge sums, the
 max over a block of affine rows, into which a maximum stacks each run of
 its row parts) that keep large instances cheap to evaluate.
 
+Each class writes its arithmetic once, in ``select`` and ``subgrad`` (see
+ConvexOracle). A maximum, a sum and a positive part read their parts
+through ``select``, so a maximum builds its winning part's subgradient alone.
+
 Subgradient selections are deterministic. Ties are resolved by fixed rules
 (lowest index wins in maxima, and a NaN part wins over any number,
 sign(0) = +1 in absolute values, zero at the boundary of positive parts) so
-solver runs are replayable bit for bit.
-
-``value(x)`` gives the value alone, with the same bits, and builds no
-subgradient. Returned subgradient arrays may alias oracle-internal storage;
-treat them as read-only.
+solver runs are replayable bit for bit. Returned subgradient arrays may
+alias oracle-internal storage; treat them as read-only.
 """
 
 from __future__ import annotations
@@ -147,23 +148,31 @@ def _parts_and_dim(owner, parts):
 class ConvexOracle:
     """A convex function queried through (value, one subgradient) pairs.
 
-    Subclasses implement ``__call__(x) -> (value, subgrad)`` where
-    ``subgrad`` is some valid element of the subdifferential at ``x``.
-    Which element is returned is fixed per class, so repeated evaluations
-    agree exactly.
-
-    ``value(x)`` equals ``self(x)[0]`` bit for bit. A subclass overrides it
-    only to skip building the subgradient, never to compute the value
-    another way.
+    ``self(x)`` returns ``(value, g)``, g a valid element of the
+    subdifferential at x, fixed per class so repeated evaluations agree
+    exactly. It runs ``v, key = self.select(x)``, then ``self.subgrad(key)``;
+    ``value(x)`` runs ``select`` alone, so it has the same bits and builds no
+    subgradient. A subclass writes ``select``, plus ``subgrad`` unless its
+    key is the subgradient, or writes ``__call__`` alone, which the default
+    ``select`` returns. A key may be a view of x.
     """
 
     dim: int
 
     def __call__(self, x):
-        raise NotImplementedError
+        v, key = self.select(x)
+        return v, self.subgrad(key)
 
     def value(self, x):
-        return self(x)[0]
+        return self.select(x)[0]
+
+    def select(self, x):
+        if type(self).__call__ is ConvexOracle.__call__:
+            raise NotImplementedError(f"{type(self).__name__} writes neither select nor __call__")
+        return self(x)
+
+    def subgrad(self, key):
+        return key
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -194,15 +203,11 @@ class AbsAffineOracle(ConvexOracle):
         self.dim = self.a.shape[0]
         self._neg_a = -self.a
 
-    def __call__(self, x):
+    def select(self, x):
         r = float(self.a.dot(x)) - self.b
         if r >= 0.0:
             return r, self.a
-        return -r, self._neg_a
-
-    def value(self, x):
-        r = float(self.a.dot(x)) - self.b
-        return r if r >= 0.0 else -r  # not abs(r): a NaN r comes back negated, as above
+        return -r, self._neg_a  # not abs(r): a NaN r comes back negated
 
 
 class MaxOracle(ConvexOracle):
@@ -217,22 +222,19 @@ class MaxOracle(ConvexOracle):
         parts, self.dim = _parts_and_dim(self, parts)
         self.parts = [o for _, _, o in _stack_rows(parts, (AffineOracle, AbsAffineOracle))]
 
-    def __call__(self, x):
-        best_v, best_g = self.parts[0](x)
+    def select(self, x):
+        best = self.parts[0]
+        best_v, best_key = best.select(x)
         for part in self.parts[1:]:
-            v, g = part(x)
+            v, key = part.select(x)
             # v > best_v, except that the first NaN wins, as in np.argmax
             if not v <= best_v and best_v == best_v:
-                best_v, best_g = v, g
-        return best_v, best_g
+                best, best_v, best_key = part, v, key
+        return best_v, (best, best_key)
 
-    def value(self, x):
-        best_v = self.parts[0].value(x)
-        for part in self.parts[1:]:
-            v = part.value(x)
-            if not v <= best_v and best_v == best_v:
-                best_v = v
-        return best_v
+    def subgrad(self, key):
+        part, part_key = key
+        return part.subgrad(part_key)
 
 
 class AffineBlockOracle(ConvexOracle):
@@ -261,21 +263,18 @@ class AffineBlockOracle(ConvexOracle):
         """(r, C): every row value r = C x + d, and the rows C."""
         return np.vecdot(self.C, x) + self.d, self.C
 
-    def _top(self, x):
-        """(i, r_i) for the lowest row index i attaining the max."""
+    def select(self, x):
+        """(value, (i, negated)) for the lowest row index i attaining the max."""
         r = self.rows(x)[0]
         i = int(np.argmax(np.abs(r) if self.absolute else r))
-        return i, float(r[i])
-
-    def __call__(self, x):
-        i, v = self._top(x)
+        v = float(r[i])
         if not self.absolute or v >= 0.0:
-            return v, self.C[i]
-        return -v, -self.C[i]
+            return v, (i, False)
+        return -v, (i, True)
 
-    def value(self, x):
-        v = self._top(x)[1]
-        return v if not self.absolute or v >= 0.0 else -v
+    def subgrad(self, key):
+        i, negated = key
+        return -self.C[i] if negated else self.C[i]
 
 
 # (c_j, d_j) of a stacked row part; a.x + (-b) has the bits of a.x - b in IEEE arithmetic
@@ -313,15 +312,14 @@ class PositivePart(ConvexOracle):
         self.dim = arg.dim
         self._zero = np.zeros(self.dim)
 
-    def __call__(self, x):
-        v, g = self.arg(x)
+    def select(self, x):
+        v, key = self.arg.select(x)
         if not v <= 0.0:  # a NaN f(x) stays NaN, as in MaxOracle
-            return v, g
-        return 0.0, self._zero
+            return v, key
+        return 0.0, self._zero  # the key of the zero selection is the zero subgradient
 
-    def value(self, x):
-        v = self.arg.value(x)
-        return v if not v <= 0.0 else 0.0
+    def subgrad(self, key):
+        return key if key is self._zero else self.arg.subgrad(key)
 
 
 class SumOracle(ConvexOracle):
@@ -330,20 +328,20 @@ class SumOracle(ConvexOracle):
     def __init__(self, parts):
         self.parts, self.dim = _parts_and_dim(self, parts)
 
-    def __call__(self, x):
-        total_v, g0 = self.parts[0](x)
-        total_g = np.array(g0, dtype=float)
+    def select(self, x):
+        total_v, key = self.parts[0].select(x)
+        keys = [key]
         for part in self.parts[1:]:
-            v, g = part(x)
+            v, key = part.select(x)
             total_v += v
-            total_g += g
-        return total_v, total_g
+            keys.append(key)
+        return total_v, keys
 
-    def value(self, x):
-        total_v = self.parts[0].value(x)
-        for part in self.parts[1:]:
-            total_v += part.value(x)
-        return total_v
+    def subgrad(self, keys):
+        total_g = np.array(self.parts[0].subgrad(keys[0]), dtype=float)
+        for part, key in zip(self.parts[1:], keys[1:]):
+            total_g += part.subgrad(key)
+        return total_g
 
 
 class _CoordsOracle(ConvexOracle):
@@ -385,13 +383,12 @@ class Norm1Oracle(_CoordsOracle):
         self._set_coords(dim, coords)
         self.offset = _as_scalar(offset, "offset")
 
-    def __call__(self, x):
+    def select(self, x):
         xc = x[self._at]
-        v = float(np.abs(xc).sum()) + self.offset
-        return v, self._spread(np.where(xc >= 0.0, 1.0, -1.0))
+        return float(np.abs(xc).sum()) + self.offset, xc
 
-    def value(self, x):
-        return float(np.abs(x[self._at]).sum()) + self.offset
+    def subgrad(self, xc):
+        return self._spread(np.where(xc >= 0.0, 1.0, -1.0))
 
 
 class SqNormOracle(_CoordsOracle):
@@ -401,14 +398,12 @@ class SqNormOracle(_CoordsOracle):
         self._set_coords(dim, coords)
         self.scale = _as_scale(scale)
 
-    def __call__(self, x):
+    def select(self, x):
         xc = x[self._at]
-        v = self.scale * float(xc.dot(xc))
-        return v, self._spread((2.0 * self.scale) * xc)
+        return self.scale * float(xc.dot(xc)), xc
 
-    def value(self, x):
-        xc = x[self._at]
-        return self.scale * float(xc.dot(xc))
+    def subgrad(self, xc):
+        return self._spread((2.0 * self.scale) * xc)
 
 
 class HingeSumOracle(_CoordsOracle):
@@ -425,19 +420,13 @@ class HingeSumOracle(_CoordsOracle):
             raise ValueError("coords and labels must have equal length")
         self.scale = _as_scale(scale)
 
-    def _margins(self, x):
-        """(margins, active): 1 - labels * x[coords] and where they are positive."""
+    def select(self, x):
         margins = 1.0 - self.labels * x[self._at]
-        return margins, margins > 0.0
+        active = margins > 0.0
+        return self.scale * float(margins[active].sum()), active
 
-    def __call__(self, x):
-        margins, active = self._margins(x)
-        v = self.scale * float(margins[active].sum())
-        return v, self._spread(np.where(active, -self.scale * self.labels, 0.0))
-
-    def value(self, x):
-        margins, active = self._margins(x)
-        return self.scale * float(margins[active].sum())
+    def subgrad(self, active):
+        return self._spread(np.where(active, -self.scale * self.labels, 0.0))
 
 
 class LogBarrierOracle(ConvexOracle):

@@ -40,6 +40,9 @@ INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 NUMERICAL_LIMIT = "NUMERICAL_LIMIT"
 
+# Zero tolerance of pricing, the ratio test, the phase-1 check and the drive-out
+TOL = 1e-9
+
 
 @dataclass
 class LpProblem:
@@ -123,7 +126,7 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
+def _run_phase(tab, basis, cost_row, allowed, max_pivots, pivots):
     """Bland-rule pivoting until the given cost row is optimal.
 
     Returns (status, n_pivots) with status OPTIMAL, UNBOUNDED or
@@ -134,11 +137,11 @@ def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
     m = len(basis)
     while True:
         # Bland: the lowest allowed column with a negative reduced cost enters
-        entering = np.flatnonzero(allowed & (tab[cost_row, :-1] < -tol))
+        entering = np.flatnonzero(allowed & (tab[cost_row, :-1] < -TOL))
         if not entering.size:
             return OPTIMAL, pivots
         enter = entering[0]
-        rows = np.flatnonzero(tab[:m, enter] > tol)
+        rows = np.flatnonzero(tab[:m, enter] > TOL)
         if not rows.size:
             return UNBOUNDED, pivots
         if pivots >= max_pivots:  # a pivot is due, and max_pivots are made
@@ -154,7 +157,7 @@ def _run_phase(tab, basis, cost_row, allowed, tol, max_pivots, pivots):
         pivots += 1
 
 
-def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
+def lp_solve_small(lp, max_pivots=10**6):
     """Two-phase dense simplex with Bland's rule.
 
     Returns an LpResult whose status is OPTIMAL, INFEASIBLE, UNBOUNDED, or
@@ -183,13 +186,13 @@ def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     basis = list(range(n_std, n_tot))
 
     allowed = np.ones(n_tot, dtype=bool)
-    status, pivots = _run_phase(tab, basis, m + 1, allowed, tol, max_pivots, 0)
+    status, pivots = _run_phase(tab, basis, m + 1, allowed, max_pivots, 0)
     if status != OPTIMAL:
         # The phase-1 objective is bounded below by zero, so UNBOUNDED here
         # means the tableau degraded numerically.
         return LpResult(NUMERICAL_LIMIT, None, None, n_pivots=pivots)
     scale = 1.0 + float(np.linalg.norm(b))
-    if -tab[m + 1, -1] > tol * scale:
+    if -tab[m + 1, -1] > TOL * scale:
         return LpResult(INFEASIBLE, None, None, n_pivots=pivots)
 
     # Drive leftover artificials out of the basis; rows that cannot pivot
@@ -197,7 +200,7 @@ def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n_std:
-            target = np.flatnonzero(np.abs(tab[i, :n_std]) > tol)
+            target = np.flatnonzero(np.abs(tab[i, :n_std]) > TOL)
             if target.size:
                 _pivot(tab, basis, i, target[0])
                 pivots += 1
@@ -208,7 +211,7 @@ def lp_solve_small(lp, tol=1e-9, max_pivots=10**6):
     m = len(basis)
 
     allowed[n_std:] = False
-    status, pivots = _run_phase(tab, basis, m, allowed, tol, max_pivots, pivots)
+    status, pivots = _run_phase(tab, basis, m, allowed, max_pivots, pivots)
     if status != OPTIMAL:
         return LpResult(status, None, None, n_pivots=pivots)
 

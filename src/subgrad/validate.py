@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracles import _as_int, _as_scalar
+
 __all__ = ["ValidationReport", "subgradient_validate"]
 
 
@@ -27,11 +29,16 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
     """Sample (x, y) pairs in a ball about 0 and test value(y) >= value(x) + g(x).(y - x).
 
     The per-pair tolerance is 1e-9 * (1 + |value(y)|). Violations are
-    counted and the worst raw excess (positive means violated) reported;
-    nothing is raised.
+    counted and the worst raw excess (positive means violated) reported.
+    Raises ValueError unless radius is a finite positive number and n_pairs
+    a positive integer.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _as_scalar(radius, "radius")
+    n_pairs = _as_int(n_pairs, "n_pairs")
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    if n_pairs < 1:  # no pair would be a vacuous pass
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     xs = _ball_points(rng, oracle.dim, radius, n_pairs)
     ys = _ball_points(rng, oracle.dim, radius, n_pairs)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from subgrad import oracles
@@ -396,12 +396,21 @@ _nested = st.recursive(_leaves, lambda inner: st.one_of(
 ), max_leaves=8)
 
 
-def test_value_strategy_covers_every_value_override():
-    overrides = {cls for cls in vars(oracles).values()
-                 if isinstance(cls, type) and issubclass(cls, oracles.ConvexOracle)
-                 and "value" in vars(cls) and cls is not oracles.ConvexOracle}
-    assert overrides == {MaxOracle, SumOracle, PositivePart, AbsAffineOracle,
-                         AffineBlockOracle, Norm1Oracle, SqNormOracle, HingeSumOracle}
+def _classes_in(oracle):
+    inner = getattr(oracle, "parts", []) + ([oracle.arg] if isinstance(oracle, PositivePart) else [])
+    return {type(oracle)}.union(*map(_classes_in, inner))
+
+
+def test_value_strategy_covers_every_select_writer():
+    writers = {cls for cls in vars(oracles).values()
+               if isinstance(cls, type) and issubclass(cls, oracles.ConvexOracle)
+               and "select" in vars(cls) and cls is not oracles.ConvexOracle}
+    assert writers == {MaxOracle, SumOracle, PositivePart, AbsAffineOracle,
+                       AffineBlockOracle, Norm1Oracle, SqNormOracle, HingeSumOracle}
+    for cls in writers:  # raises NoSuchExample when the strategy never builds cls
+        find(_leaves | _nested, lambda o: cls in _classes_in(o),
+             settings=settings(derandomize=True, database=None, max_examples=2000,
+                               phases=[Phase.generate]))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -416,3 +425,59 @@ def test_value_equals_call_by_bits(oracle, x, i):
     with np.errstate(all="ignore"):
         for y in points:
             assert _bits(oracle.value(y)) == _bits(oracle(y)[0])
+
+
+class _Counted(oracles.ConvexOracle):
+    """c.x + d through select and subgrad, counting the subgradients it builds."""
+
+    def __init__(self, c, d):
+        self.c, self.d, self.dim = np.array(c, dtype=float), d, len(c)
+        self.built = 0
+
+    def select(self, x):
+        return float(self.c.dot(x)) + self.d, "key"
+
+    def subgrad(self, key):
+        assert key == "key"
+        self.built += 1
+        return self.c
+
+
+class _CallOnly(oracles.ConvexOracle):
+    """|c.x| written as __call__ alone, as a user subclass may be."""
+
+    def __init__(self, c):
+        self.c, self.dim = np.array(c, dtype=float), len(c)
+
+    def __call__(self, x):
+        r = float(self.c.dot(x))
+        return abs(r), np.sign(r) * self.c
+
+
+def test_select_then_subgrad_protocol():
+    x = np.array([1.0, -2.0])
+    # a max builds its winner's subgradient alone, a value none, a sum one per part
+    parts = [_Counted([1.0, 0.0], 0.0), _Counted([0.0, -1.0], 0.5), _Counted([1.0, 1.0], 0.0)]
+    v, g = MaxOracle(parts)(x)
+    assert (v, g.tolist(), [p.built for p in parts]) == (2.5, [0.0, -1.0], [0, 1, 0])
+    assert MaxOracle(parts).value(x) == 2.5 and [p.built for p in parts] == [0, 1, 0]
+    assert SumOracle(parts)(x)[0] == 1.0 + 2.5 - 1.0 and [p.built for p in parts] == [1, 2, 1]
+    inactive = _Counted([1.0, 1.0], -3.0)
+    assert PositivePart(inactive)(x)[1].tolist() == [0.0, 0.0] and inactive.built == 0
+
+    # a part that writes only __call__ gives the bits of calling it directly
+    user = _CallOnly([0.3, 0.7])
+    for y in (x, -x, np.array([0.1, 0.2])):
+        direct = user(y)
+        for composite in (MaxOracle([user]), SumOracle([user]), PositivePart(user),
+                          MaxOracle([AffineOracle([0.0, 0.0], -9.0), user])):
+            v, g = composite(y)
+            assert _bits(v) == _bits(direct[0]) == _bits(composite.value(y))
+            assert g.tobytes() == direct[1].tobytes()
+
+    class Neither(oracles.ConvexOracle):
+        dim = 2
+
+    for method in (Neither(), Neither().value):
+        with pytest.raises(NotImplementedError, match="Neither"):
+            method(x)

@@ -420,3 +420,20 @@ def test_subgradient_validate_flags_broken_oracle():
     report = subgradient_validate(DoubledGradient([1.0, 1.0]), n_pairs=500, seed=1)
     assert report.n_violations > 0
     assert report.worst_violation > 0.0
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("radius", dict(radius=float("nan"))),
+    ("radius", dict(radius=float("inf"))),
+    ("radius", dict(radius=0.0)),
+    ("radius", dict(radius=-1.0)),
+    ("radius", dict(radius="1")),
+    ("n_pairs", dict(n_pairs=0)),
+    ("n_pairs", dict(n_pairs=-3)),
+    ("n_pairs", dict(n_pairs=2.5)),
+    ("n_pairs", dict(n_pairs=True)),
+])
+def test_subgradient_validate_refuses_a_vacuous_or_bad_sample(field, kwargs):
+    # nan, inf or no pairs used to report 0 violations, a pass that checked nothing
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        subgradient_validate(AffineOracle([1.0, -2.0]), **kwargs)
