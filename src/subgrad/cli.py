@@ -19,9 +19,9 @@ import argparse
 import math
 import sys
 
-from . import probio, runner, simplex
+from . import SOLVERS, probio, simplex, solve
 from .oracles import _as_int, _as_scalar
-from .reports import SOLVER_NAMES, SolverConfig, gap
+from .reports import SolverConfig, gap
 from .testbeds import build_lad, build_svm, gen_random
 
 __all__ = ["main"]
@@ -44,7 +44,7 @@ def _build_parser():
     run_p.add_argument("--n", type=int, help="dimension for case1/case2")
     run_p.add_argument("--nbar", type=int, help="base size for lad/svm")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
+    run_p.add_argument("--solver", required=True, choices=SOLVERS)
     run_p.add_argument("--eps", type=float, default=1e-3)
     run_p.add_argument("--K", type=int, default=10_000)
     run_p.add_argument("--rho", type=float, default=None)
@@ -79,6 +79,8 @@ def _build_problem(kind, n=None, nbar=None, seed=0, infile=None):
     if kind == "file":
         if infile is None:
             raise ConfigError("--in is required for problem file")
+        if not isinstance(infile, str):  # open() would take an integer as a file descriptor
+            raise ConfigError(f"problem path must be a string, got {infile!r}")
         try:
             return probio.load_problem(infile)
         except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -126,7 +128,7 @@ def _cmd_run(args):
                        rho=args.rho, s_exp=args.s_exp, delta_exp=args.delta_exp,
                        trace_every=args.trace_every)
     try:
-        report = runner.solve(problem, cfg)
+        report = solve(problem, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out is not None and not _write_trace(args.out, report.trace):
@@ -197,10 +199,10 @@ def _cmd_compare(args):
                                rho=entry.get("rho"), s_exp=s_exp,
                                delta_exp=batch.get("delta", 0.5),
                                trace_every=batch.get("trace_every", 10))
-            report = runner.solve(problem, cfg)
+            report = solve(problem, cfg)
         except (ValueError, TypeError, OverflowError, RuntimeError) as exc:
             # the method field is a solver name or NA, never the raw batch value
-            method = solver if solver in SOLVER_NAMES else "NA"
+            method = solver if isinstance(solver, str) and solver in SOLVERS else "NA"
             rows.append((f"{method},NA,NA,NA,NA,NA", f"  # {exc}"))
             continue
         rows.append((_summary_row(solver, s_exp, problem, report, val_star), ""))

@@ -449,7 +449,7 @@ class LogBarrierOracle(ConvexOracle):
     def __call__(self, x):
         t = float(x[self.index]) + self.shift
         g = np.zeros(self.dim)
-        if t >= LOG_SAFEGUARD:
+        if not t < LOG_SAFEGUARD:  # NaN takes this branch and stays NaN
             g[self.index] = -1.0 / t
             return -math.log(t) + self.offset, g
         g[self.index] = -1.0 / LOG_SAFEGUARD

@@ -106,8 +106,8 @@ def solve(problem, cfg):
     read from the direction and value each step leaves in the state.
     """
     cfg.validate()
-    state = init_state(problem, cfg.resolved_rho(), cfg.s_exp, cfg.delta_exp,
-                       cfg.x0, cfg.lam0, cfg.nu0)
+    rho = 1.0 / cfg.s_exp if cfg.rho is None else float(cfg.rho)
+    state = init_state(problem, rho, cfg.s_exp, cfg.delta_exp, cfg.x0, cfg.lam0, cfg.nu0)
     n, m, l = problem.n, problem.m, problem.l
 
     def advance():

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineOracle, MaxOracle, _as_rows,
-                      _as_vector, _block_or_rows, _stack_rows, euclidean_norm,
-                      norm_power_subgrad)
+from .oracles import (AbsAffineOracle, AffineOracle, MaxOracle, _as_rows, _as_vector,
+                      _block_or_rows, _stack_rows, euclidean_norm, norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
-    "ROW_BLOCK_MIN",
     "SADDLE_TOL",
     "max_constraint_oracle",
     "saddle_direction",

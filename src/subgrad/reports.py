@@ -27,16 +27,16 @@ COMPLETED = "COMPLETED"
 SADDLE_TERMINATED = "SADDLE_TERMINATED"
 NO_EPS_FEASIBLE = "NO_EPS_FEASIBLE"
 
-SOLVER_NAMES = ("sg", "sdsg", "mdsg", "pds")
-
 
 @dataclass
 class SolverConfig:
-    """Knobs shared by all solvers; rho/s_exp/delta_exp only matter for pds.
+    """Knobs shared by all solvers; ``solver`` names one in ``subgrad.SOLVERS``.
 
     ``iterations`` is the number of update steps performed; the trace then
-    covers iterates 1..iterations. ``rho = None`` resolves to 1/s_exp, the
-    setting used throughout the experiment presets.
+    covers iterates 1..iterations. Only pds reads rho, s_exp and delta_exp,
+    but ``validate`` checks them by one rule for every solver. ``rho = None``
+    makes pds run at 1/s_exp, the setting used throughout the experiment
+    presets.
 
     The start blocks are read against the problem each solver runs on:
     ``sg`` takes only ``x0`` and rejects a set ``lam0`` or ``nu0``; ``sdsg``
@@ -57,9 +57,8 @@ class SolverConfig:
     nu0: np.ndarray | None = None
 
     def validate(self):
-        """Check every setting; strings and booleans are refused, as in oracle fields."""
-        if self.solver not in SOLVER_NAMES:
-            raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
+        """Check every setting but the solver name, which ``subgrad.solve``
+        checks; strings and booleans are refused, as in oracle fields."""
         for name in ("eps", "s_exp", "delta_exp") + (() if self.rho is None else ("rho",)):
             _check_number(getattr(self, name), name)
         self.iterations = _as_int(self.iterations, "iterations")
@@ -70,17 +69,13 @@ class SolverConfig:
             raise ValueError("iterations must be nonnegative")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
-        if self.solver == "pds":
-            if not 1.0 <= self.s_exp <= 2.0:
-                raise ValueError("s_exp must lie in [1, 2]")
-            if not 0.0 < self.delta_exp < 1.0:
-                raise ValueError("delta_exp must lie in (0, 1)")
-            if self.rho is not None and not 0 < self.rho < math.inf:
-                raise ValueError("rho must be positive and finite")
+        if not 1.0 <= self.s_exp <= 2.0:
+            raise ValueError("s_exp must lie in [1, 2]")
+        if not 0.0 < self.delta_exp < 1.0:
+            raise ValueError("delta_exp must lie in (0, 1)")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         return self
-
-    def resolved_rho(self):
-        return 1.0 / self.s_exp if self.rho is None else float(self.rho)
 
 
 @dataclass(slots=True)

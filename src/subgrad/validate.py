@@ -30,8 +30,8 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
 
     The per-pair tolerance is 1e-9 * (1 + |value(y)|). Violations are
     counted and the worst raw excess (positive means violated) reported.
-    Raises ValueError unless radius is a finite positive number and n_pairs
-    a positive integer.
+    Raises ValueError unless radius is a finite positive number, n_pairs
+    a positive integer and the oracle's dim at least 1.
     """
     radius = _as_scalar(radius, "radius")
     n_pairs = _as_int(n_pairs, "n_pairs")
@@ -39,6 +39,8 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
         raise ValueError(f"radius must be positive, got {radius!r}")
     if n_pairs < 1:  # no pair would be a vacuous pass
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs!r}")
+    if oracle.dim < 1:  # the ball in R^0 is one point, another vacuous pass
+        raise ValueError(f"dim must be at least 1, got {oracle.dim!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     xs = _ball_points(rng, oracle.dim, radius, n_pairs)
     ys = _ball_points(rng, oracle.dim, radius, n_pairs)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subgrad
 from subgrad import SolverConfig, probio, solve
 from subgrad.cli import main
 from subgrad.reports import gap
@@ -42,6 +46,10 @@ def test_gap_refuses_a_nonfinite_value(val, val_star):
     (dict(solver="pds", s_exp=2.5), r"s_exp must lie in \[1, 2\]"),
     (dict(solver="pds", delta_exp=0.0), r"delta_exp must lie in \(0, 1\)"),
     (dict(solver="pds", delta_exp=1.0), r"delta_exp must lie in \(0, 1\)"),
+    # one rule for every solver, though only pds reads these settings
+    (dict(solver="sg", s_exp=0.5), r"s_exp must lie in \[1, 2\]"),
+    (dict(solver="mdsg", delta_exp=1.0), r"delta_exp must lie in \(0, 1\)"),
+    (dict(solver="sdsg", rho=-1.0), "rho must be positive and finite"),
 ])
 def test_solver_config_refuses_out_of_range_settings(fields, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -362,6 +370,9 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
             "methods": [{"solver": "sg"}]}),
     (None, {"problem": {"kind": "case1", "n": 6}, "K": 10, "lp_oracle": [],
             "methods": [{"solver": "sg"}]}),
+    # rho is checked for every solver, though only pds reads it
+    (["run", "--problem", "case1", "--n", "10", "--solver", "sdsg", "--K", "5",
+      "--rho", "-1"], None),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     if argv is None:
@@ -373,6 +384,21 @@ def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     assert err.startswith("error: ")
     if isinstance(batch, dict) and "lp_oracle" in batch:
         assert "lp_oracle" in err
+
+
+@pytest.mark.parametrize("path", [0, 1, 2, True, 1.5, ["x"]])
+def test_batch_path_must_be_a_string(tmp_path, path):
+    # in a child process: open() took an integer path as a file descriptor,
+    # which in pytest's own process would close or read its stdio
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": {"kind": "file", "path": path}, "K": 5,
+                                 "methods": [{"solver": "sg"}]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subgrad.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "subgrad.cli", "compare", "--batch", str(bfile)],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "path" in proc.stderr
 
 
 @pytest.mark.parametrize("method,extra", [

@@ -135,6 +135,14 @@ def test_log_barrier_values():
     assert g[0] == pytest.approx(-1e12)
 
 
+def test_log_barrier_keeps_nan():
+    # NaN < LOG_SAFEGUARD is False: the frozen branch would give a finite value at NaN
+    o = LogBarrierOracle(2, index=0, shift=1.0)
+    v, g = o(np.array([np.nan, 0.0]))
+    assert math.isnan(v) and math.isnan(g[0]) and g[1] == 0.0
+    assert math.isnan(o.value(np.array([np.nan, 0.0])))
+
+
 def test_log_barrier_offset_shifts_value_only():
     plain = LogBarrierOracle(2, index=0, shift=1.0)
     off = LogBarrierOracle(2, index=0, shift=1.0, offset=-1.0)

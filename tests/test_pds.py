@@ -144,6 +144,12 @@ def test_solve_equality_problem():
     assert rep.final.val == pytest.approx(1.0, abs=2e-2)
 
 
+def test_solve_checks_settings_whatever_the_solver_name():
+    # s_exp = 0 once reached 1 / s_exp and raised ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^s_exp must lie in \[1, 2\]"):
+        pds.solve(quadratic_equality_problem(), SolverConfig(solver="sg", s_exp=0.0))
+
+
 def test_case1_instance_reaches_small_infeasibility():
     # typical draws of this family land at a few e-3 at this budget,
     # easy ones at a few e-4
@@ -176,7 +182,7 @@ def test_trace_infeasibility_is_read_off_direction(build, s_exp):
     p = build().problem
     cfg = SolverConfig(solver="pds", iterations=300, s_exp=s_exp)
     rep = pds.solve(p, cfg)
-    st = pds.init_state(p, cfg.resolved_rho(), s_exp, cfg.delta_exp)
+    st = pds.init_state(p, 1.0 / s_exp, s_exp, cfg.delta_exp)
     expected = []
     for _ in range(300):
         assert pds.step(p, st)

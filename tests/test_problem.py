@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig, dsg, pds, solve
-from subgrad.oracles import (AbsAffineOracle, AffineBlockOracle, AffineOracle, ConvexOracle,
-                             MaxOracle, Norm1Oracle, PositivePart, euclidean_norm,
+from subgrad.oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineBlockOracle, AffineOracle,
+                             ConvexOracle, MaxOracle, Norm1Oracle, PositivePart, euclidean_norm,
                              norm_power_subgrad)
-from subgrad.problem import (ROW_BLOCK_MIN, ConstrainedProblem, max_constraint_oracle,
-                             saddle_direction, single_constraint_form, start_point)
+from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_direction,
+                             single_constraint_form, start_point)
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
 

@@ -437,3 +437,9 @@ def test_subgradient_validate_refuses_a_vacuous_or_bad_sample(field, kwargs):
     # nan, inf or no pairs used to report 0 violations, a pass that checked nothing
     with pytest.raises(ValueError, match=rf"^{field}\b"):
         subgradient_validate(AffineOracle([1.0, -2.0]), **kwargs)
+
+
+def test_subgradient_validate_refuses_a_zero_dimensional_oracle():
+    # 1.0 / dim used to raise ZeroDivisionError; the ball in R^0 is one point
+    with pytest.raises(ValueError, match=r"^dim\b"):
+        subgradient_validate(AffineOracle([]))
