@@ -30,7 +30,6 @@ b - Ax, so a run costs one direction evaluation per iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +73,10 @@ def _evaluate(problem, state):
 
 
 def init_state(problem, rho, s_exp, delta_exp, x0=None, lam0=None, nu0=None):
-    if not 0 < rho < math.inf:
-        raise ValueError("rho must be positive and finite")
+    """The state at z0, after the settings pass the rule of ``SolverConfig``;
+    ``rho = None`` runs at 1/s_exp, as it does there."""
+    reports._check_pds_settings(rho, s_exp, delta_exp)
+    rho = 1.0 / s_exp if rho is None else float(rho)
     state = PdsState(z_arr=start_point(problem, x0, lam0, nu0),
                      rho=rho, s_exp=s_exp, delta_exp=delta_exp)
     _evaluate(problem, state)
@@ -106,8 +107,7 @@ def solve(problem, cfg):
     read from the direction and value each step leaves in the state.
     """
     cfg.validate()
-    rho = 1.0 / cfg.s_exp if cfg.rho is None else float(cfg.rho)
-    state = init_state(problem, rho, cfg.s_exp, cfg.delta_exp, cfg.x0, cfg.lam0, cfg.nu0)
+    state = init_state(problem, cfg.rho, cfg.s_exp, cfg.delta_exp, cfg.x0, cfg.lam0, cfg.nu0)
     n, m, l = problem.n, problem.m, problem.l
 
     def advance():

@@ -69,13 +69,23 @@ class SolverConfig:
             raise ValueError("iterations must be nonnegative")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
-        if not 1.0 <= self.s_exp <= 2.0:
-            raise ValueError("s_exp must lie in [1, 2]")
-        if not 0.0 < self.delta_exp < 1.0:
-            raise ValueError("delta_exp must lie in (0, 1)")
-        if self.rho is not None and not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
+        _check_pds_settings(self.rho, self.s_exp, self.delta_exp)
         return self
+
+
+def _check_pds_settings(rho, s_exp, delta_exp):
+    """The rule for the settings pds reads, which ``SolverConfig.validate``
+    and ``pds.init_state`` both apply; ``rho = None`` is left unchecked."""
+    _check_number(s_exp, "s_exp")
+    _check_number(delta_exp, "delta_exp")
+    if not 1.0 <= s_exp <= 2.0:
+        raise ValueError("s_exp must lie in [1, 2]")
+    if not 0.0 < delta_exp < 1.0:
+        raise ValueError("delta_exp must lie in (0, 1)")
+    if rho is not None:
+        _check_number(rho, "rho")
+        if not 0 < rho < math.inf:
+            raise ValueError("rho must be positive and finite")
 
 
 @dataclass(slots=True)

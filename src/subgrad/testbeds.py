@@ -28,7 +28,6 @@ MAX_ANCHOR_DRAWS = 10**6
 class TestInstance:
     problem: ConstrainedProblem
     label: str
-    seed: int
     meta: dict = field(default_factory=dict)
 
 
@@ -94,7 +93,6 @@ def gen_random(case, n, seed):
     return TestInstance(
         problem=problem,
         label=f"case{case}-n{n}",
-        seed=seed,
         meta={"case": case, "n": n, "m": m, "l": l, "anchor": xbar},
     )
 
@@ -120,7 +118,6 @@ def build_lad(nbar, seed):
     return TestInstance(
         problem=problem,
         label=f"lad-nbar{nbar}",
-        seed=seed,
         meta={"nbar": nbar, "n": n, "l": rows},
     )
 
@@ -158,6 +155,5 @@ def build_svm(nbar, seed):
     return TestInstance(
         problem=problem,
         label=f"svm-nbar{nbar}",
-        seed=seed,
         meta={"nbar": nbar, "N": N, "n": n, "l": N},
     )

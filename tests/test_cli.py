@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,3 +434,35 @@ def test_na_row_names_a_solver_or_na(tmp_path, capsys, solver):
     assert stdout[2].startswith("pds,NA,NA,NA,NA,NA  # ")
     assert out.read_text().splitlines() == ["method,s,val,infeas,gap,time_s",
                                             "NA,NA,NA,NA,NA,NA", "pds,NA,NA,NA,NA,NA"]
+
+
+@pytest.mark.parametrize("problem,key", [
+    ({"kind": "file"}, "path"),
+    ({"kind": "case1"}, "n"),
+    ({"kind": "lad"}, "nbar"),
+])
+def test_batch_problem_messages_name_batch_keys(tmp_path, capsys, problem, key):
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps({"problem": problem, "K": 5, "methods": [{"solver": "sg"}]}))
+    assert main(["compare", "--batch", str(bfile)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} is required for problem {problem['kind']}\n"
+    # run names its own flags
+    flag = {"path": "--in", "n": "--n", "nbar": "--nbar"}[key]
+    assert main(["run", "--problem", problem["kind"], "--solver", "sg"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is required for problem {problem['kind']}\n"
+
+
+def test_readme_batch_example_runs(tmp_path, capsys):
+    # the documented batch keys and defaults cannot drift from the code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    batch = json.loads(re.search(r"```json\n(.*?)```", cli_section, re.S).group(1))
+    batch["K"] = 20
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps(batch))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["method", "s", "val", "infeas", "gap", "time_s"]
+    assert [row[0] for row in rows[1:]] == ["oracle"] + [m["solver"] for m in batch["methods"]]
+    assert all(row[2] != "NA" and row[4] != "NA" for row in rows[1:])

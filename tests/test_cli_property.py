@@ -1,4 +1,5 @@
-"""Property test: the CLI gives an exit code for every problem document.
+"""Property tests: the CLI gives an exit code for every problem document,
+and ``run`` and ``compare`` agree on every setting.
 
 Random small documents mix valid oracle nodes with wrong types, NaN and
 infinite numbers, bad shapes and unknown ops. Sizes stay at 5 or less:
@@ -6,6 +7,8 @@ a huge ``dim`` would make a node allocate gigabytes, so that case is not
 drawn here.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -137,3 +140,54 @@ def test_run_exit_code_is_defined_for_any_document(doc):
             code = main(["run", "--problem", "file", "--in", path, "--solver", solver,
                          "--K", "5"])
             assert code in (0, 2, 3), (solver, code)
+
+
+# run flag, batch key and the values drawn for it; None leaves the setting out
+SETTINGS = [
+    ("--eps", "eps", [1e-3, 0, -1, float("inf"), float("nan")]),
+    ("--K", "K", [0, 3, -1]),
+    ("--s", "s", [1, 1.5, 2, 0.5, 3]),
+    ("--delta", "delta", [0.5, 0, 1]),
+    ("--rho", "rho", [None, 0.5, -1, float("inf")]),
+    ("--trace-every", "trace_every", [None, 1, 0]),
+]
+
+
+def _call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue().splitlines()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.sampled_from(["sg", "sdsg", "mdsg", "pds"]),
+       st.tuples(*(st.sampled_from(values) for _, _, values in SETTINGS)))
+# few random draws hold no bad setting, so each solver also runs on good ones
+@example("sg", (1e-3, 3, 2, 0.5, 0.5, 1))
+@example("sdsg", (1e-3, 0, 1, 0.5, None, 1))
+@example("mdsg", (1e-3, 3, 2, 0.5, 0.5, None))
+@example("pds", (1e-3, 3, 1.5, 0.5, None, None))
+def test_run_and_compare_agree_on_any_setting(solver, values):
+    # a fixed small instance: a huge n would allocate gigabytes
+    argv = ["run", "--problem", "case1", "--n", "6", "--seed", "1", "--solver", solver]
+    batch = {"problem": {"kind": "case1", "n": 6, "seed": 1}}
+    method = {"solver": solver}
+    for (flag, key, _), v in zip(SETTINGS, values):
+        if v is not None:
+            argv += [flag, str(v)]
+            (method if key in ("s", "rho") else batch)[key] = v
+    batch["methods"] = [method]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "batch.json")
+        with open(path, "w") as fh:
+            json.dump(batch, fh)
+        code, run_lines = _call(argv)
+        compare_code, compare_lines = _call(["compare", "--batch", path])
+    assert compare_code == 0
+    row = compare_lines[1]
+    assert code in (0, 2)
+    assert (code == 2) == ("  # " in row), (code, row)
+    if code == 0:
+        # every field but time_s
+        assert run_lines[1].split(",")[:-1] == row.split(",")[:-1]

@@ -188,3 +188,30 @@ def test_trace_infeasibility_is_read_off_direction(build, s_exp):
         assert pds.step(p, st)
         expected.append(p.infeasibility(st.z_arr[:p.n]))
     assert [r.infeas for r in rep.trace] == expected
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0], 1.0)]),
+    # no constraint, so no step would ever read s_exp or rho
+    lambda: ConstrainedProblem(SqNormOracle(1, scale=1.0), []),
+], ids=["one-d", "unconstrained"])
+@pytest.mark.parametrize("settings,message", [
+    (dict(s_exp=5.0), r"s_exp must lie in \[1, 2\]"),
+    (dict(s_exp=9.0), r"s_exp must lie in \[1, 2\]"),
+    (dict(s_exp=0.5), r"s_exp must lie in \[1, 2\]"),
+    (dict(delta_exp=1.5), r"delta_exp must lie in \(0, 1\)"),
+    (dict(delta_exp=0.0), r"delta_exp must lie in \(0, 1\)"),
+    (dict(rho=-1.0), "rho must be positive and finite"),
+    (dict(rho=float("inf")), "rho must be positive and finite"),
+    (dict(s_exp="2"), "s_exp must be a number"),
+    (dict(rho=True), "rho must be a number"),
+])
+def test_init_state_refuses_each_bad_setting(make_problem, settings, message):
+    # before the first step, which would otherwise move z_arr and k first
+    with pytest.raises(ValueError, match=f"^{message}"):
+        pds.init_state(make_problem(), **{"rho": 1.0, "s_exp": 2.0, "delta_exp": 0.5, **settings})
+
+
+def test_init_state_runs_rho_none_at_one_over_s():
+    p = quadratic_equality_problem()
+    assert pds.init_state(p, None, 1.5, 0.5).rho == 1.0 / 1.5
