@@ -3,8 +3,8 @@
 These classes are the building blocks for objectives and constraints:
 affine pieces, absolute residuals, pointwise maxima, positive parts, and a
 few vectorized aggregates (l1 norm, scaled squared norm, hinge sums, the
-max over a block of affine rows, into which a maximum stacks each run of
-its row parts) that keep large instances cheap to evaluate.
+max over a block of affine rows, into which a problem stacks each run of
+its affine inequality rows) that keep large instances cheap to evaluate.
 
 Each class writes its arithmetic once, in ``select`` and ``subgrad`` (see
 ConvexOracle). A maximum, a sum and a positive part read their parts
@@ -67,7 +67,7 @@ def _element_types(v, ndim):
     if isinstance(v, np.ndarray):
         return {v.dtype.type}
     if not isinstance(v, (list, tuple)):
-        return set()
+        return {type(v)}
     if ndim == 1:
         return set(map(type, v)) - {list, tuple}
     return set().union(*(_element_types(row, ndim - 1) for row in v))
@@ -118,10 +118,9 @@ def _as_scale(v):
 
 def _as_int(v, name):
     _check_number(v, name)
-    i = int(v)
-    if i != v:
+    if not (abs(v) < math.inf and int(v) == v):  # int(inf) raises unnamed, isfinite(10**400) too
         raise ValueError(f"{name} must be an integer, got {v!r}")
-    return i
+    return int(v)
 
 
 def _as_coords(coords, dim):
@@ -214,13 +213,13 @@ class MaxOracle(ConvexOracle):
     """Pointwise maximum of several oracles on the same space.
 
     The subgradient comes from the lowest-index part attaining the max, a
-    valid element of the max-subdifferential. _stack_rows stacks the runs of
-    AffineOracle or AbsAffineOracle parts; a block part stays as given.
+    valid element of the max-subdifferential. The parts are kept as given:
+    a block is one AffineBlockOracle part, and rows given one by one (as
+    older documents hold a block) stay one part per row, with the same bits.
     """
 
     def __init__(self, parts):
-        parts, self.dim = _parts_and_dim(self, parts)
-        self.parts = [o for _, _, o in _stack_rows(parts, (AffineOracle, AbsAffineOracle))]
+        self.parts, self.dim = _parts_and_dim(self, parts)
 
     def select(self, x):
         best = self.parts[0]
@@ -242,8 +241,9 @@ class AffineBlockOracle(ConvexOracle):
 
     The subgradient is row c_i (times sign(r_i), sign(0) = +1, when
     absolute) of the lowest index i attaining the max, and a NaN row wins.
-    So values, subgradients and ties are bit for bit those of the rows that
-    _stack_rows stacks, AffineOracle(c_j, d_j) or AbsAffineOracle(c_j, -d_j):
+    So values, subgradients and ties are bit for bit those of a MaxOracle of
+    the rows AffineOracle(c_j, d_j), or AbsAffineOracle(c_j, -d_j) when
+    absolute (a.x + (-b) has the bits of a.x - b in IEEE arithmetic):
     ``rows``, the only code that computes stacked row values, uses np.vecdot,
     which computes each c_j.x as the per-row product does; C @ x does not.
     """
@@ -277,18 +277,14 @@ class AffineBlockOracle(ConvexOracle):
         return -self.C[i] if negated else self.C[i]
 
 
-# (c_j, d_j) of a stacked row part; a.x + (-b) has the bits of a.x - b in IEEE arithmetic
-_ROW_OF = {AffineOracle: lambda o: (o.c, o.d), AbsAffineOracle: lambda o: (o.a, -o.b)}
-
-
-def _stack_rows(parts, kinds):
+def _stack_rows(parts):
     """(first index i, rows k, oracle) per part, but one AffineBlockOracle of k
-    rows per run of at least ROW_BLOCK_MIN parts of one type in kinds."""
+    rows per run of at least ROW_BLOCK_MIN AffineOracle parts."""
     i = 0
     for kind, run in itertools.groupby(parts, type):
         run = list(run)
-        C, d = zip(*map(_ROW_OF[kind], run)) if kind in kinds else ((), ())
-        yield from _block_or_rows(C, d, kind is AbsAffineOracle, run, i)
+        rows = run if kind is AffineOracle else ()
+        yield from _block_or_rows([o.c for o in rows], [o.d for o in rows], False, run, i)
         i += len(run)
 
 
@@ -357,6 +353,8 @@ class _CoordsOracle(ConvexOracle):
 
     def _set_coords(self, dim, coords):
         self.dim = _as_int(dim, "dim")
+        if self.dim < 0:
+            raise ValueError(f"dim must be nonnegative, got {dim!r}")
         self.coords = _as_coords(coords, self.dim)
         c = self.coords
         run = c.size > 0 and bool((c[1:] - c[:-1] == 1).all())

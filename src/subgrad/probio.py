@@ -27,7 +27,7 @@ Node keys are the oracle's constructor arguments (and attributes), so the
 table ``_NODES`` is this schema in code; a key left out takes the default.
 An AffineBlockOracle is one "affine_block" node wherever it stands. Older
 documents that hold a block as its rows, in place inside a "max" node or as
-a "max" node of its own, still load: a "max" node stacks its row runs again.
+a "max" node of its own, still load, one part per row, with the same traces.
 
 Floats round-trip exactly (json uses repr), so a reloaded problem
 reproduces the original solver trace bit for bit. ``save_problem`` encodes
@@ -94,12 +94,16 @@ def oracle_from_node(node, depth=0):
     cls, keys = _NODES[op]
     args = {key: node[key] for key in keys if key in node}
     if "parts" in args:
-        if not isinstance(args["parts"], list):
-            raise ValueError(f"parts must be an array of oracle nodes, got {args['parts']!r}")
-        args["parts"] = [oracle_from_node(p, depth + 1) for p in args["parts"]]
+        args["parts"] = _oracles_from_nodes(args["parts"], "parts", depth + 1)
     if "arg" in args:
         args["arg"] = oracle_from_node(args["arg"], depth + 1)
     return cls(**args)
+
+
+def _oracles_from_nodes(nodes, key, depth):
+    if not isinstance(nodes, list):
+        raise ValueError(f"{key} must be an array of oracle nodes, got {nodes!r}")
+    return [oracle_from_node(node, depth) for node in nodes]
 
 
 def problem_to_dict(problem, label=None):
@@ -118,8 +122,10 @@ def problem_to_dict(problem, label=None):
 
 
 def problem_from_dict(doc):
+    if not isinstance(doc, dict) or "objective" not in doc:
+        raise ValueError("a problem document must be an object with an objective node")
     f0 = oracle_from_node(doc["objective"])
-    ineq = [oracle_from_node(node) for node in doc.get("ineq", [])]
+    ineq = _oracles_from_nodes(doc.get("ineq", []), "ineq", 0)
     problem = ConstrainedProblem(f0, ineq, doc.get("A"), doc.get("b"))
     for key in ("n", "m", "l"):
         if key in doc and _as_int(doc[key], key) != getattr(problem, key):

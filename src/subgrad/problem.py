@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import (AbsAffineOracle, AffineOracle, MaxOracle, _as_rows, _as_vector,
-                      _block_or_rows, _stack_rows, euclidean_norm, norm_power_subgrad)
+from .oracles import (AbsAffineOracle, MaxOracle, _as_rows, _as_vector, _block_or_rows,
+                      _stack_rows, euclidean_norm, norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
@@ -63,7 +63,7 @@ class ConstrainedProblem:
         self.l = self.A.shape[0]
         # ineq as evaluated, as (first row i, rows k, oracle), k = 0 for one row;
         # AbsAffineOracle runs stay single rows, as F(x) reads signed rows
-        self._blocks = list(_stack_rows(self.ineq, (AffineOracle,)))
+        self._blocks = list(_stack_rows(self.ineq))
 
     def eval_ineq(self, x):
         """Raw values f_i(x) and their subgradients, as (values, grads)."""
@@ -102,9 +102,9 @@ def max_constraint_oracle(problem):
     """Single oracle for max{f_1, ..., f_m, |a_1.x - b_1|, ..., |a_l.x - b_l|}.
 
     Parts keep the problem's listing order (inequalities first, then the
-    equality rows) so the lowest-index tie rule is reproducible. Row runs
-    are stacked by the rule of MaxOracle, the equality rows straight from
-    (A, -b), with the bits of one part per row. Requires m + l >= 1.
+    equality rows) so the lowest-index tie rule is reproducible: the stacked
+    inequality runs of the problem, then the equality rows, stacked by the
+    same rule as one block (A, -b), with per-row bits. Requires m + l >= 1.
     """
     eq = _block_or_rows(problem.A, -problem.b, True, map(AbsAffineOracle, problem.A, problem.b))
     parts = [o for _, _, o in problem._blocks + eq]

@@ -52,10 +52,17 @@ def test_gap_refuses_a_nonfinite_value(val, val_star):
     (dict(solver="sg", s_exp=0.5), r"s_exp must lie in \[1, 2\]"),
     (dict(solver="mdsg", delta_exp=1.0), r"delta_exp must lie in \(0, 1\)"),
     (dict(solver="sdsg", rho=-1.0), "rho must be positive and finite"),
+    (dict(iterations=float("inf")), "iterations must be an integer, got inf"),
+    (dict(iterations=float("nan")), "iterations must be an integer, got nan"),
+    (dict(trace_every=float("inf")), "trace_every must be an integer, got inf"),
 ])
 def test_solver_config_refuses_out_of_range_settings(fields, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         SolverConfig(**fields).validate()
+
+
+def test_solver_config_takes_any_integer():
+    assert SolverConfig(iterations=10**400, trace_every=2.0).validate().iterations == 10**400
 
 
 def test_run_writes_trace_csv(tmp_path, capsys):
@@ -375,6 +382,10 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
     # rho is checked for every solver, though only pds reads it
     (["run", "--problem", "case1", "--n", "10", "--solver", "sdsg", "--K", "5",
       "--rho", "-1"], None),
+    # the batch problem is an object of a known kind
+    (None, {"problem": [], "methods": [{"solver": "sg"}]}),
+    (None, {"problem": {"n": 6}, "methods": [{"solver": "sg"}]}),
+    (None, {"problem": {"kind": "case3", "n": 6}, "methods": [{"solver": "sg"}]}),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
     if argv is None:

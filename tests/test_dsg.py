@@ -175,6 +175,12 @@ def test_single_mode_needs_constraints():
         dsg.solve(p, SolverConfig(solver="sdsg", iterations=10), mode="single")
 
 
+def test_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="^unknown mode 'both'"):
+        dsg.solve(min_x_st_neg_x_nonpos(), SolverConfig(solver="mdsg", iterations=10),
+                  mode="both")
+
+
 def test_single_mode_infeasibility_convention():
     # with equalities the reported infeasibility is max{fbar(x_bar), 0}
     p = ConstrainedProblem(AffineOracle([1.0, 0.0]),

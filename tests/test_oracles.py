@@ -224,13 +224,26 @@ NAN, INF = float("nan"), float("inf")
     # a negative scale makes the function concave
     (lambda: SqNormOracle(2, scale=-1.0), "scale"),
     (lambda: HingeSumOracle(2, [0, 1], [1.0, -1.0], scale=-1e-300), "scale"),
+    # an infinite or NaN size is no integer; a negative one is no size
+    (lambda: Norm1Oracle(INF), "dim"),
+    (lambda: SqNormOracle(NAN), "dim"),
+    (lambda: Norm1Oracle(-1), "dim"),
+    (lambda: SqNormOracle(-2), "dim"),
+    (lambda: HingeSumOracle(-1, [], []), "dim"),
+    # a vector field given as a mapping or a string
+    (lambda: AffineOracle({"a": 1}), "c"),
+    (lambda: AffineOracle("ab"), "c"),
+    (lambda: HingeSumOracle(2, [0, 1], [1.0]), "coords"),
+    (lambda: LogBarrierOracle(2, 2), "index"),
 ], ids=["affine-d", "abs-b", "norm1-offset", "sq-scale", "hinge-scale", "hinge-labels",
         "log-shift", "log-offset", "dim", "index", "coords", "coords-nan",
         "c-str", "c-bool", "c-numpy-bool", "d-bool", "b-str", "dim-bool", "index-str",
         "coords-numpy-bool", "labels-str", "block-shape", "block-nan",
         "block-absolute-int", "block-absolute-str", "block-absolute-none",
         "norm1-coords-repeated", "sq-coords-repeated", "hinge-coords-repeated",
-        "sq-scale-negative", "hinge-scale-negative"])
+        "sq-scale-negative", "hinge-scale-negative",
+        "dim-inf", "dim-nan", "norm1-dim-negative", "sq-dim-negative", "hinge-dim-negative",
+        "c-dict", "c-text", "hinge-lengths", "log-index-range"])
 def test_constructor_rejects_bad_field(make, field):
     with pytest.raises(ValueError, match=field):
         make()

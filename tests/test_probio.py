@@ -237,8 +237,8 @@ def test_nested_max_layout_still_loads(label):
     back = probio.problem_from_dict(json.loads(json.dumps(doc)))
     assert_same_runs(single, back)
     for q, q_back in zip(single.ineq[0].parts, back.ineq[0].parts, strict=True):
-        if isinstance(q, AffineBlockOracle):  # one MaxOracle of the restacked block
-            assert [type(r) for r in q_back.parts] == [AffineBlockOracle]
+        if isinstance(q, AffineBlockOracle):  # one MaxOracle of the block's rows
+            assert [probio.oracle_to_node(r) for r in q_back.parts] == block_row_nodes(q)
 
 
 @pytest.mark.parametrize("label", MAX_FORM_LABELS + ["short-abs-run"])
@@ -252,7 +252,8 @@ def test_rows_in_place_layout_still_loads(label):
                      else [probio.oracle_to_node(q)])]}]
     back = probio.problem_from_dict(json.loads(json.dumps(doc)))
     assert_same_runs(single, back)
-    assert any(isinstance(q, AffineBlockOracle) for q in back.ineq[0].parts)
+    # the rows read back as rows, one part per node
+    assert [probio.oracle_to_node(q) for q in back.ineq[0].parts] == doc["ineq"][0]["parts"]
 
 
 @pytest.mark.parametrize("parts", [5, {"op": "affine", "c": [1.0]}], ids=["number", "object"])
@@ -260,6 +261,24 @@ def test_parts_must_be_an_array(parts):
     for op in ("max", "sum"):
         with pytest.raises(ValueError, match="^parts must be an array of oracle nodes"):
             probio.oracle_from_node({"op": op, "parts": parts})
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "^a problem document must be an object"),
+    ("x", "^a problem document must be an object"),
+    ({"ineq": []}, "^a problem document must be an object with an objective"),
+    ({"objective": {"op": "affine", "c": [1.0]}, "ineq": 5}, "^ineq must be an array"),
+    # an object would iterate its keys as nodes
+    ({"objective": {"op": "affine", "c": [1.0]}, "ineq": {"op": "affine", "c": [1.0]}},
+     "^ineq must be an array"),
+    ({"objective": {"op": "norm1", "dim": float("inf")}}, "^dim must be an integer"),
+    ({"objective": {"op": "norm1", "dim": -1}}, "^dim must be nonnegative"),
+    ({"objective": {"op": "affine", "c": "ab"}}, "^c must hold numbers"),
+], ids=["list", "text", "no-objective", "ineq-number", "ineq-object", "dim-inf",
+        "dim-negative", "c-text"])
+def test_bad_document_is_refused_by_name(doc, message):
+    with pytest.raises(ValueError, match=message):
+        probio.problem_from_dict(doc)
 
 
 def test_unknown_op_rejected():

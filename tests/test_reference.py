@@ -391,6 +391,9 @@ def test_lp_oracle_agrees_with_highs_and_its_loop_form():
     ("A_eq", dict(A_eq=[["1"]])),
     ("b_eq", dict(b_eq=[True])),
     ("upper", dict(upper=["inf"])),
+    ("A_eq", dict(b_eq=[1.0, 2.0])),
+    ("lower", dict(lower=[0.0, 0.0])),
+    ("lower", dict(lower=[2.0], upper=[1.0])),
 ])
 def test_lp_problem_follows_the_number_rule(field, fields):
     one_row = dict(c=[1.0], A_eq=[[1.0]], b_eq=[1.0], lower=[0.0], upper=[inf])
@@ -403,6 +406,13 @@ def test_lp_problem_reads_an_empty_a_eq_as_no_rows():
         lp = LpProblem(c=[1.0], A_eq=A_eq, b_eq=[], lower=[0.0], upper=[inf])
         assert lp.A_eq.shape == (0, 1)
         assert lp_solve_small(lp).x.tolist() == [0.0]
+
+
+def test_lp_encoders_refuse_other_problems():
+    with pytest.raises(ValueError, match="^encode_case1 needs a linear objective"):
+        encode_case1(ConstrainedProblem(Norm1Oracle(2), [AffineOracle([-1.0, 0.0])]))
+    with pytest.raises(ValueError, match="slack-form"):
+        encode_lad(gen_random(1, 5, 1).problem, 5)
 
 
 def test_subgradient_validate_accepts_affine():
