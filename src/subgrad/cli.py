@@ -99,12 +99,12 @@ def _build_problem(kind, spec, names):
             raise ConfigError(f"problem path must be a string, got {path!r}")
         try:
             return probio.load_problem(path)
-        except (OSError, KeyError) + REFUSED as exc:
+        except (OSError, KeyError, MemoryError) + REFUSED as exc:
             raise ConfigError(f"cannot load problem file {path}: {exc}") from exc
     try:
         size, seed = _as_int(spec[key], key), _as_int(spec.get("seed", 0), "seed")
         return FAMILIES[kind][1](size, seed).problem
-    except REFUSED as exc:
+    except (MemoryError,) + REFUSED as exc:  # a size too large to allocate
         raise ConfigError(f"cannot build problem {kind}: {exc}") from exc
 
 

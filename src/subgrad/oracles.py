@@ -383,7 +383,8 @@ class Norm1Oracle(_CoordsOracle):
 
     def select(self, x):
         xc = x[self._at]
-        return float(np.abs(xc).sum()) + self.offset, xc
+        # np.add.reduce is what ndarray.sum runs, without its Python wrapper
+        return float(np.add.reduce(np.abs(xc))) + self.offset, xc
 
     def subgrad(self, xc):
         return self._spread(np.where(xc >= 0.0, 1.0, -1.0))

@@ -82,7 +82,7 @@ class ConstrainedProblem:
             if k:
                 vals[i:i + k] = o.rows(x)[0]
             else:
-                vals[i] = o(x)[0]
+                vals[i] = o.select(x)[0]
         return np.maximum(vals, 0.0)
 
     def infeasibility(self, x):
@@ -152,9 +152,11 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
 
     One walk over the inequality rows writes -F(x) and keeps every stacked
     run of affine rows (read by AffineBlockOracle.rows) and every single
-    row with f_i(x) > 0. Then w is formed once, and one loop adds the kept
-    rows to Tx in row order, a run by an axis-0 reduce, so T has the bits
-    of one oracle call per row.
+    row with f_i(x) > 0. A kept single row holds its selection key until it
+    is added, so only a row with f_i(x) > 0 and w_i != 0 builds its
+    subgradient. Then w is formed once, and one loop adds the kept rows to
+    Tx in row order, a run by an axis-0 reduce, so T has the bits of one
+    oracle call per row.
     """
     n, m, l = problem.n, problem.m, problem.l
     x = z[:n]
@@ -162,34 +164,35 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     # objective oracle's own subgradient array
     f0_val, tx = problem.f0(x)
     t = np.empty(n + m + l)
-    kept = []  # (row i of F, rows k or 0 for a single row, values, subgradient rows)
+    kept = []  # (row i of F, rows k or 0 for a single row, oracle, values, rows or key)
     for i, k, oracle in problem._blocks:
         j = n + i
         if k:
             v, g = oracle.rows(x)
             t[j:j + k] = np.where(v <= 0.0, 0.0, -v)  # a NaN value stays NaN in F
         else:
-            v, g = oracle(x)
+            v, g = oracle.select(x)
             t[j] = 0.0 if v <= 0.0 else -v
         if k or v > 0.0:
-            kept.append((i, k, v, g))
+            kept.append((i, k, oracle, v, g))
     if kept:
         w = z[n:n + m]
         if rho != 0.0:
             w = w + rho * norm_power_subgrad(-t[n:n + m], s_exp)
-        for i, k, v, g in kept:
+        for i, k, oracle, v, g in kept:
             if k:
                 tx = _add_rows(tx, w[i:i + k], v, g)
             elif w[i] != 0.0:
-                tx = tx + w[i] * g
+                tx = tx + w[i] * oracle.subgrad(g)
     if l:
         nu = z[n + m:]
         r = problem.A @ x - problem.b
         if rho != 0.0:
             nu = nu + rho * norm_power_subgrad(r, s_exp)
-        tx = tx + problem.A.T @ nu
-        t[n + m:] = -r
-    t[:n] = tx
+        np.add(tx, problem.A.T @ nu, out=t[:n])
+        np.negative(r, out=t[n + m:])
+    else:
+        t[:n] = tx
     return t, f0_val
 
 

@@ -59,8 +59,7 @@ class SolverConfig:
     def validate(self):
         """Check every setting but the solver name, which ``subgrad.solve``
         checks; strings and booleans are refused, as in oracle fields."""
-        for name in ("eps", "s_exp", "delta_exp") + (() if self.rho is None else ("rho",)):
-            _check_number(getattr(self, name), name)
+        _check_number(self.eps, "eps")
         self.iterations = _as_int(self.iterations, "iterations")
         self.trace_every = _as_int(self.trace_every, "trace_every")
         if not 0 < self.eps < math.inf:

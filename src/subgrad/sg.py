@@ -7,9 +7,10 @@ certificate (optimality at an eps-feasible point, or infeasibility of the
 constraint system) and stops the run.
 
 ``step`` is that rule alone: it takes the oracle outputs at x and calls no
-oracle. ``solve`` evaluates fbar and then f0 once per iterate, f0 without
-its subgradient when the next step descends fbar, and runs ``step`` in the
-shared ``reports.drive`` loop.
+oracle. ``solve`` evaluates fbar and then f0 once per iterate, value first:
+it builds the subgradient of only the function the next step descends (fbar
+when fbar(x) > eps or is NaN, f0 otherwise), and runs ``step`` in the shared
+``reports.drive`` loop.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def solve(problem, cfg):
 
     The problem is reformulated internally when it has any constraints.
     Trace rows carry val = f0(x_k) and infeas = max{fbar(x_k), 0}; p_eps is
-    the best objective over iterates with fbar(x_k) <= eps.
+    the best objective over iterates with fbar(x_k) <= eps. fbar is read
+    through ``select``, and its subgradient is built only before a
+    constraint step; f0's is built at x0 and before each objective step.
     """
     cfg.validate()
     for name in ("lam0", "nu0"):
@@ -54,9 +57,14 @@ def solve(problem, cfg):
     run = single_constraint_form(problem) if problem.m + problem.l >= 1 else problem
     fbar = run.ineq[0] if run.m == 1 else None
 
+    def read_fbar(x):
+        """fbar(x), and its subgradient only when the next step descends fbar."""
+        v, key = fbar.select(x)
+        return v, (None if v <= cfg.eps else fbar.subgrad(key))  # NaN descends fbar
+
     x = start_point(run, cfg.x0)[:run.n]
     _, f0_grad = run.f0(x)
-    fbar_val, fbar_grad = fbar(x) if fbar is not None else (None, None)
+    fbar_val, fbar_grad = read_fbar(x) if fbar is not None else (None, None)
 
     def advance():
         nonlocal x, f0_grad, fbar_val, fbar_grad
@@ -66,8 +74,8 @@ def solve(problem, cfg):
         if fbar is None:
             f0_val, f0_grad = run.f0(x)
             return x, f0_val, 0.0
-        fbar_val, fbar_grad = fbar(x)
-        if fbar_val <= cfg.eps:  # the next step descends f0; NaN takes the fbar branch
+        fbar_val, fbar_grad = read_fbar(x)
+        if fbar_grad is None:  # the next step descends f0
             f0_val, f0_grad = run.f0(x)
         else:
             f0_val = run.f0.value(x)

@@ -55,6 +55,11 @@ def test_gap_refuses_a_nonfinite_value(val, val_star):
     (dict(iterations=float("inf")), "iterations must be an integer, got inf"),
     (dict(iterations=float("nan")), "iterations must be an integer, got nan"),
     (dict(trace_every=float("inf")), "trace_every must be an integer, got inf"),
+    # each number field is checked once, with the same message
+    (dict(eps="1"), "eps must be a number, got '1'"),
+    (dict(s_exp="2"), "s_exp must be a number, got '2'"),
+    (dict(delta_exp=True), "delta_exp must be a number, got True"),
+    (dict(solver="sg", rho="1"), "rho must be a number, got '1'"),
 ])
 def test_solver_config_refuses_out_of_range_settings(fields, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -386,9 +391,16 @@ def test_compare_lp_oracle_requires_supported_family(tmp_path):
     (None, {"problem": [], "methods": [{"solver": "sg"}]}),
     (None, {"problem": {"n": 6}, "methods": [{"solver": "sg"}]}),
     (None, {"problem": {"kind": "case3", "n": 6}, "methods": [{"solver": "sg"}]}),
+    # a problem document (read by run --in) whose coords cannot be allocated:
+    # 10**12 fails at once, where 10**8 would really allocate 800 MB
+    (None, {"objective": {"op": "norm1", "dim": 1000000000000}}),
 ])
 def test_bad_document_exits_two(tmp_path, capsys, argv, batch):
-    if argv is None:
+    if isinstance(batch, dict) and "objective" in batch:
+        pfile = tmp_path / "problem.json"
+        pfile.write_text(json.dumps(batch))
+        argv = ["run", "--problem", "file", "--in", str(pfile), "--solver", "sg", "--K", "5"]
+    elif argv is None:
         bfile = tmp_path / "batch.json"
         bfile.write_text(batch if isinstance(batch, str) else json.dumps(batch))
         argv = ["compare", "--batch", str(bfile)]

@@ -80,6 +80,73 @@ def test_infeasibility():
     assert p.infeasibility(np.array([2.0])) == pytest.approx(4.0)
 
 
+class _CountedSubgrads(ConvexOracle):
+    """Another oracle read through select and subgrad, counting the subgradients it builds."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+        self.built = 0
+
+    def select(self, x):
+        return self.inner.select(x)
+
+    def subgrad(self, key):
+        self.built += 1
+        return self.inner.subgrad(key)
+
+
+def test_infeasibility_and_direction_build_only_the_subgradients_they_add():
+    def problem(wrap):
+        # at x = (1, -2): row 0 is inactive (-2), rows 1 and 2 active (2.5 and 2)
+        rows = [AffineOracle([1.0, 0.0], -3.0), AffineOracle([0.0, -1.0], 0.5),
+                Norm1Oracle(2, offset=-1.0)]
+        return ConstrainedProblem(AffineOracle([1.0, 1.0]), [wrap(o) for o in rows],
+                                  A=[[1.0, 2.0]], b=[0.5])
+
+    p, plain = problem(_CountedSubgrads), problem(lambda o: o)
+    x = np.array([1.0, -2.0])
+    assert p.infeasibility(x) == plain.infeasibility(x)
+    assert [o.built for o in p.ineq] == [0, 0, 0]
+    # a row is built only where it is added: f_i(x) > 0 and w_i != 0
+    for lam, rho, built in [((0.0, 0.0, 0.0), 0.0, [0, 0, 0]), ((3.0, 0.0, 2.0), 0.0, [0, 0, 1]),
+                            ((3.0, 0.0, 0.0), 0.5, [0, 1, 1])]:
+        z = np.concatenate([x, lam, [0.7]])
+        t = saddle_direction(p, z, rho)[0]
+        assert t.tobytes() == saddle_direction(plain, z, rho)[0].tobytes()
+        assert [o.built for o in p.ineq] == built
+        for o in p.ineq:
+            o.built = 0
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_value_first_traces_equal_the_unwrapped_problem(case):
+    # every row read through select and subgrad, so no AffineOracle run is stacked;
+    # the bits are per row either way
+    p = gen_random(case, 6, 3).problem
+    q = ConstrainedProblem(p.f0, [_CountedSubgrads(o) for o in p.ineq], p.A, p.b)
+    for solver in ("sg", "sdsg", "mdsg", "pds"):
+        cfg = SolverConfig(solver=solver, iterations=300, trace_every=7)
+        a, b = solve(q, cfg), solve(p, cfg)
+        assert [(r.k, r.val, r.infeas) for r in a.trace] == [(r.k, r.val, r.infeas) for r in b.trace]
+        assert (a.status, a.p_eps, a.x_out.tobytes()) == (b.status, b.p_eps, b.x_out.tobytes())
+
+
+def test_sg_builds_fbar_subgradient_only_before_constraint_steps():
+    # fbar's subgradient is built at x0 and at each later iterate whose fbar(x) > eps,
+    # i.e. only where the next step descends fbar
+    p = gen_random(1, 10, 5).problem
+    fbar = _CountedSubgrads(single_constraint_form(p).ineq[0])
+    cfg = SolverConfig(solver="sg", eps=1e-3, iterations=400, trace_every=1)
+    r = solve(ConstrainedProblem(p.f0, [fbar]), cfg)
+    assert [row.k for row in r.trace] == list(range(1, 401))
+    constraint_iterates = sum(row.infeas > cfg.eps for row in r.trace)
+    assert 0 < constraint_iterates < 400
+    x0_descends_fbar = fbar.value(np.zeros(p.n)) > cfg.eps
+    assert fbar.built == x0_descends_fbar + constraint_iterates
+    plain = solve(p, cfg)
+    assert [(a.val, a.infeas) for a in r.trace] == [(a.val, a.infeas) for a in plain.trace]
+
+
 def test_max_constraint_oracle():
     p = ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([1.0], -1.0)],
                            A=[[1.0]], b=[0.0])
