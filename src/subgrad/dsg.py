@@ -86,12 +86,8 @@ def solve(problem, cfg, mode="multi"):
     cfg.validate()
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "single":
-        run = single_constraint_form(problem)
-        fbar = run.ineq[0]
-    else:
-        run = problem
-        fbar = None
+    run = single_constraint_form(problem) if mode == "single" else problem
+    fbar = run.ineq[0] if mode == "single" else None
     state = init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
 
     def advance():

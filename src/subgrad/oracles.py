@@ -152,8 +152,10 @@ class ConvexOracle:
     exactly. It runs ``v, key = self.select(x)``, then ``self.subgrad(key)``;
     ``value(x)`` runs ``select`` alone, so it has the same bits and builds no
     subgradient. A subclass writes ``select``, plus ``subgrad`` unless its
-    key is the subgradient, or writes ``__call__`` alone, which the default
-    ``select`` returns. A key may be a view of x.
+    key is the subgradient. A subclass that writes ``__call__`` alone, as
+    AffineOracle and many user oracles do, stays supported: the default
+    ``select`` returns ``self(x)``, its subgradient as the key. A key may be
+    a view of x.
     """
 
     dim: int
@@ -445,14 +447,16 @@ class LogBarrierOracle(ConvexOracle):
         self.shift = _as_scalar(shift, "shift")
         self.offset = _as_scalar(offset, "offset")
 
-    def __call__(self, x):
+    def select(self, x):
         t = float(x[self.index]) + self.shift
-        g = np.zeros(self.dim)
         if not t < LOG_SAFEGUARD:  # NaN takes this branch and stays NaN
-            g[self.index] = -1.0 / t
-            return -math.log(t) + self.offset, g
-        g[self.index] = -1.0 / LOG_SAFEGUARD
-        return -math.log(LOG_SAFEGUARD) + self.offset, g
+            return -math.log(t) + self.offset, -1.0 / t
+        return -math.log(LOG_SAFEGUARD) + self.offset, -1.0 / LOG_SAFEGUARD
+
+    def subgrad(self, slope):
+        g = np.zeros(self.dim)
+        g[self.index] = slope
+        return g
 
 
 def norm_power_subgrad(z, s):

@@ -29,7 +29,8 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
     """Sample (x, y) pairs in a ball about 0 and test value(y) >= value(x) + g(x).(y - x).
 
     The per-pair tolerance is 1e-9 * (1 + |value(y)|). Violations are
-    counted and the worst raw excess (positive means violated) reported.
+    counted and the worst raw excess (positive means violated) reported; a
+    NaN excess counts as a violation, and makes the worst excess NaN.
     Raises ValueError unless radius is a finite positive number, n_pairs
     a positive integer and the oracle's dim at least 1.
     """
@@ -50,8 +51,8 @@ def subgradient_validate(oracle, n_pairs=1000, radius=1.0, seed=0):
         vx, gx = oracle(x)
         vy = oracle.value(y)
         excess = vx + float(gx @ (y - x)) - vy
-        if excess > worst:
+        if not excess <= worst and worst == worst:  # the first NaN excess is kept
             worst = excess
-        if excess > 1e-9 * (1.0 + abs(vy)):
+        if not excess <= 1e-9 * (1.0 + abs(vy)):  # a NaN excess is a violation
             n_bad += 1
     return ValidationReport(n_pairs=n_pairs, n_violations=n_bad, worst_violation=worst)

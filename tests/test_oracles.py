@@ -427,7 +427,8 @@ def test_value_strategy_covers_every_select_writer():
                if isinstance(cls, type) and issubclass(cls, oracles.ConvexOracle)
                and "select" in vars(cls) and cls is not oracles.ConvexOracle}
     assert writers == {MaxOracle, SumOracle, PositivePart, AbsAffineOracle,
-                       AffineBlockOracle, Norm1Oracle, SqNormOracle, HingeSumOracle}
+                       AffineBlockOracle, Norm1Oracle, SqNormOracle, HingeSumOracle,
+                       LogBarrierOracle}
     for cls in writers:  # raises NoSuchExample when the strategy never builds cls
         find(_leaves | _nested, lambda o: cls in _classes_in(o),
              settings=settings(derandomize=True, database=None, max_examples=2000,

@@ -432,6 +432,30 @@ def test_subgradient_validate_flags_broken_oracle():
     assert report.worst_violation > 0.0
 
 
+class _NanAbove(AffineOracle):
+    """x0 + x1, written as a user oracle (``__call__`` alone), but NaN where x0 > cut."""
+
+    def __init__(self, cut):
+        super().__init__([1.0, 1.0])
+        self.cut = cut
+
+    def __call__(self, x):
+        v, g = super().__call__(x)
+        return (float("nan") if x[0] > self.cut else v), g
+
+
+def test_subgradient_validate_flags_nan_oracle():
+    # every comparison with NaN is False, so a NaN excess must be counted explicitly
+    report = subgradient_validate(_NanAbove(-2.0), n_pairs=10, seed=1)
+    assert report.n_violations == 10
+    assert np.isnan(report.worst_violation)
+    # NaN on part of the ball: the NaN pairs are violations, and a finite excess
+    # in a later pair does not replace the NaN worst
+    report = subgradient_validate(_NanAbove(0.5), n_pairs=200, seed=1)
+    assert 0 < report.n_violations < 200
+    assert np.isnan(report.worst_violation)
+
+
 @pytest.mark.parametrize("field,kwargs", [
     ("radius", dict(radius=float("nan"))),
     ("radius", dict(radius=float("inf"))),

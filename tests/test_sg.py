@@ -3,7 +3,7 @@ import pytest
 
 from subgrad import sg
 from subgrad.oracles import AbsAffineOracle, AffineOracle, ConvexOracle
-from subgrad.problem import ConstrainedProblem
+from subgrad.problem import ConstrainedProblem, single_constraint_form
 from subgrad.reports import COMPLETED, SADDLE_TERMINATED, SolverConfig
 from subgrad.testbeds import gen_random
 
@@ -13,35 +13,28 @@ def analytic_problem():
     return ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])])
 
 
-def step_at(p, x, eps):
-    # sg.step takes the oracle outputs at x; p has its one constraint in ineq[0]
-    fbar_val, fbar_grad = p.ineq[0](x)
-    return sg.step(x, eps, p.f0(x)[1], fbar_val, fbar_grad)
-
-
 def test_step_branches_hand_example():
-    # mechanics check with fbar(x) = x and objective x
-    p = ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([1.0])])
-    x1, stopped = step_at(p, np.array([0.5]), eps=0.1)
+    # the two steps from x = 0.5 of fbar(x) = x and objective x at eps = 0.1
+    g = np.array([1.0])
+    x1, stopped = sg.step(np.array([0.5]), g, 0.5)
     assert not stopped
-    assert x1[0] == pytest.approx(0.0)  # infeasible branch: 0.5 - 0.5/1
+    assert x1[0] == pytest.approx(0.0)  # constraint step, length fbar(0.5): 0.5 - 0.5/1
 
-    x2, stopped = step_at(p, x1, eps=0.1)
+    x2, stopped = sg.step(x1, g, 0.1)
     assert not stopped
-    assert x2[0] == pytest.approx(-0.1)  # objective branch: 0 - 0.1*1
+    assert x2[0] == pytest.approx(-0.1)  # objective step, length eps: 0 - 0.1*1
 
 
 def test_step_zero_subgradient_terminates():
-    p = ConstrainedProblem(AffineOracle([0.0], 5.0), [AffineOracle([1.0])])
-    x = np.array([-1.0])  # feasible, objective subgradient is zero
-    x1, stopped = step_at(p, x, eps=0.1)
+    x = np.array([-1.0])
+    x1, stopped = sg.step(x, np.zeros(1), 0.1)
     assert stopped
     np.testing.assert_array_equal(x1, x)
 
 
 def test_branch_step_identities():
-    # objective branch moves the linearization by exactly eps; constraint
-    # branch moves fbar's linearization by exactly fbar(x)
+    # an objective step moves f0's linearization by exactly eps; a constraint
+    # step moves fbar's linearization by exactly fbar(x)
     rng = np.random.default_rng(2)
     p = ConstrainedProblem(AffineOracle(rng.normal(size=3)),
                            [AbsAffineOracle(rng.normal(size=3), 0.5)])
@@ -49,13 +42,20 @@ def test_branch_step_identities():
     for _ in range(50):
         x = rng.normal(size=3)
         fbar_val, fbar_g = p.ineq[0](x)
-        g0 = p.f0(x)[1]
-        x_next, stopped = sg.step(x, eps, g0, fbar_val, fbar_g)
-        assert not stopped
-        if fbar_val <= eps:
-            assert g0 @ (x - x_next) == pytest.approx(eps, rel=1e-12)
-        else:
-            assert fbar_g @ (x - x_next) == pytest.approx(fbar_val, rel=1e-12)
+        for g, length in ((p.f0(x)[1], eps), (fbar_g, fbar_val)):
+            x_next, stopped = sg.step(x, g, length)
+            assert not stopped
+            assert g @ (x - x_next) == pytest.approx(length, rel=1e-12)
+
+
+def test_solve_switches_at_fbar_equal_eps():
+    # f0 = 2x, x <= 0, so fbar(x) = x: from x0 = eps the step descends f0
+    # (length eps along 2), from one ulp above eps it descends fbar to 0
+    p = ConstrainedProblem(AffineOracle([2.0]), [AffineOracle([1.0])])
+    eps = 1e-3
+    for x0, x1 in ((eps, eps / 2), (np.nextafter(eps, 1.0), 0.0)):
+        cfg = SolverConfig(solver="sg", eps=eps, iterations=1, x0=np.array([x0]))
+        np.testing.assert_array_equal(sg.solve(p, cfg).x_out, [x1])
 
 
 def test_solve_one_dimensional():
@@ -91,9 +91,10 @@ def test_p_eps_nonincreasing_in_iteration_budget():
 def test_unconstrained_descent():
     # min |x - 3| with no constraints: objective branch is always active
     p = ConstrainedProblem(AbsAffineOracle([1.0], 3.0))
-    cfg = SolverConfig(solver="sg", eps=1e-2, iterations=500)
+    cfg = SolverConfig(solver="sg", eps=1e-2, iterations=500, trace_every=1)
     rep = sg.solve(p, cfg)
-    assert rep.final.infeas == 0.0
+    assert len(rep.trace) == 500
+    assert all(row.infeas == 0.0 for row in rep.trace)  # fbar = -inf, reported as 0
     assert rep.final.val <= 2e-2
 
 
@@ -134,31 +135,33 @@ def test_solve_rejects_multiplier_start(field):
 
 
 class _CountingOracle(ConvexOracle):
-    """Counts subgradient calls and value-only calls of the oracle it wraps."""
+    """Logs, per evaluation of the oracle it wraps, whether a subgradient was built."""
 
     def __init__(self, inner):
         self.inner, self.dim = inner, inner.dim
-        self.calls = self.values = 0
+        self.log = []
 
     def __call__(self, x):
-        self.calls += 1
+        self.log.append((True, x.copy()))
         return self.inner(x)
 
     def value(self, x):
-        self.values += 1
+        self.log.append((False, x.copy()))
         return self.inner.value(x)
 
 
 def test_objective_subgradient_only_before_objective_steps():
-    # f0's subgradient is built at x0 and at each later iterate whose fbar(x) <= eps,
-    # i.e. only where the next step descends f0; elsewhere only its value is read
+    # each iterate x_0..x_K reads f0 once, and builds its subgradient iff fbar(x_k) <= eps
     p = gen_random(1, 10, 5).problem
     counted = _CountingOracle(p.f0)
     cfg = SolverConfig(solver="sg", eps=1e-3, iterations=400, trace_every=1)
     r = sg.solve(ConstrainedProblem(counted, p.ineq, p.A, p.b), cfg)
     assert [row.k for row in r.trace] == list(range(1, 401))  # one row per iterate after x0
-    objective_iterates = sum(row.infeas <= cfg.eps for row in r.trace)
-    assert 0 < objective_iterates < 400
-    assert (counted.calls, counted.values) == (1 + objective_iterates, 400 - objective_iterates)
+    fbar = single_constraint_form(p).ineq[0]
+    assert len(counted.log) == 401
+    assert [built for built, _ in counted.log] == [fbar.value(x) <= cfg.eps for _, x in counted.log]
+    assert 0 < sum(built for built, _ in counted.log) < 401
+    np.testing.assert_array_equal(counted.log[0][1], np.zeros(p.n))
+    np.testing.assert_array_equal(counted.log[-1][1], r.x_out)
     plain = sg.solve(p, cfg)
     assert [(a.val, a.infeas) for a in r.trace] == [(a.val, a.infeas) for a in plain.trace]
