@@ -7,15 +7,16 @@ subgrad-bench compare  all methods on one instance from a batch file;
 
 Both build the instance from the table ``FAMILIES`` or a problem file
 and make each summary row by ``_solve_row``. A setting left out takes its
-``SolverConfig`` default, but ``TRACE_EVERY``. Problem messages name run's
-flags (--n, --nbar, --in) in run and the batch keys in compare.
+``SolverConfig`` default, but ``TRACE_EVERY``. Every refusal, the CLI's own
+or the library's, exits 2 from ``main`` (a method refused in compare gives
+an NA row); problem messages name run's flags or compare's batch keys.
 
 Trace CSV columns: k,val,infeas,elapsed_s, where infeas is the solver's
 own measure (max{fbar(x), 0} for sg and sdsg). Summary columns:
 method,s,val,infeas,gap,time_s with NA for fields that do not apply; val
 and infeas are those of the reported point x_out, and infeas there is
 ||max{f(x_out), 0}||_2 + ||A x_out - b||_2 for every method.
-Exit codes: 0 solved, 2 configuration error, 3 unwritable output.
+Exit codes: 0 solved, 2 refused input, 3 unwritable output.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ METHOD_KEYS = {"solver": "solver", "s": "s_exp", "rho": "rho"}
 REFUSED = (ValueError, TypeError, OverflowError, RuntimeError)
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _build_parser():
     p = argparse.ArgumentParser(prog="subgrad-bench",
                                 description="benchmark constrained subgradient solvers")
@@ -89,41 +86,30 @@ def _build_problem(kind, spec, names):
     """The instance that ``spec``, the given keys among n, nbar, seed and
     path, describes; a message calls a key by its entry in ``names``."""
     if kind != "file" and (not isinstance(kind, str) or kind not in FAMILIES):
-        raise ConfigError(f"unknown problem kind {kind!r}")
+        raise ValueError(f"unknown problem kind {kind!r}")
     key = "path" if kind == "file" else FAMILIES[kind][0]
     if spec.get(key) is None:
-        raise ConfigError(f"{names.get(key, key)} is required for problem {kind}")
+        raise ValueError(f"{names.get(key, key)} is required for problem {kind}")
     if kind == "file":
         path = spec["path"]
         if not isinstance(path, str):  # open() would take an integer as a file descriptor
-            raise ConfigError(f"problem path must be a string, got {path!r}")
+            raise ValueError(f"problem path must be a string, got {path!r}")
         try:
             return probio.load_problem(path)
         except (OSError, KeyError, MemoryError) + REFUSED as exc:
-            raise ConfigError(f"cannot load problem file {path}: {exc}") from exc
+            raise ValueError(f"cannot load problem file {path}: {exc}") from exc
     try:
         size, seed = _as_int(spec[key], key), _as_int(spec.get("seed", 0), "seed")
         return FAMILIES[kind][1](size, seed).problem
     except (MemoryError,) + REFUSED as exc:  # a size too large to allocate
-        raise ConfigError(f"cannot build problem {kind}: {exc}") from exc
-
-
-def _as_valstar(v, name):
-    """A known optimal value as a finite float; None when not given."""
-    try:
-        return None if v is None else _as_scalar(v, name)
-    except REFUSED as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"cannot build problem {kind}: {exc}") from exc
 
 
 def _solve_row(problem, settings, val_star):
     """Solve with ``settings``, a dict of SolverConfig fields, and return
-    the report and its summary row; a refused setting raises ConfigError."""
-    try:
-        cfg = SolverConfig(**{"trace_every": TRACE_EVERY, **settings})
-        report = solve(problem, cfg)
-    except REFUSED as exc:
-        raise ConfigError(str(exc)) from exc
+    the report and its summary row; a refused setting raises as solve does."""
+    cfg = SolverConfig(**{"trace_every": TRACE_EVERY, **settings})
+    report = solve(problem, cfg)
     final = report.final
     val_s = infeas_s = gap_s = "NA"
     if final is not None:
@@ -148,7 +134,7 @@ def _write(path, lines):
 
 def _cmd_run(args):
     given = {k: v for k, v in vars(args).items() if v is not None}
-    val_star = _as_valstar(args.valstar, "valstar")
+    val_star = None if args.valstar is None else _as_scalar(args.valstar, "valstar")
     problem = _build_problem(args.problem, given, RUN_FLAGS)
     settings = {f.name: given[f.name] for f in fields(SolverConfig) if f.name in given}
     report, row = _solve_row(problem, settings, val_star)
@@ -164,33 +150,34 @@ def _cmd_compare(args):
     try:
         batch = probio._read_json(args.batch)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, too deep, or an overlong integer
-        raise ConfigError(f"cannot read batch file: {exc}") from exc
+        raise ValueError(f"cannot read batch file: {exc}") from exc
     if not isinstance(batch, dict):
-        raise ConfigError("batch file must hold a JSON object")
+        raise ValueError("batch file must hold a JSON object")
     pspec = batch.get("problem", {})
     if not isinstance(pspec, dict):
-        raise ConfigError("batch problem must be an object")
+        raise ValueError("batch problem must be an object")
     kind = pspec.get("kind")
     problem = _build_problem(kind, pspec, {})
     methods = batch.get("methods", [])
     if not isinstance(methods, list) or not all(isinstance(e, dict) for e in methods):
-        raise ConfigError("batch methods must be a list of objects")
+        raise ValueError("batch methods must be a list of objects")
     if not methods:
-        raise ConfigError("batch method list is empty")
+        raise ValueError("batch method list is empty")
 
-    val_star = _as_valstar(batch.get("valstar"), "batch valstar")
+    val_star = batch.get("valstar")
+    val_star = None if val_star is None else _as_scalar(val_star, "batch valstar")
     lp_oracle = batch.get("lp_oracle")
     if lp_oracle is not None and not isinstance(lp_oracle, bool):
-        raise ConfigError(f"batch lp_oracle must be true, false or null, got {lp_oracle!r}")
+        raise ValueError(f"batch lp_oracle must be true, false or null, got {lp_oracle!r}")
     rows = []  # (summary row, why it is NA or "")
     if lp_oracle:
         encode = FAMILIES[kind][2] if kind in FAMILIES else None
         if encode is None:
-            raise ConfigError(f"no LP oracle for problem kind {kind!r}")
+            raise ValueError(f"no LP oracle for problem kind {kind!r}")
         t0 = time.perf_counter()
         res = simplex.lp_solve_small(encode(problem))
         if res.status != simplex.OPTIMAL:
-            raise ConfigError(f"LP oracle did not reach OPTIMAL: {res.status}")
+            raise ValueError(f"LP oracle did not reach OPTIMAL: {res.status}")
         val_star = res.value
         rows.append((f"oracle,NA,{val_star!r},0.0,0.0,{time.perf_counter() - t0:.3f}", ""))
     # a key left out takes its default (the solver has none); a null key is refused
@@ -199,7 +186,7 @@ def _cmd_compare(args):
         settings = {**shared, **{f: entry[k] for k, f in METHOD_KEYS.items() if k in entry}}
         try:
             rows.append((_solve_row(problem, settings, val_star)[1], ""))
-        except ConfigError as exc:
+        except REFUSED as exc:
             # the method field is a solver name or NA, never the raw batch value
             solver = settings["solver"]
             method = solver if isinstance(solver, str) and solver in SOLVERS else "NA"
@@ -215,7 +202,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _cmd_run(args) if args.command == "run" else _cmd_compare(args)
-    except ConfigError as exc:
+    except REFUSED as exc:  # the CLI's own refusals and the library's
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -74,11 +74,14 @@ def _element_types(v, ndim):
 
 
 def _as_numbers(v, name, ndim=1):
-    """v as an ndim-D float array, refusing strings and booleans."""
+    """v as an ndim-D float array, refusing strings, booleans and ints past the float range."""
     for t in _element_types(v, ndim):
         if not _is_number_type(t):
             raise ValueError(f"{name} must hold numbers, got {t.__name__}")
-    a = np.asarray(v, dtype=float)
+    try:
+        a = np.asarray(v, dtype=float)
+    except OverflowError:  # an int entry such as 10**400
+        raise ValueError(f"{name} must be within the float range") from None
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {a.shape}")
     return a
@@ -103,7 +106,10 @@ def _as_rows(A, n, name):
 
 def _as_scalar(v, name):
     _check_number(v, name)
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:  # an int such as 10**400
+        raise ValueError(f"{name} must be within the float range") from None
     if not math.isfinite(f):
         raise ValueError(f"{name} must be finite, got {v!r}")
     return f

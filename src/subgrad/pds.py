@@ -20,12 +20,12 @@ s = 2 recovers the standard primal-dual subgradient method; no code path
 special-cases it. At rho = 0, T is the DSG direction G; both solvers take
 it from ``problem.saddle_direction``.
 
-The state keeps T and f0(x) at its current z: ``init_state`` evaluates
-them at z0 and each ``step`` moves along the cached T, then evaluates at
-the new z. ``solve`` runs ``step`` in the shared ``reports.drive`` loop
-and reads each trace row off that state: the infeasibility
-||F(x)|| + ||Ax - b|| is the sum of the norms of T's blocks -F(x) and
-b - Ax, so a run costs one direction evaluation per iteration.
+The state holds T and f0(x) at its current z from the start: ``init_state``
+builds it from their values at z0, and each ``step`` moves along the cached
+T, then evaluates them at the new z. ``solve`` runs ``step`` in the shared
+``reports.drive`` loop and reads each trace row off that state: the
+infeasibility ||F(x)|| + ||Ax - b|| is the sum of the norms of T's blocks
+-F(x) and b - Ax, so a run costs one direction evaluation per iteration.
 """
 
 from __future__ import annotations
@@ -58,29 +58,21 @@ class PdsState:
     """
 
     z_arr: np.ndarray
+    t: np.ndarray
+    f0_val: float
     rho: float
     s_exp: float
     delta_exp: float
     k: int = 0
-    t: np.ndarray | None = None
-    f0_val: float | None = None
-
-
-def _evaluate(problem, state):
-    """Refresh the cached direction and evaluations at state.z_arr."""
-    state.t, state.f0_val = saddle_direction(
-        problem, state.z_arr, state.rho, state.s_exp)
 
 
 def init_state(problem, rho, s_exp, delta_exp, x0=None, lam0=None, nu0=None):
     """The state at z0, after the settings pass the rule of ``SolverConfig``;
     ``rho = None`` runs at 1/s_exp, as it does there."""
-    reports._check_pds_settings(rho, s_exp, delta_exp)
-    rho = 1.0 / s_exp if rho is None else float(rho)
-    state = PdsState(z_arr=start_point(problem, x0, lam0, nu0),
-                     rho=rho, s_exp=s_exp, delta_exp=delta_exp)
-    _evaluate(problem, state)
-    return state
+    rho = reports._check_pds_settings(rho, s_exp, delta_exp)
+    rho = 1.0 / s_exp if rho is None else rho
+    z_arr = start_point(problem, x0, lam0, nu0)
+    return PdsState(z_arr, *saddle_direction(problem, z_arr, rho, s_exp), rho, s_exp, delta_exp)
 
 
 def step(problem, state):
@@ -96,7 +88,7 @@ def step(problem, state):
     alpha = step_length(state.k, state.delta_exp) / tnorm
     state.z_arr = state.z_arr - alpha * state.t
     state.k += 1
-    _evaluate(problem, state)
+    state.t, state.f0_val = saddle_direction(problem, state.z_arr, state.rho, state.s_exp)
     return True
 
 

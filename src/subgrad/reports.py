@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import _as_int, _check_number
+from .oracles import _as_int, _as_scalar, _check_number
 
 __all__ = [
     "COMPLETED",
@@ -64,17 +64,18 @@ class SolverConfig:
         self.trace_every = _as_int(self.trace_every, "trace_every")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
+        self.eps = _as_scalar(self.eps, "eps")  # an int such as 10**400 is below inf
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
-        _check_pds_settings(self.rho, self.s_exp, self.delta_exp)
+        self.rho = _check_pds_settings(self.rho, self.s_exp, self.delta_exp)
         return self
 
 
 def _check_pds_settings(rho, s_exp, delta_exp):
     """The rule for the settings pds reads, which ``SolverConfig.validate``
-    and ``pds.init_state`` both apply; ``rho = None`` is left unchecked."""
+    and ``pds.init_state`` both apply; returns a set rho as a float, None as is."""
     _check_number(s_exp, "s_exp")
     _check_number(delta_exp, "delta_exp")
     if not 1.0 <= s_exp <= 2.0:
@@ -85,6 +86,8 @@ def _check_pds_settings(rho, s_exp, delta_exp):
         _check_number(rho, "rho")
         if not 0 < rho < math.inf:
             raise ValueError("rho must be positive and finite")
+        rho = _as_scalar(rho, "rho")
+    return rho
 
 
 @dataclass(slots=True)

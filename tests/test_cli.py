@@ -60,6 +60,9 @@ def test_gap_refuses_a_nonfinite_value(val, val_star):
     (dict(s_exp="2"), "s_exp must be a number, got '2'"),
     (dict(delta_exp=True), "delta_exp must be a number, got True"),
     (dict(solver="sg", rho="1"), "rho must be a number, got '1'"),
+    # an integer too large for a float passes the number check, not this one
+    (dict(eps=10**400), "eps must be within the float range"),
+    (dict(solver="sg", rho=10**400), "rho must be within the float range"),
 ])
 def test_solver_config_refuses_out_of_range_settings(fields, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -489,3 +492,52 @@ def test_readme_batch_example_runs(tmp_path, capsys):
     assert rows[0] == ["method", "s", "val", "infeas", "gap", "time_s"]
     assert [row[0] for row in rows[1:]] == ["oracle"] + [m["solver"] for m in batch["methods"]]
     assert all(row[2] != "NA" and row[4] != "NA" for row in rows[1:])
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--valstar", "inf"], "valstar must be finite, got inf"),
+    (["--K", "-1"], "iterations must be nonnegative"),
+    (["--rho", "-1"], "rho must be positive and finite"),
+    (["--s", "3"], "s_exp must lie in [1, 2]"),
+])
+def test_run_refusal_lines_are_pinned(capsys, flags, message):
+    # the library's refusals reach stderr with their own text
+    assert main(["run", "--problem", "case1", "--n", "6", "--solver", "sdsg", "--K", "5",
+                 *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_compare_refusal_lines_are_pinned(tmp_path, capsys):
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({"objective": {"op": "affine", "c": [1.0]}}))
+    batch = {"problem": {"kind": "file", "path": str(free)}, "K": 5,
+             "methods": [{"solver": "sdsg"}, {"solver": "pds", "s": "x"}]}
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps(batch))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "sdsg,NA,NA,NA,NA,NA  # the max-constraint form needs at least one constraint;"
+        " the problem has m = l = 0",
+        "pds,NA,NA,NA,NA,NA  # s_exp must be a number, got 'x'"]
+    bfile.write_text(json.dumps({**batch, "valstar": "x"}))
+    assert main(["compare", "--batch", str(bfile)]) == 2
+    assert capsys.readouterr().err == "error: batch valstar must be a number, got 'x'\n"
+    # the wraps that add context keep it
+    assert main(["run", "--problem", "file", "--in", str(tmp_path / "none.json"),
+                 "--solver", "sg"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot load problem file {tmp_path}")
+
+
+def test_batch_integer_too_large_for_a_float_is_named(tmp_path, capsys):
+    # json reads such a literal as an int, not as inf; every solver refuses it by name
+    solvers = ["sg", "sdsg", "mdsg", "pds"]
+    batch = {"problem": {"kind": "case1", "n": 6}, "K": 5, "eps": 10**400,
+             "methods": [{"solver": s} for s in solvers]}
+    bfile = tmp_path / "batch.json"
+    bfile.write_text(json.dumps(batch))
+    assert main(["compare", "--batch", str(bfile)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{s},NA,NA,NA,NA,NA  # eps must be within the float range" for s in solvers]
+    bfile.write_text(json.dumps({**batch, "eps": 1e-3, "valstar": 10**400}))
+    assert main(["compare", "--batch", str(bfile)]) == 2
+    assert capsys.readouterr().err == "error: batch valstar must be within the float range\n"

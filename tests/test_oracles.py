@@ -235,6 +235,9 @@ NAN, INF = float("nan"), float("inf")
     (lambda: AffineOracle("ab"), "c"),
     (lambda: HingeSumOracle(2, [0, 1], [1.0]), "coords"),
     (lambda: LogBarrierOracle(2, 2), "index"),
+    # an integer too large for a float is refused by name, not by float()
+    (lambda: AffineOracle([10**400]), "c"),
+    (lambda: AffineOracle([1.0], 10**400), "d"),
 ], ids=["affine-d", "abs-b", "norm1-offset", "sq-scale", "hinge-scale", "hinge-labels",
         "log-shift", "log-offset", "dim", "index", "coords", "coords-nan",
         "c-str", "c-bool", "c-numpy-bool", "d-bool", "b-str", "dim-bool", "index-str",
@@ -243,7 +246,8 @@ NAN, INF = float("nan"), float("inf")
         "norm1-coords-repeated", "sq-coords-repeated", "hinge-coords-repeated",
         "sq-scale-negative", "hinge-scale-negative",
         "dim-inf", "dim-nan", "norm1-dim-negative", "sq-dim-negative", "hinge-dim-negative",
-        "c-dict", "c-text", "hinge-lengths", "log-index-range"])
+        "c-dict", "c-text", "hinge-lengths", "log-index-range",
+        "c-int-overflow", "d-int-overflow"])
 def test_constructor_rejects_bad_field(make, field):
     with pytest.raises(ValueError, match=field):
         make()

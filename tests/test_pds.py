@@ -205,6 +205,7 @@ def test_trace_infeasibility_is_read_off_direction(build, s_exp):
     (dict(rho=float("inf")), "rho must be positive and finite"),
     (dict(s_exp="2"), "s_exp must be a number"),
     (dict(rho=True), "rho must be a number"),
+    (dict(rho=10**400), "rho must be within the float range"),
 ])
 def test_init_state_refuses_each_bad_setting(make_problem, settings, message):
     # before the first step, which would otherwise move z_arr and k first
