@@ -83,7 +83,6 @@ def solve(problem, cfg, mode="multi"):
     requires m + l >= 1, reformulates to the single max constraint, and
     reports infeas = max{fbar(x_bar), 0}.
     """
-    cfg.validate()
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
     run = single_constraint_form(problem) if mode == "single" else problem

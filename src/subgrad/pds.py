@@ -20,9 +20,11 @@ s = 2 recovers the standard primal-dual subgradient method; no code path
 special-cases it. At rho = 0, T is the DSG direction G; both solvers take
 it from ``problem.saddle_direction``.
 
-The state holds T and f0(x) at its current z from the start: ``init_state``
-builds it from their values at z0, and each ``step`` moves along the cached
-T, then evaluates them at the new z. ``solve`` runs ``step`` in the shared
+The state holds T and f0(x) at its current z from the start:
+``init_state(problem, cfg)`` builds it from their values at the config's
+z0, with the settings a ``SolverConfig`` checked when it was built (it
+cannot be changed afterwards), and each ``step`` moves along the cached T,
+then evaluates them at the new z. ``solve`` runs ``step`` in the shared
 ``reports.drive`` loop and reads each trace row off that state: the
 infeasibility ||F(x)|| + ||Ax - b|| is the sum of the norms of T's blocks
 -F(x) and b - Ax, so a run costs one direction evaluation per iteration.
@@ -66,13 +68,12 @@ class PdsState:
     k: int = 0
 
 
-def init_state(problem, rho, s_exp, delta_exp, x0=None, lam0=None, nu0=None):
-    """The state at z0, after the settings pass the rule of ``SolverConfig``;
-    ``rho = None`` runs at 1/s_exp, as it does there."""
-    rho = reports._check_pds_settings(rho, s_exp, delta_exp)
-    rho = 1.0 / s_exp if rho is None else rho
-    z_arr = start_point(problem, x0, lam0, nu0)
-    return PdsState(z_arr, *saddle_direction(problem, z_arr, rho, s_exp), rho, s_exp, delta_exp)
+def init_state(problem, cfg):
+    """The state at the config's start blocks; ``cfg.rho = None`` runs at 1/s_exp."""
+    rho = 1.0 / cfg.s_exp if cfg.rho is None else cfg.rho
+    z_arr = start_point(problem, cfg.x0, cfg.lam0, cfg.nu0)
+    return PdsState(z_arr, *saddle_direction(problem, z_arr, rho, cfg.s_exp), rho, cfg.s_exp,
+                    cfg.delta_exp)
 
 
 def step(problem, state):
@@ -98,8 +99,7 @@ def solve(problem, cfg):
     Trace rows carry val = f0(x_k) and infeas = ||F(x_k)|| + ||A x_k - b||,
     read from the direction and value each step leaves in the state.
     """
-    cfg.validate()
-    state = init_state(problem, cfg.rho, cfg.s_exp, cfg.delta_exp, cfg.x0, cfg.lam0, cfg.nu0)
+    state = init_state(problem, cfg)
     n, m, l = problem.n, problem.m, problem.l
 
     def advance():

@@ -28,13 +28,14 @@ SADDLE_TERMINATED = "SADDLE_TERMINATED"
 NO_EPS_FEASIBLE = "NO_EPS_FEASIBLE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by all solvers; ``solver`` names one in ``subgrad.SOLVERS``.
 
     ``iterations`` is the number of update steps performed; the trace then
-    covers iterates 1..iterations. Only pds reads rho, s_exp and delta_exp,
-    but ``validate`` checks them by one rule for every solver. ``rho = None``
+    covers iterates 1..iterations. A config refuses a bad setting when it
+    is built, and cannot be changed afterwards. Only pds reads rho, s_exp
+    and delta_exp, but one rule checks them for every solver. ``rho = None``
     makes pds run at 1/s_exp, the setting used throughout the experiment
     presets.
 
@@ -56,38 +57,31 @@ class SolverConfig:
     lam0: np.ndarray | None = None
     nu0: np.ndarray | None = None
 
-    def validate(self):
+    def __post_init__(self):
         """Check every setting but the solver name, which ``subgrad.solve``
         checks; strings and booleans are refused, as in oracle fields."""
+        put = object.__setattr__  # the frozen config stores each setting normalised
         _check_number(self.eps, "eps")
-        self.iterations = _as_int(self.iterations, "iterations")
-        self.trace_every = _as_int(self.trace_every, "trace_every")
+        put(self, "iterations", _as_int(self.iterations, "iterations"))
+        put(self, "trace_every", _as_int(self.trace_every, "trace_every"))
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        self.eps = _as_scalar(self.eps, "eps")  # an int such as 10**400 is below inf
+        put(self, "eps", _as_scalar(self.eps, "eps"))  # an int such as 10**400 is below inf
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
-        self.rho = _check_pds_settings(self.rho, self.s_exp, self.delta_exp)
-        return self
-
-
-def _check_pds_settings(rho, s_exp, delta_exp):
-    """The rule for the settings pds reads, which ``SolverConfig.validate``
-    and ``pds.init_state`` both apply; returns a set rho as a float, None as is."""
-    _check_number(s_exp, "s_exp")
-    _check_number(delta_exp, "delta_exp")
-    if not 1.0 <= s_exp <= 2.0:
-        raise ValueError("s_exp must lie in [1, 2]")
-    if not 0.0 < delta_exp < 1.0:
-        raise ValueError("delta_exp must lie in (0, 1)")
-    if rho is not None:
-        _check_number(rho, "rho")
-        if not 0 < rho < math.inf:
-            raise ValueError("rho must be positive and finite")
-        rho = _as_scalar(rho, "rho")
-    return rho
+        _check_number(self.s_exp, "s_exp")
+        _check_number(self.delta_exp, "delta_exp")
+        if not 1.0 <= self.s_exp <= 2.0:
+            raise ValueError("s_exp must lie in [1, 2]")
+        if not 0.0 < self.delta_exp < 1.0:
+            raise ValueError("delta_exp must lie in (0, 1)")
+        if self.rho is not None:
+            _check_number(self.rho, "rho")
+            if not 0 < self.rho < math.inf:
+                raise ValueError("rho must be positive and finite")
+            put(self, "rho", _as_scalar(self.rho, "rho"))
 
 
 @dataclass(slots=True)
@@ -178,8 +172,12 @@ def drive(cfg, advance, x0):
 
 def gap(val, val_star):
     """Relative optimality gap |val - val*| / (1 + max{|val*|, |val|})."""
-    val = float(val)
-    val_star = float(val_star)
-    if not (np.isfinite(val) and np.isfinite(val_star)):
+    _check_number(val, "val")
+    _check_number(val_star, "val_star")
+    try:
+        val, val_star = float(val), float(val_star)
+    except OverflowError:  # an int past the float range, such as 10**400
+        val = math.inf
+    if not (math.isfinite(val) and math.isfinite(val_star)):
         raise ValueError("gap requires finite values")
     return abs(val - val_star) / (1.0 + max(abs(val_star), abs(val)))

@@ -42,7 +42,6 @@ def solve(problem, cfg):
     descends f0. Trace rows carry val = f0(x_k) and infeas = max{fbar(x_k), 0};
     p_eps is the best objective over iterates with fbar(x_k) <= eps.
     """
-    cfg.validate()
     for name in ("lam0", "nu0"):
         if getattr(cfg, name) is not None:
             raise ValueError(f"{name} is set, but sg has no multipliers; it takes only x0")

@@ -138,7 +138,7 @@ def test_criterion_5_invariant_suites():
     # multiplier and step-size invariants along actual runs
     for inst in (gen_random(1, 10, 1), gen_random(2, 10, 1)):
         p = inst.problem
-        st = pds.init_state(p, rho=0.5, s_exp=2.0, delta_exp=0.5)
+        st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=2.0, delta_exp=0.5))
         for _ in range(1500):
             k = st.k
             z_before = st.z_arr.copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -35,9 +36,23 @@ def test_gap_formula():
             assert g < 1.0
 
 
-@pytest.mark.parametrize("val,val_star", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0)])
+# an int past the float range is not finite by the number rule
+@pytest.mark.parametrize("val,val_star", [
+    (np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0),
+    pytest.param(10**400, 0.0, id="10**400-0.0"), pytest.param(0.0, -10**400, id="0.0--10**400"),
+])
 def test_gap_refuses_a_nonfinite_value(val, val_star):
     with pytest.raises(ValueError, match="^gap requires finite values"):
+        gap(val, val_star)
+
+
+@pytest.mark.parametrize("val,val_star,message", [
+    ("1.0", 0.0, "val must be a number, got '1.0'"),
+    (True, 0.0, "val must be a number, got True"),
+    (1.0, False, "val_star must be a number, got False"),
+])
+def test_gap_refuses_a_string_or_a_boolean_by_name(val, val_star, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         gap(val, val_star)
 
 
@@ -63,14 +78,26 @@ def test_gap_refuses_a_nonfinite_value(val, val_star):
     # an integer too large for a float passes the number check, not this one
     (dict(eps=10**400), "eps must be within the float range"),
     (dict(solver="sg", rho=10**400), "rho must be within the float range"),
+    (dict(s_exp=5.0), r"s_exp must lie in \[1, 2\]"),
+    (dict(s_exp=9.0), r"s_exp must lie in \[1, 2\]"),
+    (dict(delta_exp=1.5), r"delta_exp must lie in \(0, 1\)"),
+    (dict(rho=float("inf")), "rho must be positive and finite"),
+    (dict(rho=True), "rho must be a number, got True"),
 ])
 def test_solver_config_refuses_out_of_range_settings(fields, message):
     with pytest.raises(ValueError, match=f"^{message}"):
-        SolverConfig(**fields).validate()
+        SolverConfig(**fields)
 
 
 def test_solver_config_takes_any_integer():
-    assert SolverConfig(iterations=10**400, trace_every=2.0).validate().iterations == 10**400
+    assert SolverConfig(iterations=10**400, trace_every=2.0).iterations == 10**400
+
+
+def test_solver_config_cannot_be_changed_once_built():
+    cfg = SolverConfig(trace_every=2.0, eps=1)
+    assert (cfg.trace_every, cfg.eps) == (2, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.s_exp = 5.0
 
 
 def test_run_writes_trace_csv(tmp_path, capsys):

@@ -5,7 +5,7 @@ from subgrad import dsg
 from subgrad.oracles import AffineOracle, Norm1Oracle, SqNormOracle
 from subgrad.problem import ConstrainedProblem, saddle_direction
 from subgrad.reports import NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig
-from subgrad.testbeds import gen_random
+from subgrad.testbeds import build_lad, build_svm, gen_random
 
 
 def equality_only_problem():
@@ -138,6 +138,20 @@ def test_x_bar_matches_direct_recomputation():
         num += x_k / gnorm
         den += 1.0 / gnorm
         np.testing.assert_allclose(st.x_bar, num / den, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("build", [lambda: gen_random(1, 10, 1), lambda: gen_random(2, 4, 2),
+                                   lambda: build_lad(3, 1), lambda: build_svm(1, 1)],
+                         ids=["case1-n10", "case2-n4", "lad-nbar3", "svm-nbar1"])
+def test_equality_residual_of_x_bar_is_the_scaled_dual_sum(build):
+    # s_acc sums the blocks b - A x_j / ||G_j||, so A x_bar - b = -s_acc[n+m:] / delta
+    p = build().problem
+    st = dsg.init_state(p)
+    for _ in range(300):
+        assert dsg.step(p, st)
+        residual = p.A @ st.x_bar - p.b
+        from_sum = st.s_acc[p.n + p.m:] / st.delta
+        assert np.linalg.norm(residual + from_sum) <= 1e-12 * np.linalg.norm(residual)
 
 
 def test_solve_one_dimensional_inequality():

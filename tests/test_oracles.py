@@ -1,10 +1,13 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import subgrad
 from subgrad import oracles
 from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineBlockOracle, AffineOracle,
                              HingeSumOracle, LogBarrierOracle, MaxOracle,
@@ -296,6 +299,15 @@ def test_repr_is_class_name_and_dim():
     assert {type(o) for o in sample} == classes
     for o in sample:
         assert repr(o) == f"{type(o).__name__}(dim=3)"
+
+
+def test_every_exported_name_resolves():
+    # the package's __all__ and each module's, so a deleted name leaves no stale export
+    modules = [subgrad] + [importlib.import_module(f"subgrad.{info.name}")
+                           for info in pkgutil.iter_modules(subgrad.__path__)]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: type(o).__name__)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_single_constraint_penalty_collapses_at_s2():
 
 def test_step_hand_example():
     p = quadratic_equality_problem()
-    st = pds.init_state(p, rho=1.0, s_exp=2.0, delta_exp=0.5)
+    st = pds.init_state(p, SolverConfig(rho=1.0, s_exp=2.0, delta_exp=0.5))
     assert pds.step(p, st)
     assert st.z_arr[0] == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-14)
     assert st.z_arr[1] == pytest.approx(-1.0 / np.sqrt(5.0), rel=1e-14)
@@ -58,8 +60,8 @@ def test_step_hand_example():
 
 def test_step_terminates_at_saddle():
     p = quadratic_equality_problem()
-    st = pds.init_state(p, rho=1.0, s_exp=2.0, delta_exp=0.5,
-                        x0=np.array([1.0]), nu0=np.array([-2.0]))
+    st = pds.init_state(p, SolverConfig(rho=1.0, s_exp=2.0, delta_exp=0.5,
+                                        x0=np.array([1.0]), nu0=np.array([-2.0])))
     assert not pds.step(p, st)  # T = 0 exactly at the saddle
     rep = pds.solve(p, SolverConfig(solver="pds", iterations=50,
                                     x0=np.array([1.0]), nu0=np.array([-2.0])))
@@ -69,7 +71,7 @@ def test_step_terminates_at_saddle():
 
 def test_lambda_stays_nonnegative():
     p = gen_random(1, 8, 21).problem
-    st = pds.init_state(p, rho=0.5, s_exp=2.0, delta_exp=0.5)
+    st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=2.0, delta_exp=0.5))
     n, m = p.n, p.m
     for _ in range(2000):
         pds.step(p, st)
@@ -78,7 +80,7 @@ def test_lambda_stays_nonnegative():
 
 def test_step_has_length_gamma():
     p = gen_random(1, 6, 5).problem
-    st = pds.init_state(p, rho=0.5, s_exp=1.5, delta_exp=0.7)
+    st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=1.5, delta_exp=0.7))
     for _ in range(500):
         k = st.k
         z_before = st.z_arr.copy()
@@ -101,7 +103,7 @@ def test_s2_matches_plain_primal_dual_method():
     # primal-dual update must generate the same iterates as s_exp = 2
     p = gen_random(1, 5, 8).problem
     rho, delta = 0.5, 0.5
-    st = pds.init_state(p, rho=rho, s_exp=2.0, delta_exp=delta)
+    st = pds.init_state(p, SolverConfig(rho=rho, s_exp=2.0, delta_exp=delta))
 
     n, m, l = p.n, p.m, p.l
     z = st.z_arr.copy()
@@ -128,7 +130,7 @@ def test_direction_gap_nonnegative_at_known_saddle():
     # T(z).(z - z*) >= 0 along the run for min x s.t. -x <= 0, z* = (0, 1)
     p = ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])])
     z_star = np.array([0.0, 1.0])
-    st = pds.init_state(p, rho=0.5, s_exp=2.0, delta_exp=0.5)
+    st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=2.0, delta_exp=0.5))
     for _ in range(5000):
         t = saddle_direction(p, st.z_arr, 0.5, 2.0)[0]
         assert t @ (st.z_arr - z_star) >= -1e-9
@@ -166,7 +168,7 @@ def test_solve_matches_step_loop():
     cfg = SolverConfig(solver="pds", eps=1e-3, iterations=150, rho=0.5,
                        s_exp=1.5, delta_exp=0.5)
     rep = pds.solve(p, cfg)
-    st = pds.init_state(p, rho=0.5, s_exp=1.5, delta_exp=0.5)
+    st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=1.5, delta_exp=0.5))
     for _ in range(150):
         pds.step(p, st)
     np.testing.assert_array_equal(rep.x_out, st.z_arr[:p.n])
@@ -182,7 +184,7 @@ def test_trace_infeasibility_is_read_off_direction(build, s_exp):
     p = build().problem
     cfg = SolverConfig(solver="pds", iterations=300, s_exp=s_exp)
     rep = pds.solve(p, cfg)
-    st = pds.init_state(p, 1.0 / s_exp, s_exp, cfg.delta_exp)
+    st = pds.init_state(p, dataclasses.replace(cfg, rho=1.0 / s_exp))
     expected = []
     for _ in range(300):
         assert pds.step(p, st)
@@ -208,11 +210,15 @@ def test_trace_infeasibility_is_read_off_direction(build, s_exp):
     (dict(rho=10**400), "rho must be within the float range"),
 ])
 def test_init_state_refuses_each_bad_setting(make_problem, settings, message):
-    # before the first step, which would otherwise move z_arr and k first
+    # no state is built: the config init_state reads refuses the setting first
     with pytest.raises(ValueError, match=f"^{message}"):
-        pds.init_state(make_problem(), **{"rho": 1.0, "s_exp": 2.0, "delta_exp": 0.5, **settings})
+        pds.init_state(make_problem(),
+                       SolverConfig(**{"rho": 1.0, "s_exp": 2.0, "delta_exp": 0.5, **settings}))
 
 
 def test_init_state_runs_rho_none_at_one_over_s():
     p = quadratic_equality_problem()
-    assert pds.init_state(p, None, 1.5, 0.5).rho == 1.0 / 1.5
+    cfg = SolverConfig(s_exp=1.5)
+    assert pds.init_state(p, cfg).rho == 1.0 / 1.5
+    # rho is resolved by init_state, so a replaced s_exp carries no stale rho
+    assert pds.init_state(p, dataclasses.replace(cfg, s_exp=1.0)).rho == 1.0

@@ -506,7 +506,7 @@ def test_solver_invariants_on_random_instances():
         n, m = p.n, p.m
         # lam >= 0 along DSG and PDS runs, and every PDS step has length gamma_k
         dst = dsg.init_state(p)
-        pst = pds.init_state(p, rho, s_exp, delta_exp)
+        pst = pds.init_state(p, SolverConfig(rho=rho, s_exp=s_exp, delta_exp=delta_exp))
         for k in range(iterations):
             if dsg.step(p, dst):
                 assert np.min(dst.z_arr[n:n + m], initial=0.0) >= 0.0
