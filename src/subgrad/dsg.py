@@ -12,7 +12,10 @@ G is the penalized PDS selection T at rho = 0; both solvers take it from
     delta += 1 / ||G||
     x_hat += x / ||G||          (x taken before the z update)
 
-and reports the weighted primal average x_bar = x_hat / delta.
+and reports the weighted primal average x_bar = x_hat / delta. The nu
+block of s sums the direction's block b - A x_j, so
+A x_bar - b = -s[n+m:] / delta (Nesterov 2009): the residual at x_bar is
+read off the sum, not formed by a product with A.
 
 Two entry points share this machinery: mode "multi" runs on the native
 constraints; mode "single" first collapses them into one max constraint.
@@ -79,15 +82,17 @@ def solve(problem, cfg, mode="multi"):
     """Run DSG for cfg.iterations steps and trace the averaged iterate.
 
     mode "multi" keeps the native constraint blocks and reports
-    infeas = ||max{f(x_bar), 0}||_2 + ||A x_bar - b||_2. mode "single"
-    requires m + l >= 1, reformulates to the single max constraint, and
-    reports infeas = max{fbar(x_bar), 0}.
+    infeas = ||max{f(x_bar), 0}||_2 + ||A x_bar - b||_2, with A x_bar - b
+    read off s_acc when l > 0; it equals the product up to rounding. mode
+    "single" requires m + l >= 1, reformulates to the single max
+    constraint, and reports infeas = max{fbar(x_bar), 0}.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
     run = single_constraint_form(problem) if mode == "single" else problem
     fbar = run.ineq[0] if mode == "single" else None
     state = init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
+    eq = run.n + run.m if run.l else None  # where s_acc's nu block starts
 
     def advance():
         if not step(run, state):
@@ -95,7 +100,8 @@ def solve(problem, cfg, mode="multi"):
         x_bar = state.x_bar
         val = run.f0.value(x_bar)
         if fbar is None:
-            return x_bar, val, run.infeasibility(x_bar)
+            residual = None if eq is None else state.s_acc[eq:] / -state.delta
+            return x_bar, val, run.infeasibility(x_bar, residual)
         fv = fbar.value(x_bar)
         return x_bar, val, (0.0 if fv <= 0.0 else fv)
 

@@ -94,14 +94,33 @@ def _as_vector(v, name, ndim=1):
     return a
 
 
+def _aligned(a):
+    """Float array a, C-contiguous and starting at a 64-byte boundary: a itself
+    when it already is one, else a copy.
+
+    numpy aligns to 16 bytes, so a block's offset mod 64 follows the
+    allocation history of the process, which every imported source file
+    feeds; products with a dense block at offset 16 or 48 run 5-15% slower
+    than at 0 or 32. The values, and so the bits, are the same.
+    """
+    a = np.ascontiguousarray(a)
+    if a.ctypes.data % 64 == 0:
+        return a
+    buf = np.empty(a.size + 8)
+    k = (-buf.ctypes.data % 64) // 8
+    out = buf[k:k + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def _as_rows(A, n, name):
-    """A as a 2-D array of n columns; [] or shape (0, n) is no rows."""
+    """A as a 2-D array of n columns, 64-byte aligned; [] or shape (0, n) is no rows."""
     if isinstance(A, (list, tuple)) and not A:
         return np.zeros((0, n))
     A = _as_vector(A, name, ndim=2)
     if A.shape[1] != n:
         raise ValueError(f"{name} has {A.shape[1]} columns, expected {n}")
-    return A
+    return _aligned(A)
 
 
 def _as_scalar(v, name):
@@ -254,10 +273,12 @@ class AffineBlockOracle(ConvexOracle):
     absolute (a.x + (-b) has the bits of a.x - b in IEEE arithmetic):
     ``rows``, the only code that computes stacked row values, uses np.vecdot,
     which computes each c_j.x as the per-row product does; C @ x does not.
+    C is stored 64-byte aligned; a C that already is, such as the problem's
+    A in the max form's equality block, is shared, not copied.
     """
 
     def __init__(self, C, d, absolute=False):
-        self.C = np.ascontiguousarray(_as_vector(C, "C", ndim=2))
+        self.C = _aligned(_as_vector(C, "C", ndim=2))
         self.d = _as_vector(d, "d")
         if self.C.shape[0] != self.d.shape[0] or not self.d.size:
             raise ValueError(f"C must have one row per entry of d, got shape {self.C.shape} "

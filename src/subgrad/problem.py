@@ -85,13 +85,17 @@ class ConstrainedProblem:
                 vals[i] = o.select(x)[0]
         return np.maximum(vals, 0.0)
 
-    def infeasibility(self, x):
-        """||max{f(x), 0}||_2 + ||A x - b||_2; zero exactly when x is feasible."""
+    def infeasibility(self, x, residual=None):
+        """||max{f(x), 0}||_2 + ||A x - b||_2; zero exactly when x is feasible.
+
+        ``residual``, when given, is A x - b as the caller already holds it,
+        and stands in for the product; ``dsg`` reads it off its dual sum.
+        """
         total = 0.0
         if self.m:
             total += euclidean_norm(self.violation_vector(x))
         if self.l:
-            total += euclidean_norm(self.A @ x - self.b)
+            total += euclidean_norm(self.A @ x - self.b if residual is None else residual)
         return total
 
     def __repr__(self):

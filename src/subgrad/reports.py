@@ -28,16 +28,17 @@ SADDLE_TERMINATED = "SADDLE_TERMINATED"
 NO_EPS_FEASIBLE = "NO_EPS_FEASIBLE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Knobs shared by all solvers; ``solver`` names one in ``subgrad.SOLVERS``.
 
     ``iterations`` is the number of update steps performed; the trace then
     covers iterates 1..iterations. A config refuses a bad setting when it
-    is built, and cannot be changed afterwards. Only pds reads rho, s_exp
-    and delta_exp, but one rule checks them for every solver. ``rho = None``
-    makes pds run at 1/s_exp, the setting used throughout the experiment
-    presets.
+    is built, and cannot be changed afterwards. A config equals only itself
+    and hashes by identity, as its start blocks are arrays. Only pds reads
+    rho, s_exp and delta_exp, but one rule checks them for every solver.
+    ``rho = None`` makes pds run at 1/s_exp, the setting used throughout
+    the experiment presets.
 
     The start blocks are read against the problem each solver runs on:
     ``sg`` takes only ``x0`` and rejects a set ``lam0`` or ``nu0``; ``sdsg``

@@ -100,6 +100,13 @@ def test_solver_config_cannot_be_changed_once_built():
         cfg.s_exp = 5.0
 
 
+def test_solver_config_with_a_start_block_compares_and_hashes_by_identity():
+    # field-wise equality would compare the arrays, which has no truth value
+    cfg = SolverConfig(x0=np.zeros(2))
+    assert cfg == cfg and cfg != SolverConfig(x0=np.zeros(2))
+    assert {cfg: "run"}[cfg] == "run"
+
+
 def test_run_writes_trace_csv(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["run", "--problem", "case1", "--n", "10", "--seed", "1",

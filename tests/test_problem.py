@@ -11,7 +11,9 @@ from subgrad.oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineBlockOracle, 
                              norm_power_subgrad)
 from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_direction,
                              single_constraint_form, start_point)
+from subgrad.simplex import LpProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
+from test_replay import assert_mdsg_matches_direct
 
 
 def one_d(c=1.0, ineq_c=None, A=None, b=None):
@@ -145,6 +147,21 @@ def test_sg_builds_fbar_subgradient_only_before_constraint_steps():
     assert fbar.built == x0_descends_fbar + constraint_iterates
     plain = solve(p, cfg)
     assert [(a.val, a.infeas) for a in r.trace] == [(a.val, a.infeas) for a in plain.trace]
+
+
+def test_row_blocks_start_at_a_64_byte_boundary():
+    # a misaligned A is copied once, aligned; the max form's equality block shares it
+    buf = np.arange(1.0, 60.0)
+    k = next(k for k in range(8) if (buf.ctypes.data + 8 * k) % 64)
+    A = buf[k:k + 20].reshape(4, 5)
+    p = ConstrainedProblem(AffineOracle(np.ones(5)), [], A=A, b=np.zeros(4))
+    lp = LpProblem(c=np.ones(5), A_eq=A, b_eq=np.zeros(4), lower=np.zeros(5),
+                   upper=np.ones(5))
+    block = AffineBlockOracle(A, np.zeros(4))
+    for rows in (p.A, lp.A_eq, block.C):
+        assert rows.ctypes.data % 64 == 0 and rows.flags.c_contiguous
+        assert rows.tobytes() == A.tobytes()
+    assert max_constraint_oracle(p).parts[-1].C is p.A
 
 
 def test_max_constraint_oracle():
@@ -533,6 +550,26 @@ def test_solver_invariants_on_random_instances():
             assert (runs[0].status, runs[0].p_eps) == (runs[1].status, runs[1].p_eps)
 
     check()
+
+
+def test_mdsg_trace_matches_direct_evaluation_on_random_instances():
+    # mdsg reads A x_bar - b off its dual sum; from any start z0 (the sum
+    # holds no nu0) it must agree with evaluating x_bar directly
+    seen_l = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
+    def check(spec, z_seed, iterations, eps):
+        p = build_instance(*spec)
+        n, m = p.n, p.m
+        z = random_z(p, z_seed)
+        cfg = SolverConfig(solver="mdsg", iterations=iterations, eps=eps,
+                           x0=z[:n], lam0=z[n:n + m], nu0=z[n + m:])
+        assert_mdsg_matches_direct(p, cfg)
+        seen_l.add(min(p.l, 1))
+
+    check()
+    assert seen_l == {0, 1}  # instances with and without equality rows
 
 
 def test_thinned_trace_ends_at_x_out_on_random_instances():
