@@ -11,11 +11,17 @@ G is the penalized PDS selection T at rho = 0; both solvers take it from
     beta += 1 / beta
     delta += 1 / ||G||
     x_hat += x / ||G||          (x taken before the z update)
+    R     += r / ||G||          (mode "single": per row block of fbar)
 
-and reports the weighted primal average x_bar = x_hat / delta. The nu
-block of s sums the direction's block b - A x_j, so
-A x_bar - b = -s[n+m:] / delta (Nesterov 2009): the residual at x_bar is
-read off the sum, not formed by a product with A.
+and reports the weighted primal average x_bar = x_hat / delta. An affine
+function at x_bar is the same weighted sum of its values at the x_j
+(Nesterov 2009), so rows the direction already read at x_j give their
+values at x_bar without a product. The nu block of s sums the direction's
+block b - A x_j, so A x_bar - b = -s[n+m:] / delta. On the max form, R
+sums the rows r = C x_j + d of an AffineBlockOracle part of fbar, which
+fbar's key holds, so C x_bar + d = R / delta, and the part's value at
+x_bar is the block's rule on that. The other parts of fbar, and f0, are
+evaluated at x_bar.
 
 Two entry points share this machinery: mode "multi" runs on the native
 constraints; mode "single" first collapses them into one max constraint.
@@ -23,12 +29,12 @@ constraints; mode "single" first collapses them into one max constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import reports
-from .oracles import euclidean_norm
+from .oracles import AffineBlockOracle, ConvexOracle, MaxOracle, euclidean_norm
 from .problem import SADDLE_TOL, saddle_direction, single_constraint_form, start_point
 
 __all__ = ["DsgState", "init_state", "step", "solve"]
@@ -36,7 +42,12 @@ __all__ = ["DsgState", "init_state", "step", "solve"]
 
 @dataclass(slots=True)
 class DsgState:
-    """Mutable per-run state; z is stored concatenated in ``z_arr``."""
+    """Mutable per-run state; z is stored concatenated in ``z_arr``.
+
+    ``row_sums`` holds (j, R) per AffineBlockOracle part j of the one row of
+    a max form, R summing that part's rows r / ||G|| as x_hat sums x / ||G||;
+    it is empty unless ``solve`` sets it in mode "single".
+    """
 
     z0: np.ndarray
     z_arr: np.ndarray
@@ -44,6 +55,7 @@ class DsgState:
     x_hat: np.ndarray
     beta: float = 1.0
     delta: float = 0.0
+    row_sums: list = field(default_factory=list)
 
     @property
     def x_bar(self):
@@ -63,7 +75,8 @@ def init_state(problem, x0=None, lam0=None, nu0=None):
 
 def step(problem, state):
     """One dual-averaging update in place. Returns False on saddle termination."""
-    g = saddle_direction(problem, state.z_arr)[0]
+    keys = [] if state.row_sums else None
+    g = saddle_direction(problem, state.z_arr, keys=keys)[0]
     gnorm = euclidean_norm(g)
     if gnorm <= SADDLE_TOL:
         return False
@@ -74,6 +87,10 @@ def step(problem, state):
     # rebound, not updated in place: numpy's in-place path is about twice
     # as slow on a length-1 array (n = 1), and no faster on short ones
     state.x_hat = state.x_hat + x_prev / gnorm
+    if keys:
+        part_keys = keys[0][2]  # fbar's key: (winner, its key, every part's key)
+        for j, acc in state.row_sums:
+            acc += part_keys[j][0] / gnorm  # a block's key is (r, i, negated)
     state.beta += 1.0 / state.beta
     return True
 
@@ -85,13 +102,16 @@ def solve(problem, cfg, mode="multi"):
     infeas = ||max{f(x_bar), 0}||_2 + ||A x_bar - b||_2, with A x_bar - b
     read off s_acc when l > 0; it equals the product up to rounding. mode
     "single" requires m + l >= 1, reformulates to the single max
-    constraint, and reports infeas = max{fbar(x_bar), 0}.
+    constraint, and reports infeas = max{fbar(x_bar), 0}, with the rows of
+    each AffineBlockOracle part read off its row sum; they equal the
+    product up to rounding, and a max form without such a part is
+    evaluated at x_bar as before.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
     run = single_constraint_form(problem) if mode == "single" else problem
-    fbar = run.ineq[0] if mode == "single" else None
     state = init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
+    fbar = _fbar_at_x_bar(run.ineq[0], state) if mode == "single" else None
     eq = run.n + run.m if run.l else None  # where s_acc's nu block starts
 
     def advance():
@@ -106,3 +126,31 @@ def solve(problem, cfg, mode="multi"):
         return x_bar, val, (0.0 if fv <= 0.0 else fv)
 
     return reports.drive(cfg, advance, state.z0[:run.n])
+
+
+def _fbar_at_x_bar(fbar, state):
+    """fbar as ``solve`` reads it at the state's x_bar: each AffineBlockOracle
+    part j gets a row sum (j, R) in state.row_sums, which ``step`` fills, and
+    reads its rows off it. A max form without such a part is fbar itself."""
+    state.row_sums = [(j, np.zeros(p.d.size)) for j, p in enumerate(fbar.parts)
+                      if type(p) is AffineBlockOracle]
+    if not state.row_sums:
+        return fbar
+    parts = list(fbar.parts)
+    for j, acc in state.row_sums:
+        parts[j] = _SummedBlock(parts[j], acc, state)
+    return MaxOracle(parts)
+
+
+class _SummedBlock(ConvexOracle):
+    """A block part of fbar at the state's x_bar, its rows read off their sum R.
+
+    It is asked only at x_bar = x_hat / delta, where C x_bar + d = R / delta,
+    so ``select`` applies the block's rule to R / delta and reads no x.
+    """
+
+    def __init__(self, block, acc, state):
+        self.block, self.acc, self.state, self.dim = block, acc, state, block.dim
+
+    def select(self, x_bar):
+        return self.block.select_rows(self.acc / self.state.delta)

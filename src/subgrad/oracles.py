@@ -243,23 +243,30 @@ class MaxOracle(ConvexOracle):
     valid element of the max-subdifferential. The parts are kept as given:
     a block is one AffineBlockOracle part, and rows given one by one (as
     older documents hold a block) stay one part per row, with the same bits.
+    The key keeps every part's key, as SumOracle's does, so a caller can
+    read a block part's row values (r in its key) without computing them
+    again; the block's ``rows`` stays the only code that computes them.
     """
 
     def __init__(self, parts):
         self.parts, self.dim = _parts_and_dim(self, parts)
+        self._rest = self.parts[1:]  # sliced once: the keys list costs what the slice did
 
     def select(self, x):
+        """(value, (winning part, its key, every part's key in part order))."""
         best = self.parts[0]
         best_v, best_key = best.select(x)
-        for part in self.parts[1:]:
+        keys = [best_key]
+        for part in self._rest:
             v, key = part.select(x)
+            keys.append(key)
             # v > best_v, except that the first NaN wins, as in np.argmax
             if not v <= best_v and best_v == best_v:
                 best, best_v, best_key = part, v, key
-        return best_v, (best, best_key)
+        return best_v, (best, best_key, keys)
 
     def subgrad(self, key):
-        part, part_key = key
+        part, part_key, _ = key
         return part.subgrad(part_key)
 
 
@@ -292,17 +299,24 @@ class AffineBlockOracle(ConvexOracle):
         """(r, C): every row value r = C x + d, and the rows C."""
         return np.vecdot(self.C, x) + self.d, self.C
 
-    def select(self, x):
-        """(value, (i, negated)) for the lowest row index i attaining the max."""
-        r = self.rows(x)[0]
+    def select_rows(self, r):
+        """The block's rule on given row values r: (value, (r, i, negated)) for
+        the lowest row index i attaining the max, a NaN row winning.
+
+        ``select`` is this rule on ``rows(x)``; a caller that holds C x + d by
+        other means, as ``dsg`` does at x_bar, reads the block's value with it.
+        """
         i = int(np.argmax(np.abs(r) if self.absolute else r))
         v = float(r[i])
         if not self.absolute or v >= 0.0:
-            return v, (i, False)
-        return -v, (i, True)
+            return v, (r, i, False)
+        return -v, (r, i, True)
+
+    def select(self, x):
+        return self.select_rows(self.rows(x)[0])
 
     def subgrad(self, key):
-        i, negated = key
+        _, i, negated = key
         return -self.C[i] if negated else self.C[i]
 
 

@@ -141,7 +141,7 @@ def start_point(problem, x0=None, lam0=None, nu0=None):
     return np.concatenate(blocks)
 
 
-def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
+def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     """Subgradient selection of the penalized Lagrangian at the concatenated
     z = (x, lam, nu), and the objective value f0(x) computed on the way.
 
@@ -161,6 +161,10 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
     subgradient. Then w is formed once, and one loop adds the kept rows to
     Tx in row order, a run by an axis-0 reduce, so T has the bits of one
     oracle call per row.
+
+    ``keys``, when a list, receives the selection key of every single row in
+    row order: on the max form, fbar's key, which ``dsg`` reads its row sums
+    from.
     """
     n, m, l = problem.n, problem.m, problem.l
     x = z[:n]
@@ -177,6 +181,8 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0):
         else:
             v, g = oracle.select(x)
             t[j] = 0.0 if v <= 0.0 else -v
+            if keys is not None:
+                keys.append(g)
         if k or v > 0.0:
             kept.append((i, k, oracle, v, g))
     if kept:

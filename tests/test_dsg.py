@@ -3,7 +3,7 @@ import pytest
 
 from subgrad import dsg
 from subgrad.oracles import AffineOracle, Norm1Oracle, SqNormOracle
-from subgrad.problem import ConstrainedProblem, saddle_direction
+from subgrad.problem import ConstrainedProblem, saddle_direction, single_constraint_form
 from subgrad.reports import NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
@@ -152,6 +152,34 @@ def test_equality_residual_of_x_bar_is_the_scaled_dual_sum(build):
         residual = p.A @ st.x_bar - p.b
         from_sum = st.s_acc[p.n + p.m:] / st.delta
         assert np.linalg.norm(residual + from_sum) <= 1e-12 * np.linalg.norm(residual)
+
+
+@pytest.mark.parametrize("build", [lambda: gen_random(2, 4, 2), lambda: build_lad(3, 1),
+                                   lambda: build_svm(1, 1)],
+                         ids=["case2-n4", "lad-nbar3", "svm-nbar1"])
+def test_block_rows_of_x_bar_are_the_scaled_row_sums(build):
+    # R sums the rows r_j / ||G_j|| of a row block of fbar, so C x_bar + d = R / delta
+    run = single_constraint_form(build().problem)
+    fbar = run.ineq[0]
+    st = dsg.init_state(run)
+    at_x_bar = dsg._fbar_at_x_bar(fbar, st)
+    assert st.row_sums
+    for _ in range(300):
+        assert dsg.step(run, st)
+        for j, acc in st.row_sums:
+            rows = fbar.parts[j].rows(st.x_bar)[0]
+            assert np.linalg.norm(rows - acc / st.delta) <= 1e-12 * np.linalg.norm(rows)
+        direct = fbar.value(st.x_bar)
+        assert abs(at_x_bar.value(st.x_bar) - direct) <= 1e-12 * (1.0 + abs(direct))
+
+
+@pytest.mark.parametrize("problem", [min_x_st_neg_x_nonpos(), gen_random(1, 10, 1).problem],
+                         ids=["one-d", "case1-n10"])
+def test_max_form_without_a_row_block_is_read_directly(problem):
+    # no row block, no row sum: fbar(x_bar) is evaluated as before
+    fbar = single_constraint_form(problem).ineq[0]
+    st = dsg.init_state(single_constraint_form(problem))
+    assert dsg._fbar_at_x_bar(fbar, st) is fbar and st.row_sums == []
 
 
 def test_solve_one_dimensional_inequality():

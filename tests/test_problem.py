@@ -13,7 +13,7 @@ from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_d
                              single_constraint_form, start_point)
 from subgrad.simplex import LpProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
-from test_replay import assert_mdsg_matches_direct
+from test_replay import assert_mdsg_matches_direct, assert_sdsg_matches_direct, has_row_block
 
 
 def one_d(c=1.0, ineq_c=None, A=None, b=None):
@@ -572,6 +572,26 @@ def test_mdsg_trace_matches_direct_evaluation_on_random_instances():
     assert seen_l == {0, 1}  # instances with and without equality rows
 
 
+def test_sdsg_trace_matches_direct_evaluation_on_random_instances():
+    # sdsg reads the row blocks of fbar at x_bar off its row sums; from any
+    # start (x0, lam0) it must agree with evaluating fbar(x_bar) directly
+    seen_block = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
+    def check(spec, z_seed, iterations, eps):
+        p = build_instance(*spec)
+        assume(p.m + p.l)
+        z = random_z(single_constraint_form(p), z_seed)
+        cfg = SolverConfig(solver="sdsg", iterations=iterations, eps=eps,
+                           x0=z[:p.n], lam0=z[p.n:])
+        assert_sdsg_matches_direct(p, cfg)
+        seen_block.add(has_row_block(p))
+
+    check()
+    assert seen_block == {False, True}  # max forms with and without a row block
+
+
 def test_thinned_trace_ends_at_x_out_on_random_instances():
     stops = set()  # solvers seen stopping after some steps but before the last one
 
@@ -682,3 +702,43 @@ def test_stacked_max_matches_per_row_max_on_random_parts():
             for k in (ROW_BLOCK_MIN - 1, ROW_BLOCK_MIN)} <= seen
     # a block part with rows of its type beside it, and one alone in its run
     assert {("block part", True), ("block part", False)} <= seen
+
+
+@st.composite
+def row_block_spec(draw):
+    """(block, x, i): an AffineBlockOracle of 1-6 rows on 1-4 coordinates,
+    signed or absolute, some entries exact zeros; a point x of X_ENTRIES; an index."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.Generator(np.random.PCG64(draw(SEED)))
+    C = rng.standard_normal((k, n)) * (rng.uniform(size=(k, n)) < 0.67)
+    d = rng.uniform(-1.0, 1.0, k) * (rng.uniform(size=k) < 0.8)
+    x = draw(st.lists(X_ENTRIES, min_size=n, max_size=n))
+    return AffineBlockOracle(C, d, draw(st.booleans())), np.array(x), draw(st.integers(0, 3))
+
+
+def test_block_rule_on_rows_is_select_and_value():
+    # select is select_rows(rows(x)), and a max keeps every part's key, so a
+    # block's rows read off a key are the rows it computed, bit for bit
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(row_block_spec())
+    def check(spec):
+        block, x, i = spec
+        points = [x]
+        for special in (math.nan, math.inf, -math.inf, -0.0):
+            points.append(x.copy())
+            points[-1][i % x.size] = special
+        lead = Norm1Oracle(x.size, offset=-1.0)
+        with np.errstate(invalid="ignore"):
+            for y in points:
+                r = block.rows(y)[0]
+                v, (r_key, i_key, negated) = block.select_rows(r)
+                v_ref, key_ref = block.select(y)
+                assert np.float64(v).tobytes() == np.float64(v_ref).tobytes(), y
+                assert np.float64(v).tobytes() == np.float64(block.value(y)).tobytes(), y
+                assert (r_key.tobytes(), i_key, negated) == (key_ref[0].tobytes(), *key_ref[1:])
+                assert block.subgrad((r_key, i_key, negated)).tobytes() == \
+                    block.subgrad(key_ref).tobytes()
+                keys = MaxOracle([lead, block]).select(y)[1][2]
+                assert keys[1][0].tobytes() == r.tobytes(), y
+
+    check()

@@ -17,6 +17,13 @@ last bits, and those 8 digests were re-pinned. DIRECT_PINNED keeps the
 digests from before, which a replay that evaluates x_bar directly still
 reproduces, and the library is checked row by row against that replay.
 
+sdsg reads the rows of each AffineBlockOracle part of fbar at x_bar off a
+weighted sum of the rows its direction read, so on the four instances whose
+max form has a row block (case2, lad, svm and dense-rows) its infeas column
+differs from evaluating fbar(x_bar) in the last bits, and those 8 digests
+were re-pinned the same way, against SDSG_DIRECT_PINNED. one_d and case1
+n=10 have no row block, and their sdsg digests are unchanged.
+
 The digests hold for one BLAS kernel and one numpy version: the products
 with A and the row reductions take their bits from both (ROADMAP item 11).
 """
@@ -28,8 +35,8 @@ import numpy as np
 import pytest
 
 from subgrad import SolverConfig, dsg, reports, solve
-from subgrad.oracles import AffineOracle, euclidean_norm
-from subgrad.problem import ConstrainedProblem
+from subgrad.oracles import AffineBlockOracle, AffineOracle, euclidean_norm
+from subgrad.problem import ConstrainedProblem, max_constraint_oracle, single_constraint_form
 from subgrad.testbeds import build_lad, build_svm, gen_random
 
 def dense_rows():
@@ -60,19 +67,19 @@ PINNED = {
     ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "759b06711673c26fb689cdb84bf6ac59ea7cb2e90c8aa943caca5bdd299dfe27"),
     ("case1-n10-s1", "pds"): ("NO_EPS_FEASIBLE", "b61c84ce379489846d11445897b88ac4fbe76b79e06dc2ae7f10c3e6a2c2faab"),
     ("case2-n4-s2", "sg"): ("COMPLETED", "2797199cb5b0600acc82e798545dfd34fc96a7e42766d0dffa4d10a0a2bc5e20"),
-    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "32beee5e42595bd0f8de38ec995867ac048f34e043f695e8a5243af2e4b23330"),
+    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "39b2436995403466e1b4cabe2732c4298a45a6b7bbb5e413ae663d2ad36029f9"),
     ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "a795ab03e7fba62885c84af283bbc221d6a08fbd445b0c9a17776dbca4f8df4b"),
     ("case2-n4-s2", "pds"): ("NO_EPS_FEASIBLE", "3e920d9d36cf0c9e397413168e506f7790120ed9d2eec0025959b5e438ed981e"),
     ("lad-nbar3-s1", "sg"): ("COMPLETED", "b24089e3212732a9969ed00e03cce9e9694fdc58e6a9f7146d17c97d36e2121a"),
-    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "a28000e9a7a868408230893d2d7b9697ba86cbb94cda6ad1afcf7e025f734a90"),
+    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "d272fce37da4d39b75a64a754938e4193d5a245d9f50a34ed8599dc231d634ba"),
     ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "d37a626d8c0a3ff0d81cd07bead5cb8f1eff38c0176f506dc3cfaacebe0be829"),
     ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "c761841b375bbdd0a035f9475ee35dcfeb9973a938dbc50f088049a070ed33d3"),
     ("svm-nbar1-s1", "sg"): ("COMPLETED", "e5a2485a4bf18948efb99fd1e9f43789af1fe68eab210330c407721cb96b48a2"),
-    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
+    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "fb9b549130f874ab60d706f3f3444719738c56a4e755b3fe536489c91cfc1251"),
     ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "8fb7c9bdcd876a173237a42dce20864c558e1a9fcdd6eb61164b2d0b2b77ebf3"),
     ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "6b34b16218959ebe71e64630ea2e61409d56d328fbed9334aeefcda3950e14a4"),
     ("dense-rows-s8", "sg"): ("COMPLETED", "7874fbf7317154d6c444e198734ebbd0ee3b990d93ed655ca51ff2a5aa497ba5"),
-    ("dense-rows-s8", "sdsg"): ("COMPLETED", "f34b4b274a0bc9414258b57ba497575dcd2d0ae329a456e9f42262eb8ade9f9e"),
+    ("dense-rows-s8", "sdsg"): ("COMPLETED", "33796015e69482303a7bbda72b1f87a422ebab78b641e416e007bde080fcf26a"),
     ("dense-rows-s8", "mdsg"): ("COMPLETED", "2903bade91c1d5cf31bffe1872df209852280f021cd8140d6ebfb34a53faed0a"),
     ("dense-rows-s8", "pds"): ("COMPLETED", "907b96fb11a07735a242039943e046f8bf4b4441193f5535c0ec3d036d9462b2"),
 }
@@ -88,19 +95,19 @@ PINNED_THINNED = {
     ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "a60d8d2c42281ec0f5c7091f2cdd78afaf3ef76979ae3adf2f4edbfca9a88e2c"),
     ("case1-n10-s1", "pds"): ("NO_EPS_FEASIBLE", "5e838f349b1e156d094a3feec3323f099dd7a1b1cb7e651f1d74a4594578d1d6"),
     ("case2-n4-s2", "sg"): ("COMPLETED", "3b640c470bf14ba2ff960c16b30b98c4d39c7a722f019bea8f531307c1922876"),
-    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "1fe2f9c653f9fbe91c30a424126badbe3535cc2de248c1fd9e46a0206b51923a"),
+    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "0b498b189cf0f63dc8c7b6ef433d2d2e971381df598f5804864ec29ae6d79d57"),
     ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "5380f00dfaae4abbace061324bffee1c8cdecec5873ffa4f67ab99c1259987a0"),
     ("case2-n4-s2", "pds"): ("NO_EPS_FEASIBLE", "febf4c6f3cda242d23a6841d77f5123cc06d4aaf0c9f97e7aaed14371d5b1996"),
     ("lad-nbar3-s1", "sg"): ("COMPLETED", "e768dd6cb36cc4e33f463f73af31db675989b8e9d8f84d20f1369e36c0b023be"),
-    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "c833e7b4a5d5236bdc3233f5f297565e7b9c0785de47b45ec99d6d7ab3b3d185"),
+    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "c703fc16a2e2d8365e58cfa3ed7788fe4084b8160057273e618d26cdbce334a0"),
     ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "5e6a2a5335337368c327239530e636faaa5a613b0dbe50e38cebfcfcb6ed072d"),
     ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "f9acbfef0d4199f2aeb40ff4ebac2dbe87b5748f272a1a72396624fc256704f7"),
     ("svm-nbar1-s1", "sg"): ("COMPLETED", "53fd4474732345b2957d567ed3797a9e4495141205aeafa5399d741e73724a1f"),
-    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "32f225de7158cd982e6df44491d754358551d7e4760d42596773178dd22d7470"),
+    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "5556ea4cbb6701824749522dc878ced3b9e603a746118c57c22e23869d2ddbf4"),
     ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "0f31931ad4ab639b1a0d3d5cd50bf4fcf26ff3e0446dcdb673f1fdd1d9e0280e"),
     ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "a8cb0407e8ba0d5698cdd00206c8a86a1623c49b8db8b3948e8c9d91202f2e20"),
     ("dense-rows-s8", "sg"): ("COMPLETED", "46c5fb6fa97bf787a4a7f4bbb028af2bcf71ed72f29b1b491d9041145a4930ad"),
-    ("dense-rows-s8", "sdsg"): ("COMPLETED", "dcb400ce1613d4a47cf7eef3ae34218b272a786cfd479f718ce1f7570536b946"),
+    ("dense-rows-s8", "sdsg"): ("COMPLETED", "9483dd37ec898788314b6d8f9744292ed8a46fdd84da21a768f69755d815adeb"),
     ("dense-rows-s8", "mdsg"): ("COMPLETED", "adf4ba08944a7d21921e52807f5f154db64fe16f76132bd8d4bab3c5e93f922a"),
     ("dense-rows-s8", "pds"): ("COMPLETED", "16f4cc799590b8e4aa3387b4379ad0d7ab9b70b250c04bce8ada1c5a7db8ee44"),
 }
@@ -184,3 +191,70 @@ def test_mdsg_matches_direct_evaluation_of_x_bar(label, every):
     cfg = SolverConfig(solver="mdsg", iterations=200, trace_every=every)
     ref = assert_mdsg_matches_direct(INSTANCES[label](), cfg)
     assert (ref.status, trace_digest(ref.trace)) == DIRECT_PINNED[label, every]
+
+
+# (instance, trace_every) -> (status, trace digest) of sdsg at K = 200 with
+# fbar(x_bar) evaluated directly, as pinned before the rows of its blocks were
+# read off their sums
+SDSG_DIRECT_PINNED = {
+    ("case2-n4-s2", 1): ("NO_EPS_FEASIBLE", "32beee5e42595bd0f8de38ec995867ac048f34e043f695e8a5243af2e4b23330"),
+    ("lad-nbar3-s1", 1): ("NO_EPS_FEASIBLE", "a28000e9a7a868408230893d2d7b9697ba86cbb94cda6ad1afcf7e025f734a90"),
+    ("svm-nbar1-s1", 1): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
+    ("dense-rows-s8", 1): ("COMPLETED", "f34b4b274a0bc9414258b57ba497575dcd2d0ae329a456e9f42262eb8ade9f9e"),
+    ("case2-n4-s2", 7): ("NO_EPS_FEASIBLE", "1fe2f9c653f9fbe91c30a424126badbe3535cc2de248c1fd9e46a0206b51923a"),
+    ("lad-nbar3-s1", 7): ("NO_EPS_FEASIBLE", "c833e7b4a5d5236bdc3233f5f297565e7b9c0785de47b45ec99d6d7ab3b3d185"),
+    ("svm-nbar1-s1", 7): ("COMPLETED", "32f225de7158cd982e6df44491d754358551d7e4760d42596773178dd22d7470"),
+    ("dense-rows-s8", 7): ("COMPLETED", "dcb400ce1613d4a47cf7eef3ae34218b272a786cfd479f718ce1f7570536b946"),
+}
+
+
+def direct_sdsg(problem, cfg):
+    """sdsg with x_bar evaluated directly: dsg.step on the max form, then
+    f0.value(x_bar) and fbar.value(x_bar)."""
+    run = single_constraint_form(problem)
+    fbar = run.ineq[0]
+    state = dsg.init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
+
+    def advance():
+        if not dsg.step(run, state):
+            return None
+        x_bar = state.x_bar
+        fv = fbar.value(x_bar)
+        return x_bar, run.f0.value(x_bar), (0.0 if fv <= 0.0 else fv)
+
+    return reports.drive(cfg, advance, state.z0[:run.n])
+
+
+def assert_sdsg_matches_direct(problem, cfg):
+    """solve's sdsg report against direct_sdsg: k, val and x_out bit-equal,
+    |infeas - direct infeas| <= 1e-12 (1 + |direct infeas|) (bit-equal when
+    fbar has no row block), and the same status and p_eps. Returns the
+    direct report."""
+    rep = solve(problem, cfg)
+    ref = direct_sdsg(problem, cfg)
+    assert (rep.status, rep.p_eps) == (ref.status, ref.p_eps)
+    assert rep.x_out.tobytes() == ref.x_out.tobytes()
+    assert [(r.k, bits(r.val)) for r in rep.trace] == [(r.k, bits(r.val)) for r in ref.trace]
+    if has_row_block(problem):
+        for r, q in zip(rep.trace, ref.trace):
+            assert abs(r.infeas - q.infeas) <= 1e-12 * (1.0 + abs(q.infeas))
+    else:
+        assert [bits(r.infeas) for r in rep.trace] == [bits(q.infeas) for q in ref.trace]
+    return ref
+
+
+def has_row_block(problem):
+    """Whether the max form of problem has an AffineBlockOracle part."""
+    return any(type(q) is AffineBlockOracle for q in max_constraint_oracle(problem).parts)
+
+
+@pytest.mark.parametrize("label,every", sorted(SDSG_DIRECT_PINNED))
+def test_sdsg_matches_direct_evaluation_of_x_bar(label, every):
+    cfg = SolverConfig(solver="sdsg", iterations=200, trace_every=every)
+    ref = assert_sdsg_matches_direct(INSTANCES[label](), cfg)
+    assert (ref.status, trace_digest(ref.trace)) == SDSG_DIRECT_PINNED[label, every]
+
+
+def test_sdsg_digests_change_only_where_fbar_has_a_row_block():
+    assert {label for label, _ in SDSG_DIRECT_PINNED} == {
+        label for label, build in INSTANCES.items() if has_row_block(build())}
