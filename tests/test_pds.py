@@ -110,12 +110,12 @@ def test_s2_matches_plain_primal_dual_method():
     for k in range(200):
         x, lam, nu = z[:n], z[n:n + m], z[n + m:]
         _, g0 = p.f0(x)
-        fvals, grads = p.eval_ineq(x)
-        F = np.maximum(fvals, 0.0)
+        rows = [o(x) for o in p.ineq]  # (f_i(x), a subgradient of f_i at x)
+        F = np.maximum([f for f, _ in rows], 0.0)
         tx = np.array(g0)
-        for i in range(m):
-            if fvals[i] > 0.0:
-                tx += (lam[i] + rho * 2.0 * F[i]) * grads[i]
+        for i, (f, g) in enumerate(rows):
+            if f > 0.0:
+                tx += (lam[i] + rho * 2.0 * F[i]) * g
         r = p.A @ x - p.b
         tx += p.A.T @ (nu + rho * 2.0 * r)
         t = np.concatenate([tx, -F, -r])

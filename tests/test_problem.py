@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig, dsg, pds, solve
@@ -13,7 +13,7 @@ from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_d
                              single_constraint_form, start_point)
 from subgrad.simplex import LpProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
-from test_replay import assert_mdsg_matches_direct, assert_sdsg_matches_direct, has_row_block
+from test_replay import assert_dsg_matches_direct, has_row_block
 
 
 def one_d(c=1.0, ineq_c=None, A=None, b=None):
@@ -565,7 +565,7 @@ def test_mdsg_trace_matches_direct_evaluation_on_random_instances():
         z = random_z(p, z_seed)
         cfg = SolverConfig(solver="mdsg", iterations=iterations, eps=eps,
                            x0=z[:n], lam0=z[n:n + m], nu0=z[n + m:])
-        assert_mdsg_matches_direct(p, cfg)
+        assert_dsg_matches_direct(p, cfg)
         seen_l.add(min(p.l, 1))
 
     check()
@@ -585,7 +585,7 @@ def test_sdsg_trace_matches_direct_evaluation_on_random_instances():
         z = random_z(single_constraint_form(p), z_seed)
         cfg = SolverConfig(solver="sdsg", iterations=iterations, eps=eps,
                            x0=z[:p.n], lam0=z[p.n:])
-        assert_sdsg_matches_direct(p, cfg)
+        assert_dsg_matches_direct(p, cfg)
         seen_block.add(has_row_block(p))
 
     check()
@@ -600,6 +600,7 @@ def test_thinned_trace_ends_at_x_out_on_random_instances():
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), st.integers(1, 30), st.sampled_from([1e-3, 0.5]))
+    @example((2, [1], [], 0, 1), 30, 0.5)  # all four solvers stop, after 2-6 steps
     def check(spec, iterations, eps):
         p = build_instance(*spec)
         # f0 = max{c.x + 1, 0} has a zero subgradient where c.x <= -1, so runs can stop there
@@ -612,12 +613,13 @@ def test_thinned_trace_ends_at_x_out_on_random_instances():
             k_last = full.trace[-1].k if full.trace else 0
             if 0 < k_last < iterations:
                 stops.add(solver)
+            full_rows = {r.k: row_bits(r) for r in full.trace}
             for every in (2, 3, 7):
                 rep = solve(p, SolverConfig(**cfg, trace_every=every))
                 kept = {*range(every, k_last, every), k_last} - {0}
                 assert [r.k for r in rep.trace] == sorted(kept)
-                if full.trace:
-                    assert row_bits(rep.trace[-1]) == row_bits(full.trace[-1])
+                assert [row_bits(r) for r in rep.trace] == [full_rows[r.k] for r in rep.trace]
+                assert (rep.status, rep.p_eps) == (full.status, full.p_eps)
                 assert rep.x_out.tobytes() == full.x_out.tobytes()
 
     check()

@@ -1,35 +1,46 @@
 """Replay guard: every solver reproduces its pinned trace bit for bit.
 
-Each digest is sha256 over the exact bits of (k, val, infeas) of every
-trace row, packed as little-endian (int64, float64, float64). The pinned
-values were recorded before the solve loops were merged into one driver;
-a refactor of the iteration path must leave all of them unchanged.
+What is pinned. Each digest is sha256 over the exact bits of (k, val,
+infeas) of every trace row, packed as little-endian (int64, float64,
+float64), of a run at K = 200 with trace_every = 1:
+- PINNED holds solve's run of each of the 24 (instance, solver) pairs. The
+  values were recorded before the solve loops were merged into one driver;
+  a refactor of the iteration path must leave all of them unchanged.
+- DIRECT_PINNED holds the 8 DSG runs that read affine values at x_bar off
+  a weighted sum of the values the directions read (Nesterov 2009), as
+  ``direct_dsg`` reports them, evaluating x_bar directly: mdsg on the
+  instances with equality rows reads A x_bar - b off its dual sum, and
+  sdsg on those whose max form has an AffineBlockOracle part reads the
+  part's rows off a row sum. The sums differ from the products in the
+  last bits, so these runs' PINNED digests were re-pinned, and the replay
+  keeps the digests from before.
+The digests hold for one BLAS kernel and one numpy version: the products
+with A and the row reductions take their bits from both (ROADMAP item 11).
+
+What is derived live, on any kernel:
+- a run with trace_every = 7 reports exactly the rows 7, 14, .., 196 and
+  200 of the same run at trace_every = 1, bit for bit, with the same
+  status, p_eps and x_out;
+- solve's mdsg and sdsg reports of the DIRECT_PINNED runs agree with
+  ``direct_dsg``: k, val and x_out bit-equal, and infeas within rounding
+  of the sum it is read off.
+``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns both in a
+subprocess on another OpenBLAS kernel.
 
 The dense-rows instance has eight affine rows that share every coordinate,
 one run of them read as a row block; its digests were recorded while the
 solvers still read one oracle per row, so any change in the order in which
 the rows are summed into a direction shows here. The box rows of case2 have
 disjoint supports and cannot show it.
-
-mdsg reads A x_bar - b off its dual-averaging sum, so on the four instances
-with equality rows its infeas column differs from a product with A in the
-last bits, and those 8 digests were re-pinned. DIRECT_PINNED keeps the
-digests from before, which a replay that evaluates x_bar directly still
-reproduces, and the library is checked row by row against that replay.
-
-sdsg reads the rows of each AffineBlockOracle part of fbar at x_bar off a
-weighted sum of the rows its direction read, so on the four instances whose
-max form has a row block (case2, lad, svm and dense-rows) its infeas column
-differs from evaluating fbar(x_bar) in the last bits, and those 8 digests
-were re-pinned the same way, against SDSG_DIRECT_PINNED. one_d and case1
-n=10 have no row block, and their sdsg digests are unchanged.
-
-The digests hold for one BLAS kernel and one numpy version: the products
-with A and the row reductions take their bits from both (ROADMAP item 11).
 """
 
+import functools
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,163 +95,68 @@ PINNED = {
     ("dense-rows-s8", "pds"): ("COMPLETED", "907b96fb11a07735a242039943e046f8bf4b4441193f5535c0ec3d036d9462b2"),
 }
 
-# the same runs with trace_every = 7: rows k = 7, 14, .., 196 and the last, k = 200
-PINNED_THINNED = {
-    ("one_d", "sg"): ("COMPLETED", "613205e8823e1fd81124c2c313512e7937b90bc3327a3a6aeb8b903e5d56adc0"),
-    ("one_d", "sdsg"): ("COMPLETED", "1d0086fbb6b588ad9ea83c1aaaa7cc284831e5bc33411cb0875abae7febdaa37"),
-    ("one_d", "mdsg"): ("COMPLETED", "1d0086fbb6b588ad9ea83c1aaaa7cc284831e5bc33411cb0875abae7febdaa37"),
-    ("one_d", "pds"): ("COMPLETED", "17723072993fbf7be0ae3d428eb7eee8f2cddc344668b4545c774844fe7f252f"),
-    ("case1-n10-s1", "sg"): ("COMPLETED", "8b5e8b4906f71ec2be7e081fc2de8a62acdc7d16bf64800c50e3370e1ddc156f"),
-    ("case1-n10-s1", "sdsg"): ("NO_EPS_FEASIBLE", "6331a775bea4115fa6e96f9925bd50e0dcf7140a1c208f00b658a3d02cd6e9eb"),
-    ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "a60d8d2c42281ec0f5c7091f2cdd78afaf3ef76979ae3adf2f4edbfca9a88e2c"),
-    ("case1-n10-s1", "pds"): ("NO_EPS_FEASIBLE", "5e838f349b1e156d094a3feec3323f099dd7a1b1cb7e651f1d74a4594578d1d6"),
-    ("case2-n4-s2", "sg"): ("COMPLETED", "3b640c470bf14ba2ff960c16b30b98c4d39c7a722f019bea8f531307c1922876"),
-    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "0b498b189cf0f63dc8c7b6ef433d2d2e971381df598f5804864ec29ae6d79d57"),
-    ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "5380f00dfaae4abbace061324bffee1c8cdecec5873ffa4f67ab99c1259987a0"),
-    ("case2-n4-s2", "pds"): ("NO_EPS_FEASIBLE", "febf4c6f3cda242d23a6841d77f5123cc06d4aaf0c9f97e7aaed14371d5b1996"),
-    ("lad-nbar3-s1", "sg"): ("COMPLETED", "e768dd6cb36cc4e33f463f73af31db675989b8e9d8f84d20f1369e36c0b023be"),
-    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "c703fc16a2e2d8365e58cfa3ed7788fe4084b8160057273e618d26cdbce334a0"),
-    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "5e6a2a5335337368c327239530e636faaa5a613b0dbe50e38cebfcfcb6ed072d"),
-    ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "f9acbfef0d4199f2aeb40ff4ebac2dbe87b5748f272a1a72396624fc256704f7"),
-    ("svm-nbar1-s1", "sg"): ("COMPLETED", "53fd4474732345b2957d567ed3797a9e4495141205aeafa5399d741e73724a1f"),
-    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "5556ea4cbb6701824749522dc878ced3b9e603a746118c57c22e23869d2ddbf4"),
-    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "0f31931ad4ab639b1a0d3d5cd50bf4fcf26ff3e0446dcdb673f1fdd1d9e0280e"),
-    ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "a8cb0407e8ba0d5698cdd00206c8a86a1623c49b8db8b3948e8c9d91202f2e20"),
-    ("dense-rows-s8", "sg"): ("COMPLETED", "46c5fb6fa97bf787a4a7f4bbb028af2bcf71ed72f29b1b491d9041145a4930ad"),
-    ("dense-rows-s8", "sdsg"): ("COMPLETED", "9483dd37ec898788314b6d8f9744292ed8a46fdd84da21a768f69755d815adeb"),
-    ("dense-rows-s8", "mdsg"): ("COMPLETED", "adf4ba08944a7d21921e52807f5f154db64fe16f76132bd8d4bab3c5e93f922a"),
-    ("dense-rows-s8", "pds"): ("COMPLETED", "16f4cc799590b8e4aa3387b4379ad0d7ab9b70b250c04bce8ada1c5a7db8ee44"),
+# (instance, solver) -> (status, trace digest) of direct_dsg at K = 200,
+# trace_every = 1
+DIRECT_PINNED = {
+    ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "bac021db8a08d285dc2371232da4be0101b6223fe1e52a2d0e0552540d2a4c83"),
+    ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "9a03450240416dceb252919be655be7321ac2dfad5cadf17c5ca8db10dedc7a5"),
+    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "804f3e3db1ddec069c60bed9320348b6731116908ca840776699b048f4d3c2ab"),
+    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "af54193ab48f8031a3568dac3f1138a11e4e09fd42ad67169b92d0633431a0e4"),
+    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "32beee5e42595bd0f8de38ec995867ac048f34e043f695e8a5243af2e4b23330"),
+    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "a28000e9a7a868408230893d2d7b9697ba86cbb94cda6ad1afcf7e025f734a90"),
+    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
+    ("dense-rows-s8", "sdsg"): ("COMPLETED", "f34b4b274a0bc9414258b57ba497575dcd2d0ae329a456e9f42262eb8ade9f9e"),
 }
+
+# the dsg.solve mode each DSG solver name selects
+MODE = {"mdsg": "multi", "sdsg": "single"}
+
+
+def row_bits(r):
+    return struct.pack("<qdd", r.k, r.val, r.infeas)
 
 
 def trace_digest(records):
     h = hashlib.sha256()
     for r in records:
-        h.update(struct.pack("<qdd", r.k, r.val, r.infeas))
+        h.update(row_bits(r))
     return h.hexdigest()
-
-
-# (instance, trace_every) -> (status, trace digest) of mdsg at K = 200 with
-# A x_bar - b evaluated by the product, as pinned before it was read off the sum
-DIRECT_PINNED = {
-    ("case1-n10-s1", 1): ("NO_EPS_FEASIBLE", "bac021db8a08d285dc2371232da4be0101b6223fe1e52a2d0e0552540d2a4c83"),
-    ("case2-n4-s2", 1): ("NO_EPS_FEASIBLE", "9a03450240416dceb252919be655be7321ac2dfad5cadf17c5ca8db10dedc7a5"),
-    ("lad-nbar3-s1", 1): ("NO_EPS_FEASIBLE", "804f3e3db1ddec069c60bed9320348b6731116908ca840776699b048f4d3c2ab"),
-    ("svm-nbar1-s1", 1): ("COMPLETED", "af54193ab48f8031a3568dac3f1138a11e4e09fd42ad67169b92d0633431a0e4"),
-    ("case1-n10-s1", 7): ("NO_EPS_FEASIBLE", "c0b1e859e127a33be4403c4c70159419bb6e057368c46ee7b2296a134a5dc0a7"),
-    ("case2-n4-s2", 7): ("NO_EPS_FEASIBLE", "268c42add8c45cc561482af9cf1a0758caec203dfc3e3ce69a999a6b114d9d6d"),
-    ("lad-nbar3-s1", 7): ("NO_EPS_FEASIBLE", "2700addcfc6c61506973b7b7da0d36c7f3463315ae785d8476fa6f4062122ac3"),
-    ("svm-nbar1-s1", 7): ("COMPLETED", "9ffc78ff04a6bab0bd1e657eac11e0eb8a4c835498d73d5ae5a361a3f48b3b58"),
-}
-
-
-def direct_mdsg(problem, cfg):
-    """mdsg with x_bar evaluated directly: dsg.step, then f0.value(x_bar) and
-    problem.infeasibility(x_bar). Returns the report and ||A x_bar_k - b||
-    for k = 1, 2, .."""
-    state = dsg.init_state(problem, cfg.x0, cfg.lam0, cfg.nu0)
-    residuals = []
-
-    def advance():
-        if not dsg.step(problem, state):
-            return None
-        x_bar = state.x_bar
-        residuals.append(euclidean_norm(problem.A @ x_bar - problem.b))
-        return x_bar, problem.f0.value(x_bar), problem.infeasibility(x_bar)
-
-    return reports.drive(cfg, advance, state.z0[:problem.n]), residuals
 
 
 def bits(v):
     return np.float64(v).tobytes()
 
 
-def assert_mdsg_matches_direct(problem, cfg):
-    """solve's mdsg report against direct_mdsg: k, val and x_out bit-equal,
-    infeas within 1e-12 ||A x_bar_k - b|| (bit-equal when l = 0), and the
-    same status and p_eps. Returns the direct report."""
-    rep = solve(problem, cfg)
-    ref, residuals = direct_mdsg(problem, cfg)
-    assert (rep.status, rep.p_eps) == (ref.status, ref.p_eps)
-    assert rep.x_out.tobytes() == ref.x_out.tobytes()
-    assert [(r.k, bits(r.val)) for r in rep.trace] == [(r.k, bits(r.val)) for r in ref.trace]
-    for r, q in zip(rep.trace, ref.trace):
-        if problem.l:
-            assert abs(r.infeas - q.infeas) <= 1e-12 * residuals[r.k - 1]
-        else:
-            assert bits(r.infeas) == bits(q.infeas)
-    return ref
+@functools.cache
+def pinned_run(label, solver):
+    """solve's report of a pinned pair at K = 200, trace_every = 1, made once
+    per session for the tests that read it; they do not change it."""
+    return solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200))
 
 
-@pytest.mark.parametrize("label,solver", sorted(PINNED))
-def test_trace_matches_pinned_digest(label, solver):
-    report = solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200, trace_every=1))
-    assert len(report.trace) == 200
-    assert (report.status, trace_digest(report.trace)) == PINNED[label, solver]
-
-
-@pytest.mark.parametrize("label,solver", sorted(PINNED_THINNED))
-def test_thinned_trace_matches_pinned_digest(label, solver):
-    report = solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200, trace_every=7))
-    assert [r.k for r in report.trace] == list(range(7, 200, 7)) + [200]
-    assert (report.status, trace_digest(report.trace)) == PINNED_THINNED[label, solver]
-
-
-@pytest.mark.parametrize("label,every", sorted(DIRECT_PINNED))
-def test_mdsg_matches_direct_evaluation_of_x_bar(label, every):
-    cfg = SolverConfig(solver="mdsg", iterations=200, trace_every=every)
-    ref = assert_mdsg_matches_direct(INSTANCES[label](), cfg)
-    assert (ref.status, trace_digest(ref.trace)) == DIRECT_PINNED[label, every]
-
-
-# (instance, trace_every) -> (status, trace digest) of sdsg at K = 200 with
-# fbar(x_bar) evaluated directly, as pinned before the rows of its blocks were
-# read off their sums
-SDSG_DIRECT_PINNED = {
-    ("case2-n4-s2", 1): ("NO_EPS_FEASIBLE", "32beee5e42595bd0f8de38ec995867ac048f34e043f695e8a5243af2e4b23330"),
-    ("lad-nbar3-s1", 1): ("NO_EPS_FEASIBLE", "a28000e9a7a868408230893d2d7b9697ba86cbb94cda6ad1afcf7e025f734a90"),
-    ("svm-nbar1-s1", 1): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
-    ("dense-rows-s8", 1): ("COMPLETED", "f34b4b274a0bc9414258b57ba497575dcd2d0ae329a456e9f42262eb8ade9f9e"),
-    ("case2-n4-s2", 7): ("NO_EPS_FEASIBLE", "1fe2f9c653f9fbe91c30a424126badbe3535cc2de248c1fd9e46a0206b51923a"),
-    ("lad-nbar3-s1", 7): ("NO_EPS_FEASIBLE", "c833e7b4a5d5236bdc3233f5f297565e7b9c0785de47b45ec99d6d7ab3b3d185"),
-    ("svm-nbar1-s1", 7): ("COMPLETED", "32f225de7158cd982e6df44491d754358551d7e4760d42596773178dd22d7470"),
-    ("dense-rows-s8", 7): ("COMPLETED", "dcb400ce1613d4a47cf7eef3ae34218b272a786cfd479f718ce1f7570536b946"),
-}
-
-
-def direct_sdsg(problem, cfg):
-    """sdsg with x_bar evaluated directly: dsg.step on the max form, then
-    f0.value(x_bar) and fbar.value(x_bar)."""
-    run = single_constraint_form(problem)
-    fbar = run.ineq[0]
+def direct_dsg(problem, cfg, mode):
+    """dsg.solve with x_bar evaluated directly: dsg.step on the problem (mode
+    "multi") or on its max form (mode "single"), then f0.value(x_bar) and,
+    as infeas, problem.infeasibility(x_bar) or max{fbar.value(x_bar), 0}.
+    Returns the report and ||A x_bar_k - b|| of the run problem for
+    k = 1, 2, .. (zero in mode "single", which has no equality rows)."""
+    run = single_constraint_form(problem) if mode == "single" else problem
     state = dsg.init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
+    residuals = []
 
     def advance():
         if not dsg.step(run, state):
             return None
         x_bar = state.x_bar
-        fv = fbar.value(x_bar)
-        return x_bar, run.f0.value(x_bar), (0.0 if fv <= 0.0 else fv)
+        residuals.append(euclidean_norm(run.A @ x_bar - run.b))
+        if mode == "multi":
+            infeas = run.infeasibility(x_bar)
+        else:
+            fv = run.ineq[0].value(x_bar)
+            infeas = 0.0 if fv <= 0.0 else fv
+        return x_bar, run.f0.value(x_bar), infeas
 
-    return reports.drive(cfg, advance, state.z0[:run.n])
-
-
-def assert_sdsg_matches_direct(problem, cfg):
-    """solve's sdsg report against direct_sdsg: k, val and x_out bit-equal,
-    |infeas - direct infeas| <= 1e-12 (1 + |direct infeas|) (bit-equal when
-    fbar has no row block), and the same status and p_eps. Returns the
-    direct report."""
-    rep = solve(problem, cfg)
-    ref = direct_sdsg(problem, cfg)
-    assert (rep.status, rep.p_eps) == (ref.status, ref.p_eps)
-    assert rep.x_out.tobytes() == ref.x_out.tobytes()
-    assert [(r.k, bits(r.val)) for r in rep.trace] == [(r.k, bits(r.val)) for r in ref.trace]
-    if has_row_block(problem):
-        for r, q in zip(rep.trace, ref.trace):
-            assert abs(r.infeas - q.infeas) <= 1e-12 * (1.0 + abs(q.infeas))
-    else:
-        assert [bits(r.infeas) for r in rep.trace] == [bits(q.infeas) for q in ref.trace]
-    return ref
+    return reports.drive(cfg, advance, state.z0[:run.n]), residuals
 
 
 def has_row_block(problem):
@@ -248,13 +164,71 @@ def has_row_block(problem):
     return any(type(q) is AffineBlockOracle for q in max_constraint_oracle(problem).parts)
 
 
-@pytest.mark.parametrize("label,every", sorted(SDSG_DIRECT_PINNED))
-def test_sdsg_matches_direct_evaluation_of_x_bar(label, every):
-    cfg = SolverConfig(solver="sdsg", iterations=200, trace_every=every)
-    ref = assert_sdsg_matches_direct(INSTANCES[label](), cfg)
-    assert (ref.status, trace_digest(ref.trace)) == SDSG_DIRECT_PINNED[label, every]
+def assert_dsg_matches_direct(problem, cfg):
+    """solve's mdsg or sdsg report against direct_dsg: k, val and x_out
+    bit-equal, the same status and p_eps, and infeas
+    - mdsg: within 1e-12 ||A x_bar_k - b|| (bit-equal when l = 0);
+    - sdsg: within 1e-12 (1 + |direct infeas|) (bit-equal when fbar has no
+      row block)."""
+    rep = solve(problem, cfg)
+    ref, residuals = direct_dsg(problem, cfg, MODE[cfg.solver])
+    assert (rep.status, rep.p_eps) == (ref.status, ref.p_eps)
+    assert rep.x_out.tobytes() == ref.x_out.tobytes()
+    assert [(r.k, bits(r.val)) for r in rep.trace] == [(r.k, bits(r.val)) for r in ref.trace]
+    multi = cfg.solver == "mdsg"
+    if not (problem.l if multi else has_row_block(problem)):
+        assert [bits(r.infeas) for r in rep.trace] == [bits(q.infeas) for q in ref.trace]
+    for r, q in zip(rep.trace, ref.trace):
+        scale = residuals[r.k - 1] if multi else 1.0 + abs(q.infeas)
+        assert abs(r.infeas - q.infeas) <= 1e-12 * scale
 
 
-def test_sdsg_digests_change_only_where_fbar_has_a_row_block():
-    assert {label for label, _ in SDSG_DIRECT_PINNED} == {
-        label for label, build in INSTANCES.items() if has_row_block(build())}
+@pytest.mark.parametrize("label,solver", sorted(PINNED))
+def test_trace_matches_pinned_digest(label, solver):
+    report = pinned_run(label, solver)
+    assert len(report.trace) == 200
+    assert (report.status, trace_digest(report.trace)) == PINNED[label, solver]
+
+
+@pytest.mark.parametrize("label,solver", sorted(PINNED))
+def test_thinned_trace_keeps_the_full_trace_rows(label, solver):
+    full = pinned_run(label, solver)
+    rep = solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200, trace_every=7))
+    kept = list(range(7, 200, 7)) + [200]
+    assert [row_bits(r) for r in rep.trace] == [row_bits(full.trace[k - 1]) for k in kept]
+    assert (rep.status, rep.p_eps) == (full.status, full.p_eps)
+    assert rep.x_out.tobytes() == full.x_out.tobytes()
+
+
+@pytest.mark.parametrize("label,solver", sorted(DIRECT_PINNED))
+def test_dsg_matches_direct_evaluation_of_x_bar(label, solver):
+    assert_dsg_matches_direct(INSTANCES[label](), SolverConfig(solver=solver, iterations=200))
+
+
+@pytest.mark.parametrize("label,solver", sorted(DIRECT_PINNED))
+def test_direct_evaluation_matches_pinned_digest(label, solver):
+    cfg = SolverConfig(solver=solver, iterations=200)
+    ref = direct_dsg(INSTANCES[label](), cfg, MODE[solver])[0]
+    assert (ref.status, trace_digest(ref.trace)) == DIRECT_PINNED[label, solver]
+
+
+def test_direct_digests_pin_exactly_the_runs_that_read_x_bar_off_a_sum():
+    built = {label: build() for label, build in INSTANCES.items()}
+    assert set(DIRECT_PINNED) == (
+        {(label, "mdsg") for label, p in built.items() if p.l}
+        | {(label, "sdsg") for label, p in built.items() if has_row_block(p)})
+
+
+def test_digest_free_checks_pass_under_the_haswell_kernel():
+    """The live checks, rerun in one subprocess on OpenBLAS's Haswell kernel
+    with one BLAS thread. OPENBLAS_CORETYPE selects the kernel for that
+    process only; where numpy's BLAS ignores it, the checks run on the
+    default kernel and pass all the same."""
+    checks = (test_thinned_trace_keeps_the_full_trace_rows,
+              test_dsg_matches_direct_evaluation_of_x_bar)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",
+         *(f"{__file__}::{t.__name__}" for t in checks)],
+        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
