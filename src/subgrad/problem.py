@@ -9,14 +9,17 @@ all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
 
 Runs of affine inequality rows are stacked once, by oracles._stack_rows, and
 read as one block by F(x), the saddle direction and fbar, with per-row bits.
+Equality rows in slack form, A = [B | I] with the last l columns exactly the
+identity, are detected once and read as B by A x - b and A^T nu; fbar still
+reads them as dense rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .oracles import (AbsAffineOracle, MaxOracle, _as_rows, _as_vector, _block_or_rows,
-                      _stack_rows, euclidean_norm, norm_power_subgrad)
+from .oracles import (AbsAffineOracle, MaxOracle, _aligned, _as_rows, _as_vector,
+                      _block_or_rows, _stack_rows, euclidean_norm, norm_power_subgrad)
 
 __all__ = [
     "ConstrainedProblem",
@@ -44,6 +47,11 @@ class ConstrainedProblem:
 
     ``ineq`` stays one oracle per row; violation_vector and saddle_direction
     read its stacked AffineOracle runs (AbsAffineOracles stay single rows).
+
+    ``A`` stays dense. When its last l columns are exactly the identity, the
+    problem also keeps B = A[:, :n-l], 64-byte aligned, and ``residual`` and
+    ``adjoint`` read A x - b and A^T nu through it, in another order of
+    summation than the dense product; any other A is read densely.
     """
 
     def __init__(self, f0, ineq=(), A=None, b=None):
@@ -64,6 +72,13 @@ class ConstrainedProblem:
         # ineq as evaluated, as (first row i, rows k, oracle), k = 0 for one row;
         # AbsAffineOracle runs stay single rows, as F(x) reads signed rows
         self._blocks = list(_stack_rows(self.ineq))
+        # B of a slack-form A = [B | I]: l nonzeros in the tail, all 1.0 on its diagonal
+        self._B = None
+        p = self.n - self.l
+        if self.l and p >= 0:
+            tail = self.A[:, p:]
+            if np.count_nonzero(tail) == self.l and (tail.diagonal() == 1.0).all():
+                self._B = _aligned(self.A[:, :p])
 
     def eval_ineq(self, x):
         """Raw values f_i(x) and their subgradients, as (values, grads)."""
@@ -95,8 +110,22 @@ class ConstrainedProblem:
         if self.m:
             total += euclidean_norm(self.violation_vector(x))
         if self.l:
-            total += euclidean_norm(self.A @ x - self.b if residual is None else residual)
+            total += euclidean_norm(self.residual(x) if residual is None else residual)
         return total
+
+    def residual(self, x):
+        """A x - b, as B x[:p] + x[p:] - b when A = [B | I] (p = n - l); with
+        ``adjoint``, the only product with A that the solvers make."""
+        if self._B is None:
+            return self.A @ x - self.b
+        p = self.n - self.l
+        return self._B @ x[:p] + x[p:] - self.b
+
+    def adjoint(self, nu):
+        """A^T nu; (B^T nu, nu) when A = [B | I]."""
+        if self._B is None:
+            return self.A.T @ nu
+        return np.concatenate((self._B.T @ nu, nu))
 
     def __repr__(self):
         return f"ConstrainedProblem(n={self.n}, m={self.m}, l={self.l})"
@@ -153,6 +182,8 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     with p and q the subgradients of ||.||_2^s_exp at F(x) and at Ax - b,
     and w = lam + rho p (w = lam at rho = 0, where T is the plain saddle
     direction G of the Lagrangian). F(x) and Ax - b are -T[n:n+m], -T[n+m:].
+    Ax - b and A^T (...) are problem.residual and problem.adjoint, which read
+    a slack-form A = [B | I] as B.
 
     One walk over the inequality rows writes -F(x) and keeps every stacked
     run of affine rows (read by AffineBlockOracle.rows) and every single
@@ -196,10 +227,10 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
                 tx = tx + w[i] * oracle.subgrad(g)
     if l:
         nu = z[n + m:]
-        r = problem.A @ x - problem.b
+        r = problem.residual(x)
         if rho != 0.0:
             nu = nu + rho * norm_power_subgrad(r, s_exp)
-        np.add(tx, problem.A.T @ nu, out=t[:n])
+        np.add(tx, problem.adjoint(nu), out=t[:n])
         np.negative(r, out=t[n + m:])
     else:
         t[:n] = tx

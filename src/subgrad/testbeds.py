@@ -101,8 +101,9 @@ def build_lad(nbar, seed):
     """l1 regression in slack form: min ||y||_1 s.t. y = D x - w.
 
     Variables are (x, y) with x in R^nbar and y in R^(2*nbar); the
-    equality block is [-D | I] (x, y) = -w. Draw order: D, then w,
-    entries uniform on [-1, 1].
+    equality block is [-D | I] (x, y) = -w, whose identity tail the problem
+    detects and reads as B = -D. Draw order: D, then w, entries uniform on
+    [-1, 1].
     """
     if nbar < 1:
         raise ValueError("nbar must be at least 1")
@@ -128,7 +129,8 @@ def build_svm(nbar, seed):
     Data: N = 200*nbar samples; the first half has label +1 with features
     uniform on [0, 1]^nbar, the second half label -1 on [-1, 0]^nbar
     (drawn in that order). Variables are (weights, bias, margins) with
-    margins tau = Z w - bias * ones enforced by [-Z | ones | I] = 0; the
+    margins tau = Z w - bias * ones enforced by [-Z | ones | I] = 0, whose
+    identity tail the problem detects and reads as B = [-Z | ones]; the
     objective is the mean hinge loss on tau plus half the squared weight
     norm.
     """

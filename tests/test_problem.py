@@ -162,6 +162,12 @@ def test_row_blocks_start_at_a_64_byte_boundary():
         assert rows.ctypes.data % 64 == 0 and rows.flags.c_contiguous
         assert rows.tobytes() == A.tobytes()
     assert max_constraint_oracle(p).parts[-1].C is p.A
+    # the B of a slack-form A = [B | I] is a copy, aligned the same way
+    for cols in range(1, 9):
+        B = buf[:4 * cols].reshape(4, cols)
+        s = ConstrainedProblem(AffineOracle(np.ones(cols + 4)), [], A=np.hstack([B, np.eye(4)]))
+        assert s._B.ctypes.data % 64 == 0 and s._B.flags.c_contiguous
+        assert s._B.tobytes() == B.tobytes()
 
 
 def test_max_constraint_oracle():
@@ -495,6 +501,8 @@ def test_walk_matches_per_row_walk_on_random_instances():
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(instance_spec(), SEED, RHO, S_EXP)
+    @example((2, [ROW_BLOCK_MIN, 6], ["norm1"], 2, 1), 1, 0.0, 2.0)
+    @example((3, [6, 0, ROW_BLOCK_MIN], ["max", "norm1"], 0, 2), 2, 0.5, 1.5)
     def check(spec, z_seed, rho, s_exp):
         p = build_instance(*spec)
         z = random_z(p, z_seed)
@@ -559,6 +567,8 @@ def test_mdsg_trace_matches_direct_evaluation_on_random_instances():
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
+    @example((2, [2], [], 0, 1), 1, 10, 1e-3)
+    @example((2, [2], [], 3, 2), 2, 10, 1.0)
     def check(spec, z_seed, iterations, eps):
         p = build_instance(*spec)
         n, m = p.n, p.m
@@ -579,6 +589,8 @@ def test_sdsg_trace_matches_direct_evaluation_on_random_instances():
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
+    @example((2, [2], [], 1, 1), 1, 10, 1e-3)
+    @example((2, [ROW_BLOCK_MIN], [], 0, 2), 2, 10, 1.0)
     def check(spec, z_seed, iterations, eps):
         p = build_instance(*spec)
         assume(p.m + p.l)
@@ -624,6 +636,65 @@ def test_thinned_trace_ends_at_x_out_on_random_instances():
 
     check()
     assert {"sg", "mdsg", "pds"} <= stops
+
+
+def test_split_products_match_dense_products_on_random_slack_forms():
+    # A = [B | I] is read as B; the split sums in another order than A @ x
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 5), st.integers(1, 6), SEED)
+    @example(0, 3, 1)  # l = n: p = 0 and A = I
+    def check(p, l, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        B = rng.uniform(-2.0, 2.0, (l, p)) * (rng.uniform(size=(l, p)) < 0.8)
+        A, b = np.hstack([B, np.eye(l)]), rng.standard_normal(l)
+        prob = ConstrainedProblem(AffineOracle(np.ones(p + l)), [], A, b)
+        assert prob._B.tobytes() == B.tobytes() and prob.A.tobytes() == A.tobytes()
+        x, nu = rng.uniform(-2.0, 2.0, p + l), rng.standard_normal(l)
+        for got, ref in ((prob.residual(x), A @ x - b), (prob.adjoint(nu), A.T @ nu)):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+    check()
+
+
+def test_only_an_exact_identity_tail_is_split():
+    rng = np.random.Generator(np.random.PCG64(3))
+    B, eye = rng.standard_normal((3, 2)), np.eye(3)
+    off, extra = eye.copy(), eye.copy()
+    off[1, 1] = 1.0 + 2.0**-52
+    extra[0, 2] = 0.5
+    split = ConstrainedProblem(AffineOracle(np.ones(5)), [], np.hstack([B, eye]))
+    assert split._B.tobytes() == B.tobytes()
+    refused = [np.hstack([B, off]), np.hstack([B, eye[[1, 0, 2]]]), np.hstack([B, extra]),
+               np.array([[1.0, 1.0], [0.0, 1.0], [2.0, 1.0]])]  # l = 3 > n = 2
+    for A in refused:
+        p = ConstrainedProblem(AffineOracle(np.ones(A.shape[1])), [], A, rng.standard_normal(3))
+        assert p._B is None
+        x, nu = rng.standard_normal(p.n), rng.standard_normal(3)
+        assert p.residual(x).tobytes() == (p.A @ x - p.b).tobytes()
+        assert p.adjoint(nu).tobytes() == (p.A.T @ nu).tobytes()
+    # l = 0 has nothing to split; l = n splits A = I into a B with no columns
+    assert ConstrainedProblem(AffineOracle(np.ones(2)))._B is None
+    p = ConstrainedProblem(AffineOracle(np.ones(3)), [], np.eye(3), [1.0, 2.0, 3.0])
+    x, nu = np.array([0.5, -1.0, 2.0]), np.array([0.25, 0.0, -4.0])
+    assert p._B.shape == (3, 0)
+    assert p.residual(x).tobytes() == (x - p.b).tobytes()
+    assert p.adjoint(nu).tobytes() == nu.tobytes()
+
+
+def test_slack_form_families_are_split_and_random_instances_are_not():
+    for inst in (build_lad(3, 1), build_lad(100, 1), build_svm(1, 1), build_svm(2, 1)):
+        p = inst.problem
+        assert p._B.tobytes() == np.ascontiguousarray(p.A[:, :p.n - p.l]).tobytes()
+    for case, n, seed in ((1, 10, 1), (1, 100, 2), (2, 4, 2), (2, 100, 1)):
+        assert gen_random(case, n, seed).problem._B is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(instance_spec())
+    def check(spec):
+        assert build_instance(*spec)._B is None
+
+    check()
 
 
 # Entries of x: numbers, both zeros, NaN and both infinities.
@@ -677,6 +748,9 @@ def test_stacked_max_matches_per_row_max_on_random_parts():
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(stacked_max_spec(), st.integers(0, 3))
+    @example((2, [(kind, k) for kind in ("affine", "abs")
+                  for k in (ROW_BLOCK_MIN - 1, ROW_BLOCK_MIN)],
+              True, 1, np.array([0.5, -0.5]), [(0, 0), (0, ROW_BLOCK_MIN), (1, 3), (0, 0)]), 1)
     def check(spec, i):
         n, runs, lead, seed, x, blocks = spec
         parts, rows = stacked_max_parts(n, runs, lead, seed, blocks)

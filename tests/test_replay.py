@@ -14,6 +14,10 @@ float64), of a run at K = 200 with trace_every = 1:
   part's rows off a row sum. The sums differ from the products in the
   last bits, so these runs' PINNED digests were re-pinned, and the replay
   keeps the digests from before.
+The lad and svm instances have slack-form equality rows A = [B | I], which
+the problem reads as B (``ConstrainedProblem.residual`` and ``adjoint``).
+Their mdsg and pds runs, and their mdsg direct replay, were re-pinned when
+it did: the split sums in another order than the dense product.
 The digests hold for one BLAS kernel and one numpy version: the products
 with A and the row reductions take their bits from both (ROADMAP item 11).
 
@@ -23,8 +27,13 @@ What is derived live, on any kernel:
   status, p_eps and x_out;
 - solve's mdsg and sdsg reports of the DIRECT_PINNED runs agree with
   ``direct_dsg``: k, val and x_out bit-equal, and infeas within rounding
-  of the sum it is read off.
-``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns both in a
+  of the sum it is read off;
+- every run that reads A = [B | I] as B agrees with the same run on
+  ``DenseProducts``, which multiplies by the dense A as the solvers did
+  before: k bit-equal, val, infeas and x_out within rounding, and the same
+  status and p_eps. Before the re-pin, ``DenseProducts`` reproduced the six
+  digests the split changed.
+``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns these in a
 subprocess on another OpenBLAS kernel.
 
 The dense-rows instance has eight affine rows that share every coordinate,
@@ -83,12 +92,12 @@ PINNED = {
     ("case2-n4-s2", "pds"): ("NO_EPS_FEASIBLE", "3e920d9d36cf0c9e397413168e506f7790120ed9d2eec0025959b5e438ed981e"),
     ("lad-nbar3-s1", "sg"): ("COMPLETED", "b24089e3212732a9969ed00e03cce9e9694fdc58e6a9f7146d17c97d36e2121a"),
     ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "d272fce37da4d39b75a64a754938e4193d5a245d9f50a34ed8599dc231d634ba"),
-    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "d37a626d8c0a3ff0d81cd07bead5cb8f1eff38c0176f506dc3cfaacebe0be829"),
-    ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "c761841b375bbdd0a035f9475ee35dcfeb9973a938dbc50f088049a070ed33d3"),
+    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "846af89bbe4b5c61889e73869d823b957ac1a36bc647d679f2220913d73f4302"),
+    ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "088dcd299c517a32100c9e9f1c8d79ebeb21d046949f004e67f5515f8878e09d"),
     ("svm-nbar1-s1", "sg"): ("COMPLETED", "e5a2485a4bf18948efb99fd1e9f43789af1fe68eab210330c407721cb96b48a2"),
     ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "fb9b549130f874ab60d706f3f3444719738c56a4e755b3fe536489c91cfc1251"),
-    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "8fb7c9bdcd876a173237a42dce20864c558e1a9fcdd6eb61164b2d0b2b77ebf3"),
-    ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "6b34b16218959ebe71e64630ea2e61409d56d328fbed9334aeefcda3950e14a4"),
+    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "4b3e4ad4dcb3115cf25736134f52c9c2dba2a01478aaf90a797a65653636097f"),
+    ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "6523264a65201218bf4d3b0b41fd9e065b27fb68e2329bb4c2c12d4710b48c50"),
     ("dense-rows-s8", "sg"): ("COMPLETED", "7874fbf7317154d6c444e198734ebbd0ee3b990d93ed655ca51ff2a5aa497ba5"),
     ("dense-rows-s8", "sdsg"): ("COMPLETED", "33796015e69482303a7bbda72b1f87a422ebab78b641e416e007bde080fcf26a"),
     ("dense-rows-s8", "mdsg"): ("COMPLETED", "2903bade91c1d5cf31bffe1872df209852280f021cd8140d6ebfb34a53faed0a"),
@@ -100,8 +109,8 @@ PINNED = {
 DIRECT_PINNED = {
     ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "bac021db8a08d285dc2371232da4be0101b6223fe1e52a2d0e0552540d2a4c83"),
     ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "9a03450240416dceb252919be655be7321ac2dfad5cadf17c5ca8db10dedc7a5"),
-    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "804f3e3db1ddec069c60bed9320348b6731116908ca840776699b048f4d3c2ab"),
-    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "af54193ab48f8031a3568dac3f1138a11e4e09fd42ad67169b92d0633431a0e4"),
+    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "f7d03001e70e547510fcecbe3482d03bfb5ecbb92c3f1a50a7604422ef5ca68a"),
+    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "aa5fcdbe2d79dea27e052fddfa2aa180c6cc169503b348e14f52d79b5bfe2072"),
     ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "32beee5e42595bd0f8de38ec995867ac048f34e043f695e8a5243af2e4b23330"),
     ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "a28000e9a7a868408230893d2d7b9697ba86cbb94cda6ad1afcf7e025f734a90"),
     ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
@@ -110,6 +119,22 @@ DIRECT_PINNED = {
 
 # the dsg.solve mode each DSG solver name selects
 MODE = {"mdsg": "multi", "sdsg": "single"}
+
+# the runs that read the slack-form A = [B | I] of an instance as B: solve's
+# mdsg and pds, and direct_dsg's mdsg
+SPLIT_RUNS = [(label, run) for label in ("lad-nbar3-s1", "svm-nbar1-s1")
+              for run in ("mdsg", "pds", "direct mdsg")]
+
+
+class DenseProducts(ConstrainedProblem):
+    """The problem with A x - b and A^T nu read off the dense A, as the
+    solvers read them before an identity tail of A was read as B."""
+
+    def residual(self, x):
+        return self.A @ x - self.b
+
+    def adjoint(self, nu):
+        return self.A.T @ nu
 
 
 def row_bits(r):
@@ -219,13 +244,38 @@ def test_direct_digests_pin_exactly_the_runs_that_read_x_bar_off_a_sum():
         | {(label, "sdsg") for label, p in built.items() if has_row_block(p)})
 
 
+def split_run(problem, run):
+    cfg = SolverConfig(solver=run.split()[-1], iterations=200)
+    return direct_dsg(problem, cfg, "multi")[0] if run == "direct mdsg" else solve(problem, cfg)
+
+
+@pytest.mark.parametrize("label,run", SPLIT_RUNS)
+def test_split_products_match_dense_products(label, run):
+    problem = INSTANCES[label]()
+    assert problem._B is not None
+    rep = split_run(problem, run)
+    ref = split_run(DenseProducts(problem.f0, problem.ineq, problem.A, problem.b), run)
+    assert (rep.status, rep.p_eps) == (ref.status, ref.p_eps)
+    assert [r.k for r in rep.trace] == [q.k for q in ref.trace]
+    for r, q in zip(rep.trace, ref.trace):
+        assert abs(r.val - q.val) <= 1e-12 * (1.0 + abs(q.val))
+        assert abs(r.infeas - q.infeas) <= 1e-12 * (1.0 + abs(q.infeas))
+    assert np.all(np.abs(rep.x_out - ref.x_out) <= 1e-12 * (1.0 + np.abs(ref.x_out)))
+
+
+def test_split_runs_cover_exactly_the_slack_form_instances():
+    split = {label for label, build in INSTANCES.items() if build()._B is not None}
+    assert {label for label, _ in SPLIT_RUNS} == split
+
+
 def test_digest_free_checks_pass_under_the_haswell_kernel():
     """The live checks, rerun in one subprocess on OpenBLAS's Haswell kernel
     with one BLAS thread. OPENBLAS_CORETYPE selects the kernel for that
     process only; where numpy's BLAS ignores it, the checks run on the
     default kernel and pass all the same."""
     checks = (test_thinned_trace_keeps_the_full_trace_rows,
-              test_dsg_matches_direct_evaluation_of_x_bar)
+              test_dsg_matches_direct_evaluation_of_x_bar,
+              test_split_products_match_dense_products)
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",
