@@ -6,6 +6,10 @@ few vectorized aggregates (l1 norm, scaled squared norm, hinge sums, the
 max over a block of affine rows, into which a problem stacks each run of
 its affine inequality rows) that keep large instances cheap to evaluate.
 
+A block of affine rows is read by a gather when every row holds one nonzero
+(case 2's box), by np.vecdot otherwise; both with the bits of one oracle
+call per row (AffineBlockOracle).
+
 Each class writes its arithmetic once, in ``select`` and ``subgrad`` (see
 ConvexOracle). A maximum, a sum and a positive part read their parts
 through ``select``, so a maximum builds its winning part's subgradient alone.
@@ -47,8 +51,10 @@ __all__ = [
 LOG_SAFEGUARD = 1e-12
 
 # Fewest consecutive rows of one type that are stacked into one
-# AffineBlockOracle. A block call costs about 5 us and a per-row part 1.5 us,
-# so shorter runs stay one oracle per row.
+# AffineBlockOracle. A block call costs about 3-5 us and a per-row part
+# 1.5 us, so shorter runs stay one oracle per row. A unit-row block's gather
+# costs about 2 us more than np.vecdot on a few columns, and 3/4 of it on
+# case 2's 200 x 100 box.
 ROW_BLOCK_MIN = 4
 
 
@@ -271,6 +277,13 @@ class MaxOracle(ConvexOracle):
         return part.subgrad(part_key)
 
 
+def _all_finite(a):
+    """Whether every entry of a is finite; unlike a sum or a dot of a, this
+    raises no overflow warning. np.logical_and.reduce is ndarray.all without
+    its Python wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(a)))
+
+
 class AffineBlockOracle(ConvexOracle):
     """max_j r_j over the rows r = C x + d, or max_j |r_j| when absolute.
 
@@ -278,11 +291,21 @@ class AffineBlockOracle(ConvexOracle):
     absolute) of the lowest index i attaining the max, and a NaN row wins.
     So values, subgradients and ties are bit for bit those of a MaxOracle of
     the rows AffineOracle(c_j, d_j), or AbsAffineOracle(c_j, -d_j) when
-    absolute (a.x + (-b) has the bits of a.x - b in IEEE arithmetic):
-    ``rows``, the only code that computes stacked row values, uses np.vecdot,
-    which computes each c_j.x as the per-row product does; C @ x does not.
-    C is stored 64-byte aligned; a C that already is, such as the problem's
-    A in the max form's equality block, is shared, not copied.
+    absolute (a.x + (-b) has the bits of a.x - b in IEEE arithmetic).
+    ``rows`` is the only code that computes stacked row values, and
+    ``add_rows`` the only code that adds weighted rows to a vector.
+
+    The kernel is chosen once, here. When every row holds exactly one
+    nonzero (unit rows, such as the box rows +-e_i.x - 1), ``rows`` gathers
+    x at their columns and ``add_rows`` scatters their nonzeros in row
+    order. Otherwise both read the dense C: np.vecdot computes each c_j.x
+    as the per-row product does (C @ x does not), and an axis-0 reduce adds
+    the rows in row order. The dot and the reduce sum from +0.0, as the
+    unit kernels do, and a zero term leaves the bits of a sum that is not
+    -0 unchanged, so both kernels agree bit for bit; a non-finite x or
+    active weight, where 0 * inf is NaN, takes the dense kernels. C is
+    stored 64-byte aligned; a C that already is, such as the problem's A in
+    the max form's equality block, is shared, not copied.
     """
 
     def __init__(self, C, d, absolute=False):
@@ -295,10 +318,32 @@ class AffineBlockOracle(ConvexOracle):
             raise ValueError(f"absolute must be a boolean, got {absolute!r}")
         self.absolute = bool(absolute)
         self.dim = self.C.shape[1]
+        # (columns, values) of unit rows, else None; the first row is tested
+        # alone first, so a dense C costs O(n) to refuse
+        self._unit = None
+        if np.count_nonzero(self.C[0]) == 1 and (np.count_nonzero(self.C, axis=1) == 1).all():
+            cols = self.C.nonzero()[1]
+            self._unit = cols, self.C[np.arange(self.d.size), cols]
 
     def rows(self, x):
         """(r, C): every row value r = C x + d, and the rows C."""
+        if self._unit is not None and _all_finite(x):
+            cols, vals = self._unit
+            return (vals * x[cols] + 0.0) + self.d, self.C
         return np.vecdot(self.C, x) + self.d, self.C
+
+    def add_rows(self, tx, w, r):
+        """tx + w_i c_i over the rows with r_i > 0 and w_i != 0, as a new array
+        with the bits of tx = tx + w_i * c_i per row in row order."""
+        on = (r > 0.0) & (w != 0.0)
+        if self._unit is not None:
+            w_on = w[on]
+            if _all_finite(w_on):
+                cols, vals = self._unit
+                out = tx + 0.0
+                np.add.at(out, cols[on], w_on * vals[on])  # unbuffered, in index order
+                return out
+        return np.add.reduce(np.concatenate((tx[None, :], w[on, None] * self.C[on])), axis=0)
 
     def select_rows(self, r):
         """The block's rule on given row values r: (value, (r, i, negated)) for

@@ -8,7 +8,9 @@ F_i(x) = max{f_i(x), 0}; the alternative single-constraint form replaces
 all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
 
 Runs of affine inequality rows are stacked once, by oracles._stack_rows, and
-read as one block by F(x), the saddle direction and fbar, with per-row bits.
+read as one block by F(x), the saddle direction and fbar, with per-row bits,
+by a gather and a scatter when every row holds one nonzero and densely
+otherwise (AffineBlockOracle).
 Equality rows in slack form, A = [B | I] with the last l columns exactly the
 identity, are detected once and read as B by A x - b and A^T nu; fbar still
 reads them as dense rows.
@@ -190,8 +192,10 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     row with f_i(x) > 0. A kept single row holds its selection key until it
     is added, so only a row with f_i(x) > 0 and w_i != 0 builds its
     subgradient. Then w is formed once, and one loop adds the kept rows to
-    Tx in row order, a run by an axis-0 reduce, so T has the bits of one
-    oracle call per row.
+    Tx in row order, a run by AffineBlockOracle.add_rows, so T has the bits
+    of one oracle call per row. A run of unit rows, such as case 2's box, is
+    read by a gather and added by an ordered scatter of its nonzeros, a
+    dense run by np.vecdot and an axis-0 reduce; both have per-row bits.
 
     ``keys``, when a list, receives the selection key of every single row in
     row order: on the max form, fbar's key, which ``dsg`` reads its row sums
@@ -222,7 +226,7 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
             w = w + rho * norm_power_subgrad(-t[n:n + m], s_exp)
         for i, k, oracle, v, g in kept:
             if k:
-                tx = _add_rows(tx, w[i:i + k], v, g)
+                tx = oracle.add_rows(tx, w[i:i + k], v)
             elif w[i] != 0.0:
                 tx = tx + w[i] * oracle.subgrad(g)
     if l:
@@ -235,13 +239,3 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     else:
         t[:n] = tx
     return t, f0_val
-
-
-def _add_rows(tx, w, v, C):
-    """tx + w_i c_i over the rows with v_i > 0 and w_i != 0.
-
-    The axis-0 reduce adds the rows to tx one at a time in row order, which
-    gives the bits of tx = tx + w_i * c_i per row; C.T @ w does not.
-    """
-    rows = (v > 0.0) & (w != 0.0)
-    return np.add.reduce(np.vstack([tx[None, :], w[rows, None] * C[rows]]), axis=0)

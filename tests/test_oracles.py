@@ -4,7 +4,7 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import subgrad
@@ -519,3 +519,121 @@ def test_select_then_subgrad_protocol():
     for method in (Neither(), Neither().value):
         with pytest.raises(NotImplementedError, match="Neither"):
             method(x)
+
+
+# Unit rows: one nonzero per row, its zeros of either sign. Entries reach the
+# float range's ends, so products and sums overflow and underflow.
+UNIT_VALUES = st.sampled_from([1.0, -1.0, 2.5, -0.5, 1e300, -1e308, 1e-300]) | \
+    st.floats(-4.0, 4.0).filter(lambda v: v != 0.0)
+FINITE_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, 1e308]) | \
+    st.floats(-4.0, 4.0)
+
+
+@st.composite
+def unit_block_spec(draw):
+    """(C, d, x, tx, w, r): 1-6 unit rows on 1-4 columns, each row's nonzero
+    at a drawn column (so columns repeat) and each zero +0 or -0, as in e_i
+    and -e_i; d, x, tx and w of FINITE_ENTRIES, w sometimes zero; row values
+    r of which some are positive."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    C = np.empty((k, n))
+    for row in C:
+        row[:] = [-0.0 if neg else 0.0 for neg in draw(st.lists(st.booleans(), min_size=n,
+                                                                 max_size=n))]
+        row[draw(st.integers(0, n - 1))] = draw(UNIT_VALUES)
+
+    def vector(size, entries=FINITE_ENTRIES):
+        return np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+
+    r = vector(k, st.sampled_from([1.0, 0.5, 0.0, -0.0, -1.0, math.nan]))
+    return C, vector(k), vector(n), vector(n), vector(k, FINITE_ENTRIES | st.just(0.0)), r
+
+
+def fp_errors(f):
+    """(f(), the kinds of floating-point error it raised); underflow is ignored,
+    as numpy does by default."""
+    kinds = set()
+    with np.errstate(call=lambda kind, flag: kinds.add(kind), over="call", invalid="call",
+                     divide="call", under="ignore"):
+        return f(), kinds
+
+
+def dense_add(tx, w, r, C):
+    """tx + w_i c_i over the rows with r_i > 0 and w_i != 0, by the axis-0 reduce
+    of the dense rows that the saddle direction has always run."""
+    on = (r > 0.0) & (w != 0.0)
+    return np.add.reduce(np.vstack([tx[None, :], w[on, None] * C[on]]), axis=0)
+
+
+def test_unit_row_kernels_match_the_dense_kernels():
+    seen = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(unit_block_spec(), st.sampled_from([math.inf, -math.inf, math.nan]), st.integers(0, 5))
+    # one example alone covers every case the asserts below require
+    @example((np.array([[1.0, -0.0], [-1.0, 0.0], [-0.0, 1e300], [0.0, -0.5]]),
+              np.array([-1.0, -0.0, 0.0, -1.0]), np.array([-0.0, 1e300]),
+              np.array([-0.0, 1e308]), np.array([1.0, 1e300, 1e300, 2.0]),
+              np.array([1.0, 2.0, 1.0, 0.5])), math.inf, 1)
+    def check(spec, special, i):
+        C, d, x, tx, w, r = spec
+        block = AffineBlockOracle(C, d)
+        assert block._unit is not None
+        cols = block._unit[0]
+        # x as drawn, and with its entry i set to a non-finite value, where the
+        # dense product reads 0 * inf, a NaN, on rows that do not hold i
+        bad_x = x.copy()
+        bad_x[i % x.size] = special
+        for y in (x, bad_x):
+            (got, C_out), got_errors = fp_errors(lambda: block.rows(y))
+            ref, ref_errors = fp_errors(lambda: np.vecdot(C, y) + d)
+            assert (got.tobytes(), got_errors) == (ref.tobytes(), ref_errors), y
+            assert C_out is block.C
+        # w as drawn, and with one active entry non-finite
+        ws = [w]
+        on = np.flatnonzero((r > 0.0) & (w != 0.0))
+        if on.size:
+            ws.append(w.copy())
+            ws[-1][on[i % on.size]] = special
+        for v in ws:
+            got, got_errors = fp_errors(lambda: block.add_rows(tx, v, r))
+            ref, ref_errors = fp_errors(lambda: dense_add(tx, v, r, C))
+            assert (got.tobytes(), got_errors) == (ref.tobytes(), ref_errors), v
+        # a zero row, or a second nonzero in a row, makes the block dense
+        for j in range(C.shape[0]):
+            dense = C.copy()
+            dense[j] = 0.0
+            assert AffineBlockOracle(dense, d)._unit is None
+            if C.shape[1] > 1:
+                dense[j] = C[j]
+                dense[j, (cols[j] + 1) % C.shape[1]] = 0.5
+                assert AffineBlockOracle(dense, d)._unit is None
+        zeros = C[C == 0.0]
+        with np.errstate(over="ignore"):
+            products = C[np.arange(C.shape[0]), cols] * x[cols]
+        seen.update({
+            ("zeros of both signs", np.signbit(zeros).any() and not np.signbit(zeros).all()),
+            ("repeated column", np.unique(cols).size < cols.size),
+            ("repeated active column", np.unique(cols[on]).size < on.size),
+            ("-0 in d", bool(np.signbit(d[d == 0.0]).any())),
+            ("-0 product", bool(np.signbit(products[products == 0.0]).any())),
+            ("-0 in tx", bool(np.signbit(tx[tx == 0.0]).any())),
+            ("overflow", "overflow" in fp_errors(lambda: block.rows(x))[1]),
+        })
+
+    check()
+    assert {(case, True) for case, _ in seen} <= seen
+
+
+def test_unit_row_detection():
+    e = np.eye(3)
+    # exactly one nonzero per row, of any value; a -0 is a zero
+    unit = np.array([[2.0, -0.0, 0.0], [0.0, 0.0, -1e-300], [2.0, 0.0, 0.0], [0.0, -3.0, -0.0]])
+    cols, vals = AffineBlockOracle(unit, np.zeros(4))._unit
+    assert cols.tolist() == [0, 2, 0, 1]
+    assert vals.tobytes() == np.array([2.0, -1e-300, 2.0, -3.0]).tobytes()
+    assert AffineBlockOracle(np.vstack([e, -e]), np.zeros(6), absolute=True)._unit is not None
+    # a zero row or a row of two nonzeros anywhere in the block refuses it
+    for C in (np.vstack([e, np.zeros(3)]), np.vstack([e[[0]] + e[[1]], e]),
+              np.vstack([e, e[[1]] - e[[2]]]), np.ones((4, 1)) * [[1.0, 1.0, 0.0]]):
+        assert AffineBlockOracle(C, np.zeros(C.shape[0]))._unit is None

@@ -13,7 +13,7 @@ from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_d
                              single_constraint_form, start_point)
 from subgrad.simplex import LpProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
-from test_replay import assert_dsg_matches_direct, has_row_block
+from test_replay import assert_dsg_matches_direct, dense_rows, has_row_block
 
 
 def one_d(c=1.0, ineq_c=None, A=None, b=None):
@@ -264,6 +264,28 @@ def test_block_fbar_ties_and_run_lengths():
         assert len(max_constraint_oracle(s).parts) == 3 * per_run + 1
         assert_same_fbar(s, [np.round(rng.normal(size=2), 1) for _ in range(50)])
 
+
+
+def row_blocks(p):
+    """The AffineBlockOracles a problem's solvers read: its stacked inequality
+    runs, then the parts of its max form."""
+    fbar = max_constraint_oracle(p).parts
+    return [o for _, k, o in p._blocks if k] + [q for q in fbar if type(q) is AffineBlockOracle]
+
+
+def test_only_case2_box_blocks_are_unit_rows():
+    # the box rows +-e_i.x - 1: one block in F(x) and the same block as fbar's first part
+    for n, seed in ((4, 2), (100, 1)):
+        p = gen_random(2, n, seed).problem
+        box, fbar_box, *eq = row_blocks(p)
+        assert fbar_box is box and box._unit is not None
+        assert box._unit[0].tolist() == np.repeat(np.arange(n), 2).tolist()
+        assert all(q._unit is None for q in eq)  # n = 100: the dense (A, -b) block
+    # every other bench and replay instance keeps the dense kernels and their bits
+    for p in (gen_random(1, 1000, 1).problem, build_lad(3, 1).problem, build_lad(100, 1).problem,
+              build_svm(1, 1).problem, build_svm(2, 1).problem, dense_rows()):
+        blocks = row_blocks(p)
+        assert blocks and all(q._unit is None for q in blocks)
 
 def per_row_direction(p, z, rho, s_exp):
     """saddle_direction with one oracle call per row, Tx summed row by row in row order."""

@@ -34,7 +34,9 @@ What is derived live, on any kernel:
   status and p_eps. Before the re-pin, ``DenseProducts`` reproduced the six
   digests the split changed.
 ``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns these in a
-subprocess on another OpenBLAS kernel.
+subprocess on another OpenBLAS kernel, with the check that a block of unit
+rows, read by a gather and added by a scatter, has the bits of the dense
+kernels (``test_oracles``); its kernels call no BLAS, so it holds on any.
 
 The dense-rows instance has eight affine rows that share every coordinate,
 one run of them read as a row block; its digests were recorded while the
@@ -58,6 +60,7 @@ from subgrad import SolverConfig, dsg, reports, solve
 from subgrad.oracles import AffineBlockOracle, AffineOracle, euclidean_norm
 from subgrad.problem import ConstrainedProblem, max_constraint_oracle, single_constraint_form
 from subgrad.testbeds import build_lad, build_svm, gen_random
+import test_oracles
 
 def dense_rows():
     rng = np.random.Generator(np.random.PCG64(8))
@@ -269,16 +272,18 @@ def test_split_runs_cover_exactly_the_slack_form_instances():
 
 
 def test_digest_free_checks_pass_under_the_haswell_kernel():
-    """The live checks, rerun in one subprocess on OpenBLAS's Haswell kernel
-    with one BLAS thread. OPENBLAS_CORETYPE selects the kernel for that
-    process only; where numpy's BLAS ignores it, the checks run on the
-    default kernel and pass all the same."""
+    """The live checks, and the unit-row kernels' check in test_oracles,
+    rerun in one subprocess on OpenBLAS's Haswell kernel with one BLAS
+    thread. OPENBLAS_CORETYPE selects the kernel for that process only;
+    where numpy's BLAS ignores it, the checks run on the default kernel and
+    pass all the same."""
     checks = (test_thinned_trace_keeps_the_full_trace_rows,
               test_dsg_matches_direct_evaluation_of_x_bar,
-              test_split_products_match_dense_products)
+              test_split_products_match_dense_products,
+              test_oracles.test_unit_row_kernels_match_the_dense_kernels)
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",
-         *(f"{__file__}::{t.__name__}" for t in checks)],
+         *(f"{t.__code__.co_filename}::{t.__name__}" for t in checks)],
         cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
