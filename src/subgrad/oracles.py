@@ -326,11 +326,11 @@ class AffineBlockOracle(ConvexOracle):
             self._unit = cols, self.C[np.arange(self.d.size), cols]
 
     def rows(self, x):
-        """(r, C): every row value r = C x + d, and the rows C."""
+        """Every row value r = C x + d."""
         if self._unit is not None and _all_finite(x):
             cols, vals = self._unit
-            return (vals * x[cols] + 0.0) + self.d, self.C
-        return np.vecdot(self.C, x) + self.d, self.C
+            return (vals * x[cols] + 0.0) + self.d
+        return np.vecdot(self.C, x) + self.d
 
     def add_rows(self, tx, w, r):
         """tx + w_i c_i over the rows with r_i > 0 and w_i != 0, as a new array
@@ -359,7 +359,7 @@ class AffineBlockOracle(ConvexOracle):
         return -v, (r, i, True)
 
     def select(self, x):
-        return self.select_rows(self.rows(x)[0])
+        return self.select_rows(self.rows(x))
 
     def subgrad(self, key):
         _, i, negated = key

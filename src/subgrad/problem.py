@@ -97,7 +97,7 @@ class ConstrainedProblem:
         vals = np.empty(self.m)
         for i, k, o in self._blocks:
             if k:
-                vals[i:i + k] = o.rows(x)[0]
+                vals[i:i + k] = o.rows(x)
             else:
                 vals[i] = o.select(x)[0]
         return np.maximum(vals, 0.0)
@@ -207,28 +207,28 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     # objective oracle's own subgradient array
     f0_val, tx = problem.f0(x)
     t = np.empty(n + m + l)
-    kept = []  # (row i of F, rows k or 0 for a single row, oracle, values, rows or key)
+    kept = []  # (row i of F, rows k or 0 for a single row, oracle, its rows r or its key)
     for i, k, oracle in problem._blocks:
         j = n + i
         if k:
-            v, g = oracle.rows(x)
+            v = held = oracle.rows(x)
             t[j:j + k] = np.where(v <= 0.0, 0.0, -v)  # a NaN value stays NaN in F
         else:
-            v, g = oracle.select(x)
+            v, held = oracle.select(x)
             t[j] = 0.0 if v <= 0.0 else -v
             if keys is not None:
-                keys.append(g)
+                keys.append(held)
         if k or v > 0.0:
-            kept.append((i, k, oracle, v, g))
+            kept.append((i, k, oracle, held))
     if kept:
         w = z[n:n + m]
         if rho != 0.0:
             w = w + rho * norm_power_subgrad(-t[n:n + m], s_exp)
-        for i, k, oracle, v, g in kept:
+        for i, k, oracle, held in kept:
             if k:
-                tx = oracle.add_rows(tx, w[i:i + k], v)
+                tx = oracle.add_rows(tx, w[i:i + k], held)
             elif w[i] != 0.0:
-                tx = tx + w[i] * oracle.subgrad(g)
+                tx = tx + w[i] * oracle.subgrad(held)
     if l:
         nu = z[n + m:]
         r = problem.residual(x)

@@ -6,6 +6,8 @@ from subgrad.oracles import AffineOracle, Norm1Oracle, SqNormOracle
 from subgrad.problem import ConstrainedProblem, saddle_direction, single_constraint_form
 from subgrad.reports import NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig
 from subgrad.testbeds import build_lad, build_svm, gen_random
+import transcription
+from test_replay import assert_matches_transcription
 
 
 def equality_only_problem():
@@ -43,26 +45,15 @@ def test_lambda_block_is_nonpositive():
 @pytest.mark.parametrize("make", [lambda: gen_random(1, 6, 12).problem,
                                   lambda: gen_random(2, 4, 2).problem])
 def test_direction_matches_plain_dsg_direction(make):
-    # an independent transcription of the DSG direction
-    # (g0 + sum_{f_i > 0} lam_i g_i + A^T nu, -F, b - Ax) must equal T at rho = 0
+    # the transcription's DSG direction (g0 + sum_{f_i > 0} lam_i g_i + A^T nu,
+    # -F, b - Ax), with one oracle call per row, must equal T at rho = 0
     p = make()
     n, m, l = p.n, p.m, p.l
     rng = np.random.default_rng(7)
     for _ in range(20):
         z = np.concatenate([rng.normal(size=n), rng.uniform(0, 2, size=m),
                             rng.normal(size=l)])
-        x, lam, nu = z[:n], z[n:n + m], z[n + m:]
-        _, g0 = p.f0(x)
-        gx = np.array(g0)
-        F = np.zeros(m)
-        for i, oracle in enumerate(p.ineq):
-            v, g = oracle(x)
-            if v > 0.0:
-                F[i] = v
-                gx += lam[i] * g
-        gx += p.A.T @ nu
-        expected = np.concatenate([gx, -F, p.b - p.A @ x])
-        np.testing.assert_array_equal(saddle_direction(p, z)[0], expected)
+        assert saddle_direction(p, z)[0].tobytes() == transcription.direction(p, z)[0].tobytes()
 
 
 def test_step_hand_example():
@@ -126,18 +117,13 @@ def test_boundedness_invariant_on_known_saddle():
 
 
 def test_x_bar_matches_direct_recomputation():
+    # the transcription averages the x_j with weights 1 / ||G_j|| directly
     p = gen_random(1, 5, 9).problem
     st = dsg.init_state(p)
-    num = np.zeros(p.n)
-    den = 0.0
+    points = transcription.dual_averaging(p, SolverConfig(solver="mdsg"))
     for _ in range(300):
-        g = saddle_direction(p, st.z_arr)[0]
-        gnorm = np.linalg.norm(g)
-        x_k = st.z_arr[:p.n]
         assert dsg.step(p, st)
-        num += x_k / gnorm
-        den += 1.0 / gnorm
-        np.testing.assert_allclose(st.x_bar, num / den, rtol=1e-12, atol=1e-15)
+        assert st.x_bar.tobytes() == next(points)[0].tobytes()
 
 
 @pytest.mark.parametrize("build", [lambda: gen_random(1, 10, 1), lambda: gen_random(2, 4, 2),
@@ -167,7 +153,7 @@ def test_block_rows_of_x_bar_are_the_scaled_row_sums(build):
     for _ in range(300):
         assert dsg.step(run, st)
         for j, acc in st.row_sums:
-            rows = fbar.parts[j].rows(st.x_bar)[0]
+            rows = fbar.parts[j].rows(st.x_bar)
             assert np.linalg.norm(rows - acc / st.delta) <= 1e-12 * np.linalg.norm(rows)
         direct = fbar.value(st.x_bar)
         assert abs(at_x_bar.value(st.x_bar) - direct) <= 1e-12 * (1.0 + abs(direct))
@@ -224,16 +210,13 @@ def test_unknown_mode_is_refused():
 
 
 def test_single_mode_infeasibility_convention():
-    # with equalities the reported infeasibility is max{fbar(x_bar), 0}
+    # with equalities the reported infeasibility is max{fbar(x_bar), 0}, as
+    # the transcription evaluates it at every x_bar
     p = ConstrainedProblem(AffineOracle([1.0, 0.0]),
                            [AffineOracle([1.0, 0.0], -2.0)],
                            A=[[0.0, 1.0]], b=[1.0])
-    rep = dsg.solve(p, SolverConfig(solver="sdsg", eps=1e-3, iterations=50,
-                                    trace_every=1), mode="single")
-    from subgrad.problem import max_constraint_oracle
-    fbar = max_constraint_oracle(p)
-    last = rep.trace[-1]
-    assert last.infeas == pytest.approx(max(fbar.value(rep.x_out), 0.0), abs=1e-12)
+    cfg = SolverConfig(solver="sdsg", eps=1e-3, iterations=50)
+    assert_matches_transcription(p, cfg, dsg.solve(p, cfg, mode="single"))
 
 
 def test_zero_iterations_has_no_average():

@@ -585,10 +585,9 @@ def test_unit_row_kernels_match_the_dense_kernels():
         bad_x = x.copy()
         bad_x[i % x.size] = special
         for y in (x, bad_x):
-            (got, C_out), got_errors = fp_errors(lambda: block.rows(y))
+            got, got_errors = fp_errors(lambda: block.rows(y))
             ref, ref_errors = fp_errors(lambda: np.vecdot(C, y) + d)
             assert (got.tobytes(), got_errors) == (ref.tobytes(), ref_errors), y
-            assert C_out is block.C
         # w as drawn, and with one active entry non-finite
         ws = [w]
         on = np.flatnonzero((r > 0.0) & (w != 0.0))

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig, dsg, pds, solve
+from subgrad import SolverConfig, dsg, pds, solve
 from subgrad.oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineBlockOracle, AffineOracle,
-                             ConvexOracle, MaxOracle, Norm1Oracle, PositivePart, euclidean_norm,
-                             norm_power_subgrad)
+                             ConvexOracle, MaxOracle, Norm1Oracle, PositivePart, euclidean_norm)
 from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_direction,
                              single_constraint_form, start_point)
 from subgrad.simplex import LpProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
-from test_replay import assert_dsg_matches_direct, dense_rows, has_row_block
+from test_replay import assert_matches_transcription, dense_rows, reads_a_sum, row_bits
+from transcription import direction, fbar
 
 
 def one_d(c=1.0, ineq_c=None, A=None, b=None):
@@ -187,26 +187,10 @@ def test_max_constraint_oracle():
         max_constraint_oracle(ConstrainedProblem(AffineOracle([1.0])))
 
 
-def per_row_max(parts):
-    """max over parts by one call per part: the first NaN value wins, else the
-    largest value at the lowest index. What a stacked MaxOracle must reproduce."""
-    def evaluate(x):
-        pairs = [o(x) for o in parts]
-        nan = [i for i, (v, _) in enumerate(pairs) if math.isnan(v)]
-        i = nan[0] if nan else max(range(len(pairs)), key=lambda i: (pairs[i][0], -i))
-        return pairs[i]
-    return evaluate
-
-
-def per_row_fbar(p):
-    """fbar with one call per constraint row: what the blocks must reproduce."""
-    return per_row_max(list(p.ineq) + [AbsAffineOracle(a, b) for a, b in zip(p.A, p.b)])
-
-
 def assert_same_fbar(p, points):
-    fbar, ref = max_constraint_oracle(p), per_row_fbar(p)
+    # the transcription's fbar has one call per constraint row: what the blocks must reproduce
     for x in points:
-        (v, g), (v_ref, g_ref) = fbar(x), ref(x)
+        (v, g), (v_ref, g_ref) = max_constraint_oracle(p)(x), fbar(p, x)
         assert np.float64(v).tobytes() == np.float64(v_ref).tobytes(), x
         np.testing.assert_array_equal(g, g_ref)
 
@@ -287,24 +271,6 @@ def test_only_case2_box_blocks_are_unit_rows():
         blocks = row_blocks(p)
         assert blocks and all(q._unit is None for q in blocks)
 
-def per_row_direction(p, z, rho, s_exp):
-    """saddle_direction with one oracle call per row, Tx summed row by row in row order."""
-    n, m = p.n, p.m
-    x, lam, nu = z[:n], z[n:n + m], z[n + m:]
-    f0_val, tx = p.f0(x)
-    rows = [o(x) for o in p.ineq]
-    minus_f = np.array([0.0 if v <= 0.0 else -v for v, _ in rows])
-    pen = norm_power_subgrad(-minus_f, s_exp) if rho != 0.0 else None
-    for i, (v, g) in enumerate(rows):
-        w = lam[i] if rho == 0.0 else lam[i] + rho * pen[i]
-        if v > 0.0 and w != 0.0:
-            tx = tx + w * g
-    r = p.A @ x - p.b
-    if rho != 0.0:
-        nu = nu + rho * norm_power_subgrad(r, s_exp)
-    return np.concatenate([tx + p.A.T @ nu, minus_f, -r]), f0_val
-
-
 def test_block_direction_matches_per_row_direction():
     rng = np.random.Generator(np.random.PCG64(3))
     n = 7
@@ -337,7 +303,7 @@ def test_block_direction_matches_per_row_direction():
         for rho, s_exp in settings:
             for z in points:
                 (t, f0_val), (t_ref, f0_ref) = (saddle_direction(p, z, rho, s_exp),
-                                                per_row_direction(p, z, rho, s_exp))
+                                                direction(p, z, rho, s_exp))
                 assert t.tobytes() == t_ref.tobytes(), (rho, s_exp, z)
                 assert np.float64(f0_val).tobytes() == np.float64(f0_ref).tobytes()
                 active += np.count_nonzero(t[block_rows] < 0.0)
@@ -353,7 +319,7 @@ def test_block_direction_matches_per_row_direction():
     for rho, s_exp in settings:
         for z in points[:10]:
             z = np.concatenate([z[:n], z[n:n + q.m]])
-            t, t_ref = saddle_direction(q, z, rho, s_exp)[0], per_row_direction(q, z, rho, s_exp)[0]
+            t, t_ref = saddle_direction(q, z, rho, s_exp)[0], direction(q, z, rho, s_exp)[0]
             assert t.tobytes() == t_ref.tobytes()
 
 
@@ -372,7 +338,7 @@ def test_abs_affine_inequalities_stay_single_rows():
         ref = np.maximum([o(x)[0] for o in p.ineq], 0.0)
         assert p.violation_vector(x).tobytes() == ref.tobytes()
         for rho, s_exp in ((0.0, 2.0), (0.7, 1.5)):
-            t, t_ref = saddle_direction(p, z, rho, s_exp)[0], per_row_direction(p, z, rho, s_exp)[0]
+            t, t_ref = saddle_direction(p, z, rho, s_exp)[0], direction(p, z, rho, s_exp)[0]
             assert t.tobytes() == t_ref.tobytes()
     assert max_constraint_oracle(p).parts == ineq
     assert_same_fbar(p, [z[:n] for z in points])
@@ -529,7 +495,7 @@ def test_walk_matches_per_row_walk_on_random_instances():
         p = build_instance(*spec)
         z = random_z(p, z_seed)
         (t, f0_val), (t_ref, f0_ref) = (saddle_direction(p, z, rho, s_exp),
-                                        per_row_direction(p, z, rho, s_exp))
+                                        direction(p, z, rho, s_exp))
         assert t.tobytes() == t_ref.tobytes()
         assert np.float64(f0_val).tobytes() == np.float64(f0_ref).tobytes()
         x = z[:p.n]
@@ -543,17 +509,27 @@ def test_walk_matches_per_row_walk_on_random_instances():
 
 
 def test_solver_invariants_on_random_instances():
-    statuses = {COMPLETED, SADDLE_TERMINATED, NO_EPS_FEASIBLE}
+    seen = set()  # (whether mdsg reads a sum, whether sdsg does) of each instance drawn
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(instance_spec(), st.integers(1, 30), st.floats(0.1, 2.0), S_EXP,
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(instance_spec(), SEED, st.integers(1, 30), st.floats(0.1, 2.0), S_EXP,
            st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([1e-3, 1.0]))
-    def check(spec, iterations, rho, s_exp, delta_exp, eps):
+    @example((2, [2], [], 0, 1), 1, 10, 0.5, 2.0, 0.5, 1e-3)  # l = 0
+    @example((2, [2], [], 3, 2), 2, 10, 0.5, 1.5, 0.5, 1.0)  # l > 0
+    @example((2, [2], [], 1, 1), 1, 10, 1.0, 2.0, 0.25, 1e-3)  # a max form without a block
+    @example((2, [ROW_BLOCK_MIN], [], 0, 2), 2, 10, 1.0, 1.0, 0.75, 1.0)  # and with one
+    def check(spec, z_seed, iterations, rho, s_exp, delta_exp, eps):
         p = build_instance(*spec)
         n, m = p.n, p.m
+        z = random_z(p, z_seed)
+        native = dict(x0=z[:n], lam0=z[n:n + m], nu0=z[n + m:])
+        starts = {"sg": dict(x0=z[:n]), "mdsg": native, "pds": native}
+        if p.m + p.l:  # sdsg's start is read against the max form: lam0 of length 1, no nu0
+            zs = random_z(single_constraint_form(p), z_seed)
+            starts["sdsg"] = dict(x0=zs[:n], lam0=zs[n:])
         # lam >= 0 along DSG and PDS runs, and every PDS step has length gamma_k
-        dst = dsg.init_state(p)
-        pst = pds.init_state(p, SolverConfig(rho=rho, s_exp=s_exp, delta_exp=delta_exp))
+        dst = dsg.init_state(p, **native)
+        pst = pds.init_state(p, SolverConfig(rho=rho, s_exp=s_exp, delta_exp=delta_exp, **native))
         for k in range(iterations):
             if dsg.step(p, dst):
                 assert np.min(dst.z_arr[n:n + m], initial=0.0) >= 0.0
@@ -562,75 +538,28 @@ def test_solver_invariants_on_random_instances():
                 assert np.min(pst.z_arr[n:n + m], initial=0.0) >= 0.0
                 gamma = pds.step_length(k, delta_exp)
                 assert abs(euclidean_norm(pst.z_arr - z_before) - gamma) <= 1e-12 * gamma
-        # a documented status, p_eps finite or None, and the same trace twice
+        # the same run twice, bit for bit, and the transcription's run
         for solver in ("sg", "sdsg", "mdsg", "pds"):
             cfg = dict(solver=solver, iterations=iterations, eps=eps, rho=rho, s_exp=s_exp,
                        delta_exp=delta_exp)
-            if solver == "sdsg" and p.m + p.l == 0:
+            if solver not in starts:
                 with pytest.raises(ValueError, match="at least one constraint"):
                     solve(p, SolverConfig(**cfg))
                 continue
-            runs = [solve(p, SolverConfig(**cfg)) for _ in range(2)]
-            for rep in runs:
-                assert rep.status in statuses
-                assert rep.p_eps is None or math.isfinite(rep.p_eps)
-            a, b = ([(r.k, r.val, r.infeas) for r in rep.trace] for rep in runs)
-            assert np.array(a).tobytes() == np.array(b).tobytes()
-            assert runs[0].x_out.tobytes() == runs[1].x_out.tobytes()
-            assert (runs[0].status, runs[0].p_eps) == (runs[1].status, runs[1].p_eps)
+            cfg = SolverConfig(**cfg, **starts[solver])
+            a, b = solve(p, cfg), solve(p, cfg)
+            assert [row_bits(r) for r in a.trace] == [row_bits(r) for r in b.trace]
+            assert (a.status, a.p_eps, a.x_out.tobytes()) == (b.status, b.p_eps, b.x_out.tobytes())
+            assert_matches_transcription(p, cfg, a)
+        seen.add((reads_a_sum(p, "mdsg"), p.m + p.l > 0 and reads_a_sum(p, "sdsg")))
 
     check()
-
-
-def test_mdsg_trace_matches_direct_evaluation_on_random_instances():
-    # mdsg reads A x_bar - b off its dual sum; from any start z0 (the sum
-    # holds no nu0) it must agree with evaluating x_bar directly
-    seen_l = set()
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
-    @example((2, [2], [], 0, 1), 1, 10, 1e-3)
-    @example((2, [2], [], 3, 2), 2, 10, 1.0)
-    def check(spec, z_seed, iterations, eps):
-        p = build_instance(*spec)
-        n, m = p.n, p.m
-        z = random_z(p, z_seed)
-        cfg = SolverConfig(solver="mdsg", iterations=iterations, eps=eps,
-                           x0=z[:n], lam0=z[n:n + m], nu0=z[n + m:])
-        assert_dsg_matches_direct(p, cfg)
-        seen_l.add(min(p.l, 1))
-
-    check()
-    assert seen_l == {0, 1}  # instances with and without equality rows
-
-
-def test_sdsg_trace_matches_direct_evaluation_on_random_instances():
-    # sdsg reads the row blocks of fbar at x_bar off its row sums; from any
-    # start (x0, lam0) it must agree with evaluating fbar(x_bar) directly
-    seen_block = set()
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
-    @example((2, [2], [], 1, 1), 1, 10, 1e-3)
-    @example((2, [ROW_BLOCK_MIN], [], 0, 2), 2, 10, 1.0)
-    def check(spec, z_seed, iterations, eps):
-        p = build_instance(*spec)
-        assume(p.m + p.l)
-        z = random_z(single_constraint_form(p), z_seed)
-        cfg = SolverConfig(solver="sdsg", iterations=iterations, eps=eps,
-                           x0=z[:p.n], lam0=z[p.n:])
-        assert_dsg_matches_direct(p, cfg)
-        seen_block.add(has_row_block(p))
-
-    check()
-    assert seen_block == {False, True}  # max forms with and without a row block
+    # equality rows and none, a max form with a row block and without one
+    assert {l for l, _ in seen} == {False, True} and {b for _, b in seen} == {False, True}
 
 
 def test_thinned_trace_ends_at_x_out_on_random_instances():
     stops = set()  # solvers seen stopping after some steps but before the last one
-
-    def row_bits(r):
-        return np.array([r.k, r.val, r.infeas]).tobytes()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), st.integers(1, 30), st.sampled_from([1e-3, 0.5]))
@@ -779,7 +708,7 @@ def test_stacked_max_matches_per_row_max_on_random_parts():
         assume(parts)
         o = MaxOracle(parts)
         assert o.parts == parts  # a max keeps the parts it is given
-        ref = per_row_max(rows)
+        ref = ConstrainedProblem(AffineOracle(np.zeros(n)), rows)  # fbar is the per-row max
         # x as drawn, and with its entry i set to each special value in turn
         points = [x]
         for special in (math.nan, math.inf, -math.inf, -0.0):
@@ -787,7 +716,7 @@ def test_stacked_max_matches_per_row_max_on_random_parts():
             points[-1][i % n] = special
         with np.errstate(invalid="ignore"):
             for y in points:
-                (v, g), (v_ref, g_ref) = o(y), ref(y)
+                (v, g), (v_ref, g_ref) = o(y), fbar(ref, y)
                 assert np.float64(v).tobytes() == np.float64(v_ref).tobytes(), y
                 assert g.tobytes() == g_ref.tobytes(), y
                 assert np.float64(o.value(y)).tobytes() == np.float64(v_ref).tobytes(), y
@@ -828,7 +757,7 @@ def test_block_rule_on_rows_is_select_and_value():
         lead = Norm1Oracle(x.size, offset=-1.0)
         with np.errstate(invalid="ignore"):
             for y in points:
-                r = block.rows(y)[0]
+                r = block.rows(y)
                 v, (r_key, i_key, negated) = block.select_rows(r)
                 v_ref, key_ref = block.select(y)
                 assert np.float64(v).tobytes() == np.float64(v_ref).tobytes(), y

@@ -1,42 +1,28 @@
 """Replay guard: every solver reproduces its pinned trace bit for bit.
 
-What is pinned. Each digest is sha256 over the exact bits of (k, val,
-infeas) of every trace row, packed as little-endian (int64, float64,
-float64), of a run at K = 200 with trace_every = 1:
-- PINNED holds solve's run of each of the 24 (instance, solver) pairs. The
-  values were recorded before the solve loops were merged into one driver;
-  a refactor of the iteration path must leave all of them unchanged.
-- DIRECT_PINNED holds the 8 DSG runs that read affine values at x_bar off
-  a weighted sum of the values the directions read (Nesterov 2009), as
-  ``direct_dsg`` reports them, evaluating x_bar directly: mdsg on the
-  instances with equality rows reads A x_bar - b off its dual sum, and
-  sdsg on those whose max form has an AffineBlockOracle part reads the
-  part's rows off a row sum. The sums differ from the products in the
-  last bits, so these runs' PINNED digests were re-pinned, and the replay
-  keeps the digests from before.
-The lad and svm instances have slack-form equality rows A = [B | I], which
-the problem reads as B (``ConstrainedProblem.residual`` and ``adjoint``).
-Their mdsg and pds runs, and their mdsg direct replay, were re-pinned when
-it did: the split sums in another order than the dense product.
-The digests hold for one BLAS kernel and one numpy version: the products
-with A and the row reductions take their bits from both (ROADMAP item 11).
+Pinned: PINNED holds 24 digests, one per (instance, solver) pair, each
+sha256 over the bits of (k, val, infeas) of every trace row, packed as
+little-endian (int64, float64, float64), of solve's run at K = 200 with
+trace_every = 1. They hold for one BLAS kernel and one numpy version, whose
+products and row reductions give the bits (ROADMAP item 11); a re-pin is
+anchored by the live checks, run before the new digests are recorded.
 
-What is derived live, on any kernel:
-- a run with trace_every = 7 reports exactly the rows 7, 14, .., 196 and
-  200 of the same run at trace_every = 1, bit for bit, with the same
-  status, p_eps and x_out;
-- solve's mdsg and sdsg reports of the DIRECT_PINNED runs agree with
-  ``direct_dsg``: k, val and x_out bit-equal, and infeas within rounding
-  of the sum it is read off;
-- every run that reads A = [B | I] as B agrees with the same run on
-  ``DenseProducts``, which multiplies by the dense A as the solvers did
-  before: k bit-equal, val, infeas and x_out within rounding, and the same
-  status and p_eps. Before the re-pin, ``DenseProducts`` reproduced the six
-  digests the split changed.
+Live, on any kernel:
+- thinned rows: a run with trace_every = 7 reports the rows 7, 14, .., 196
+  and 200 of the run at trace_every = 1, with the same status, p_eps, x_out;
+- library = transcription: each run agrees with the plain transcription of
+  its solver (``transcription``). k, val, x_out, status and p_eps are
+  bit-equal, and so is infeas, except on the 8 DSG runs that read affine
+  values at x_bar off a weighted sum (Nesterov 2009): mdsg with equality
+  rows, off its dual sum, and sdsg whose max form has an AffineBlockOracle
+  part, off the part's row sum. There infeas is within rounding;
+- split = dense: a run that reads a slack-form A = [B | I] as B agrees
+  with the same run on ``DenseProducts``, which multiplies by the dense A:
+  k bit-equal, val, infeas and x_out within rounding, the same status and
+  p_eps.
 ``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns these in a
-subprocess on another OpenBLAS kernel, with the check that a block of unit
-rows, read by a gather and added by a scatter, has the bits of the dense
-kernels (``test_oracles``); its kernels call no BLAS, so it holds on any.
+subprocess on another OpenBLAS kernel, with ``test_oracles``'s check that
+unit-row blocks, which call no BLAS, have the bits of the dense kernels.
 
 The dense-rows instance has eight affine rows that share every coordinate,
 one run of them read as a row block; its digests were recorded while the
@@ -56,11 +42,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subgrad import SolverConfig, dsg, reports, solve
-from subgrad.oracles import AffineBlockOracle, AffineOracle, euclidean_norm
-from subgrad.problem import ConstrainedProblem, max_constraint_oracle, single_constraint_form
+from subgrad import SolverConfig, solve
+from subgrad.oracles import AffineBlockOracle, AffineOracle
+from subgrad.problem import ConstrainedProblem, max_constraint_oracle
 from subgrad.testbeds import build_lad, build_svm, gen_random
 import test_oracles
+import transcription
+
 
 def dense_rows():
     rng = np.random.Generator(np.random.PCG64(8))
@@ -107,24 +95,8 @@ PINNED = {
     ("dense-rows-s8", "pds"): ("COMPLETED", "907b96fb11a07735a242039943e046f8bf4b4441193f5535c0ec3d036d9462b2"),
 }
 
-# (instance, solver) -> (status, trace digest) of direct_dsg at K = 200,
-# trace_every = 1
-DIRECT_PINNED = {
-    ("case1-n10-s1", "mdsg"): ("NO_EPS_FEASIBLE", "bac021db8a08d285dc2371232da4be0101b6223fe1e52a2d0e0552540d2a4c83"),
-    ("case2-n4-s2", "mdsg"): ("NO_EPS_FEASIBLE", "9a03450240416dceb252919be655be7321ac2dfad5cadf17c5ca8db10dedc7a5"),
-    ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "f7d03001e70e547510fcecbe3482d03bfb5ecbb92c3f1a50a7604422ef5ca68a"),
-    ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "aa5fcdbe2d79dea27e052fddfa2aa180c6cc169503b348e14f52d79b5bfe2072"),
-    ("case2-n4-s2", "sdsg"): ("NO_EPS_FEASIBLE", "32beee5e42595bd0f8de38ec995867ac048f34e043f695e8a5243af2e4b23330"),
-    ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "a28000e9a7a868408230893d2d7b9697ba86cbb94cda6ad1afcf7e025f734a90"),
-    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "20e210529c74a72a7ebba3d77e6296969ae7f44fc20efcada4afdc4205dcc823"),
-    ("dense-rows-s8", "sdsg"): ("COMPLETED", "f34b4b274a0bc9414258b57ba497575dcd2d0ae329a456e9f42262eb8ade9f9e"),
-}
-
-# the dsg.solve mode each DSG solver name selects
-MODE = {"mdsg": "multi", "sdsg": "single"}
-
 # the runs that read the slack-form A = [B | I] of an instance as B: solve's
-# mdsg and pds, and direct_dsg's mdsg
+# mdsg and pds, and the transcription's mdsg, which evaluates x_bar directly
 SPLIT_RUNS = [(label, run) for label in ("lad-nbar3-s1", "svm-nbar1-s1")
               for run in ("mdsg", "pds", "direct mdsg")]
 
@@ -162,53 +134,31 @@ def pinned_run(label, solver):
     return solve(INSTANCES[label](), SolverConfig(solver=solver, iterations=200))
 
 
-def direct_dsg(problem, cfg, mode):
-    """dsg.solve with x_bar evaluated directly: dsg.step on the problem (mode
-    "multi") or on its max form (mode "single"), then f0.value(x_bar) and,
-    as infeas, problem.infeasibility(x_bar) or max{fbar.value(x_bar), 0}.
-    Returns the report and ||A x_bar_k - b|| of the run problem for
-    k = 1, 2, .. (zero in mode "single", which has no equality rows)."""
-    run = single_constraint_form(problem) if mode == "single" else problem
-    state = dsg.init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
-    residuals = []
-
-    def advance():
-        if not dsg.step(run, state):
-            return None
-        x_bar = state.x_bar
-        residuals.append(euclidean_norm(run.A @ x_bar - run.b))
-        if mode == "multi":
-            infeas = run.infeasibility(x_bar)
-        else:
-            fv = run.ineq[0].value(x_bar)
-            infeas = 0.0 if fv <= 0.0 else fv
-        return x_bar, run.f0.value(x_bar), infeas
-
-    return reports.drive(cfg, advance, state.z0[:run.n]), residuals
+def reads_a_sum(problem, solver):
+    """Whether solve's run reads affine values at x_bar off a weighted sum:
+    mdsg with equality rows, or sdsg whose max form has an AffineBlockOracle
+    part."""
+    if solver == "mdsg":
+        return problem.l > 0
+    return solver == "sdsg" and any(
+        type(q) is AffineBlockOracle for q in max_constraint_oracle(problem).parts)
 
 
-def has_row_block(problem):
-    """Whether the max form of problem has an AffineBlockOracle part."""
-    return any(type(q) is AffineBlockOracle for q in max_constraint_oracle(problem).parts)
-
-
-def assert_dsg_matches_direct(problem, cfg):
-    """solve's mdsg or sdsg report against direct_dsg: k, val and x_out
-    bit-equal, the same status and p_eps, and infeas
-    - mdsg: within 1e-12 ||A x_bar_k - b|| (bit-equal when l = 0);
-    - sdsg: within 1e-12 (1 + |direct infeas|) (bit-equal when fbar has no
-      row block)."""
-    rep = solve(problem, cfg)
-    ref, residuals = direct_dsg(problem, cfg, MODE[cfg.solver])
+def assert_matches_transcription(problem, cfg, rep):
+    """solve's report rep (trace_every = 1) against the transcription's run;
+    where rep reads a sum, infeas within 1e-12 ||A x_bar_k - b|| (mdsg) or
+    1e-12 (1 + |infeas|) (sdsg). Returns whether every infeas was bit-equal."""
+    ref = transcription.run(problem, cfg)
     assert (rep.status, rep.p_eps) == (ref.status, ref.p_eps)
     assert rep.x_out.tobytes() == ref.x_out.tobytes()
-    assert [(r.k, bits(r.val)) for r in rep.trace] == [(r.k, bits(r.val)) for r in ref.trace]
-    multi = cfg.solver == "mdsg"
-    if not (problem.l if multi else has_row_block(problem)):
-        assert [bits(r.infeas) for r in rep.trace] == [bits(q.infeas) for q in ref.trace]
+    assert [(r.k, bits(r.val)) for r in rep.trace] == [(q.k, bits(q.val)) for q in ref.trace]
+    if [bits(r.infeas) for r in rep.trace] == [bits(q.infeas) for q in ref.trace]:
+        return True
+    assert reads_a_sum(problem, cfg.solver)
     for r, q in zip(rep.trace, ref.trace):
-        scale = residuals[r.k - 1] if multi else 1.0 + abs(q.infeas)
+        scale = q.residual if cfg.solver == "mdsg" else 1.0 + abs(q.infeas)
         assert abs(r.infeas - q.infeas) <= 1e-12 * scale
+    return False
 
 
 @pytest.mark.parametrize("label,solver", sorted(PINNED))
@@ -228,28 +178,28 @@ def test_thinned_trace_keeps_the_full_trace_rows(label, solver):
     assert rep.x_out.tobytes() == full.x_out.tobytes()
 
 
-@pytest.mark.parametrize("label,solver", sorted(DIRECT_PINNED))
-def test_dsg_matches_direct_evaluation_of_x_bar(label, solver):
-    assert_dsg_matches_direct(INSTANCES[label](), SolverConfig(solver=solver, iterations=200))
+@pytest.mark.parametrize("label,solver", sorted(PINNED))
+def test_library_matches_transcription(label, solver):
+    # infeas is bit-equal exactly where no sum is read: a sum read that falls
+    # back to evaluating x_bar fails here, as does a new sum read
+    problem = INSTANCES[label]()
+    same = assert_matches_transcription(problem, SolverConfig(solver=solver, iterations=200),
+                                        pinned_run(label, solver))
+    assert same != reads_a_sum(problem, solver)
 
 
-@pytest.mark.parametrize("label,solver", sorted(DIRECT_PINNED))
-def test_direct_evaluation_matches_pinned_digest(label, solver):
-    cfg = SolverConfig(solver=solver, iterations=200)
-    ref = direct_dsg(INSTANCES[label](), cfg, MODE[solver])[0]
-    assert (ref.status, trace_digest(ref.trace)) == DIRECT_PINNED[label, solver]
-
-
-def test_direct_digests_pin_exactly_the_runs_that_read_x_bar_off_a_sum():
-    built = {label: build() for label, build in INSTANCES.items()}
-    assert set(DIRECT_PINNED) == (
-        {(label, "mdsg") for label, p in built.items() if p.l}
-        | {(label, "sdsg") for label, p in built.items() if has_row_block(p)})
+def test_sg_descends_fbar_just_above_eps():
+    # fbar(x0) = 1e-3 + 5e-13 lies just above eps = 1e-3, so the first step
+    # descends fbar, not f0
+    problem = INSTANCES["one_d"]()
+    cfg = SolverConfig(solver="sg", iterations=200, x0=[-(1e-3 + 5e-13)])
+    assert cfg.eps < -cfg.x0[0] <= cfg.eps + 1e-12
+    assert_matches_transcription(problem, cfg, solve(problem, cfg))
 
 
 def split_run(problem, run):
     cfg = SolverConfig(solver=run.split()[-1], iterations=200)
-    return direct_dsg(problem, cfg, "multi")[0] if run == "direct mdsg" else solve(problem, cfg)
+    return transcription.run(problem, cfg) if run == "direct mdsg" else solve(problem, cfg)
 
 
 @pytest.mark.parametrize("label,run", SPLIT_RUNS)
@@ -278,7 +228,7 @@ def test_digest_free_checks_pass_under_the_haswell_kernel():
     where numpy's BLAS ignores it, the checks run on the default kernel and
     pass all the same."""
     checks = (test_thinned_trace_keeps_the_full_trace_rows,
-              test_dsg_matches_direct_evaluation_of_x_bar,
+              test_library_matches_transcription,
               test_split_products_match_dense_products,
               test_oracles.test_unit_row_kernels_match_the_dense_kernels)
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
