@@ -509,15 +509,9 @@ def test_walk_matches_per_row_walk_on_random_instances():
 
 
 def test_solver_invariants_on_random_instances():
-    seen = set()  # (whether mdsg reads a sum, whether sdsg does) of each instance drawn
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), SEED, st.integers(1, 30), st.floats(0.1, 2.0), S_EXP,
            st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([1e-3, 1.0]))
-    @example((2, [2], [], 0, 1), 1, 10, 0.5, 2.0, 0.5, 1e-3)  # l = 0
-    @example((2, [2], [], 3, 2), 2, 10, 0.5, 1.5, 0.5, 1.0)  # l > 0
-    @example((2, [2], [], 1, 1), 1, 10, 1.0, 2.0, 0.25, 1e-3)  # a max form without a block
-    @example((2, [ROW_BLOCK_MIN], [], 0, 2), 2, 10, 1.0, 1.0, 0.75, 1.0)  # and with one
     def check(spec, z_seed, iterations, rho, s_exp, delta_exp, eps):
         p = build_instance(*spec)
         n, m = p.n, p.m
@@ -538,7 +532,8 @@ def test_solver_invariants_on_random_instances():
                 assert np.min(pst.z_arr[n:n + m], initial=0.0) >= 0.0
                 gamma = pds.step_length(k, delta_exp)
                 assert abs(euclidean_norm(pst.z_arr - z_before) - gamma) <= 1e-12 * gamma
-        # the same run twice, bit for bit, and the transcription's run
+        # the same run twice, bit for bit; sg and pds also against the transcription's
+        # run (mdsg and sdsg have tests of their own below)
         for solver in ("sg", "sdsg", "mdsg", "pds"):
             cfg = dict(solver=solver, iterations=iterations, eps=eps, rho=rho, s_exp=s_exp,
                        delta_exp=delta_exp)
@@ -550,12 +545,55 @@ def test_solver_invariants_on_random_instances():
             a, b = solve(p, cfg), solve(p, cfg)
             assert [row_bits(r) for r in a.trace] == [row_bits(r) for r in b.trace]
             assert (a.status, a.p_eps, a.x_out.tobytes()) == (b.status, b.p_eps, b.x_out.tobytes())
-            assert_matches_transcription(p, cfg, a)
-        seen.add((reads_a_sum(p, "mdsg"), p.m + p.l > 0 and reads_a_sum(p, "sdsg")))
+            if solver in ("sg", "pds"):
+                assert_matches_transcription(p, cfg, a)
 
     check()
-    # equality rows and none, a max form with a row block and without one
-    assert {l for l, _ in seen} == {False, True} and {b for _, b in seen} == {False, True}
+
+
+def test_mdsg_trace_matches_direct_evaluation_on_random_instances():
+    # mdsg reads A x_bar - b off its dual sum; from any start z0 (the sum
+    # holds no nu0) it must agree with the transcription, which evaluates x_bar directly
+    seen_l = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
+    @example((2, [2], [], 0, 1), 1, 10, 1e-3)
+    @example((2, [2], [], 3, 2), 2, 10, 1.0)
+    def check(spec, z_seed, iterations, eps):
+        p = build_instance(*spec)
+        n, m = p.n, p.m
+        z = random_z(p, z_seed)
+        cfg = SolverConfig(solver="mdsg", iterations=iterations, eps=eps,
+                           x0=z[:n], lam0=z[n:n + m], nu0=z[n + m:])
+        assert_matches_transcription(p, cfg, solve(p, cfg))
+        seen_l.add(reads_a_sum(p, "mdsg"))
+
+    check()
+    assert seen_l == {False, True}  # instances with and without equality rows
+
+
+def test_sdsg_trace_matches_direct_evaluation_on_random_instances():
+    # sdsg reads the row blocks of fbar at x_bar off its row sums; from any
+    # start (x0, lam0) it must agree with the transcription, which evaluates
+    # fbar(x_bar) directly
+    seen_block = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(instance_spec(), SEED, st.integers(1, 30), st.sampled_from([1e-3, 1.0]))
+    @example((2, [2], [], 1, 1), 1, 10, 1e-3)
+    @example((2, [ROW_BLOCK_MIN], [], 0, 2), 2, 10, 1.0)
+    def check(spec, z_seed, iterations, eps):
+        p = build_instance(*spec)
+        assume(p.m + p.l)
+        z = random_z(single_constraint_form(p), z_seed)
+        cfg = SolverConfig(solver="sdsg", iterations=iterations, eps=eps,
+                           x0=z[:p.n], lam0=z[p.n:])
+        assert_matches_transcription(p, cfg, solve(p, cfg))
+        seen_block.add(reads_a_sum(p, "sdsg"))
+
+    check()
+    assert seen_block == {False, True}  # max forms with and without a row block
 
 
 def test_thinned_trace_ends_at_x_out_on_random_instances():
