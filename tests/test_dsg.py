@@ -2,22 +2,17 @@ import numpy as np
 import pytest
 
 from subgrad import dsg
-from subgrad.oracles import AffineOracle, Norm1Oracle, SqNormOracle
+from subgrad.oracles import AffineOracle, SqNormOracle
 from subgrad.problem import ConstrainedProblem, saddle_direction, single_constraint_form
 from subgrad.reports import NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig
-from subgrad.testbeds import build_lad, build_svm, gen_random
+from subgrad.testbeds import gen_random
 import transcription
-from test_replay import assert_matches_transcription
+from test_replay import FAMILIES, INSTANCES, assert_matches_transcription, family_id
 
 
 def equality_only_problem():
     # min 0 s.t. x = 1 in one dimension
     return ConstrainedProblem(AffineOracle([0.0]), [], A=[[1.0]], b=[1.0])
-
-
-def min_x_st_neg_x_nonpos():
-    # min x s.t. -x <= 0; optimum x* = 0 with multiplier 1
-    return ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])])
 
 
 def test_saddle_subgradient_hand_example():
@@ -31,15 +26,6 @@ def test_saddle_subgradient_stationary_point():
     p = ConstrainedProblem(AffineOracle([1.0]), [], A=[[1.0]], b=[0.5])
     g = saddle_direction(p, np.array([0.5, -1.0]))[0]
     np.testing.assert_array_equal(g, [0.0, 0.0])
-
-
-def test_lambda_block_is_nonpositive():
-    p = gen_random(1, 6, 12).problem
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        z = np.concatenate([rng.normal(size=6), rng.uniform(0, 2, size=1), rng.normal(size=1)])
-        g = saddle_direction(p, z)[0]
-        assert np.all(g[6:7] <= 0.0)
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(1, 6, 12).problem,
@@ -84,30 +70,9 @@ def test_beta_recursion_values_and_envelope():
         assert 0.9 * root <= beta <= root + 1.0
 
 
-def test_state_beta_matches_recursion():
-    p = min_x_st_neg_x_nonpos()
-    st = dsg.init_state(p)
-    beta = 1.0
-    for _ in range(500):
-        dsg.step(p, st)
-        beta += 1.0 / beta
-    assert st.beta == beta  # identical float operations
-
-
-def test_lambda_never_below_start():
-    p = gen_random(1, 8, 3).problem
-    lam0 = np.array([0.3])
-    st = dsg.init_state(p, lam0=lam0)
-    n = p.n
-    for _ in range(2000):
-        dsg.step(p, st)
-        lam = st.z_arr[n:n + p.m]
-        assert np.all(lam >= lam0)
-
-
 def test_boundedness_invariant_on_known_saddle():
     # ||z_k - z*|| <= ||z0 - z*|| + 1 with z* = (0, 1)
-    p = min_x_st_neg_x_nonpos()
+    p = INSTANCES["one_d"]()
     st = dsg.init_state(p)
     z_star = np.array([0.0, 1.0])
     bound = np.linalg.norm(st.z0 - z_star) + 1.0
@@ -126,12 +91,10 @@ def test_x_bar_matches_direct_recomputation():
         assert st.x_bar.tobytes() == next(points)[0].tobytes()
 
 
-@pytest.mark.parametrize("build", [lambda: gen_random(1, 10, 1), lambda: gen_random(2, 4, 2),
-                                   lambda: build_lad(3, 1), lambda: build_svm(1, 1)],
-                         ids=["case1-n10", "case2-n4", "lad-nbar3", "svm-nbar1"])
-def test_equality_residual_of_x_bar_is_the_scaled_dual_sum(build):
+@pytest.mark.parametrize("label", FAMILIES, ids=family_id)
+def test_equality_residual_of_x_bar_is_the_scaled_dual_sum(label):
     # s_acc sums the blocks b - A x_j / ||G_j||, so A x_bar - b = -s_acc[n+m:] / delta
-    p = build().problem
+    p = INSTANCES[label]()
     st = dsg.init_state(p)
     for _ in range(300):
         assert dsg.step(p, st)
@@ -140,12 +103,10 @@ def test_equality_residual_of_x_bar_is_the_scaled_dual_sum(build):
         assert np.linalg.norm(residual + from_sum) <= 1e-12 * np.linalg.norm(residual)
 
 
-@pytest.mark.parametrize("build", [lambda: gen_random(2, 4, 2), lambda: build_lad(3, 1),
-                                   lambda: build_svm(1, 1)],
-                         ids=["case2-n4", "lad-nbar3", "svm-nbar1"])
-def test_block_rows_of_x_bar_are_the_scaled_row_sums(build):
+@pytest.mark.parametrize("label", FAMILIES[1:], ids=family_id)
+def test_block_rows_of_x_bar_are_the_scaled_row_sums(label):
     # R sums the rows r_j / ||G_j|| of a row block of fbar, so C x_bar + d = R / delta
-    run = single_constraint_form(build().problem)
+    run = single_constraint_form(INSTANCES[label]())
     fbar = run.ineq[0]
     st = dsg.init_state(run)
     at_x_bar = dsg._fbar_at_x_bar(fbar, st)
@@ -159,17 +120,8 @@ def test_block_rows_of_x_bar_are_the_scaled_row_sums(build):
         assert abs(at_x_bar.value(st.x_bar) - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
-@pytest.mark.parametrize("problem", [min_x_st_neg_x_nonpos(), gen_random(1, 10, 1).problem],
-                         ids=["one-d", "case1-n10"])
-def test_max_form_without_a_row_block_is_read_directly(problem):
-    # no row block, no row sum: fbar(x_bar) is evaluated as before
-    fbar = single_constraint_form(problem).ineq[0]
-    st = dsg.init_state(single_constraint_form(problem))
-    assert dsg._fbar_at_x_bar(fbar, st) is fbar and st.row_sums == []
-
-
 def test_solve_one_dimensional_inequality():
-    p = min_x_st_neg_x_nonpos()
+    p = INSTANCES["one_d"]()
     rep = dsg.solve(p, SolverConfig(solver="mdsg", eps=1e-3, iterations=10_000))
     assert abs(rep.final.val) <= 1e-2
     assert rep.final.infeas <= 1e-2
@@ -184,19 +136,6 @@ def test_case1_instance_reaches_small_infeasibility():
     assert rep.final.infeas <= 2e-2
 
 
-def test_single_mode_equals_multi_on_single_constraint_problem():
-    c = np.random.default_rng(4).uniform(-1, 1, 10)
-    p = ConstrainedProblem(AffineOracle(c), [Norm1Oracle(10, offset=-1.0)])
-    cfg = SolverConfig(solver="mdsg", eps=1e-3, iterations=400, trace_every=1)
-    multi = dsg.solve(p, cfg, mode="multi")
-    single = dsg.solve(p, cfg, mode="single")
-    assert len(multi.trace) == len(single.trace)
-    for a, b in zip(multi.trace, single.trace):
-        assert abs(a.val - b.val) <= 1e-12
-        assert abs(a.infeas - b.infeas) <= 1e-12
-    np.testing.assert_allclose(multi.x_out, single.x_out, atol=1e-12)
-
-
 def test_single_mode_needs_constraints():
     p = ConstrainedProblem(AffineOracle([1.0]))
     with pytest.raises(ValueError):
@@ -205,7 +144,7 @@ def test_single_mode_needs_constraints():
 
 def test_unknown_mode_is_refused():
     with pytest.raises(ValueError, match="^unknown mode 'both'"):
-        dsg.solve(min_x_st_neg_x_nonpos(), SolverConfig(solver="mdsg", iterations=10),
+        dsg.solve(INSTANCES["one_d"](), SolverConfig(solver="mdsg", iterations=10),
                   mode="both")
 
 
@@ -220,7 +159,7 @@ def test_single_mode_infeasibility_convention():
 
 
 def test_zero_iterations_has_no_average():
-    p = min_x_st_neg_x_nonpos()
+    p = INSTANCES["one_d"]()
     rep = dsg.solve(p, SolverConfig(solver="mdsg", iterations=0))
     assert rep.trace == []
     assert rep.status == NO_EPS_FEASIBLE

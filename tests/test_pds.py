@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from subgrad import pds
-from subgrad.oracles import AffineOracle, SqNormOracle, norm_power_subgrad
+from subgrad.oracles import AffineOracle, SqNormOracle
 from subgrad.problem import ConstrainedProblem, saddle_direction
 from subgrad.reports import SADDLE_TERMINATED, SolverConfig
-from subgrad.testbeds import build_lad, build_svm, gen_random
+from subgrad.testbeds import gen_random
+from test_replay import FAMILIES, INSTANCES, family_id
 
 
 def quadratic_equality_problem():
@@ -44,12 +45,6 @@ def test_direction_vanishes_when_feasible_blocks():
     np.testing.assert_array_equal(t[:1], [1.0])  # just g0
 
 
-def test_single_constraint_penalty_collapses_at_s2():
-    # with one inequality, s = 2 gives penalty slope 2*F exactly
-    f = np.array([0.7])
-    np.testing.assert_allclose(norm_power_subgrad(f, 2.0), 2.0 * f)
-
-
 def test_step_hand_example():
     p = quadratic_equality_problem()
     st = pds.init_state(p, SolverConfig(rho=1.0, s_exp=2.0, delta_exp=0.5))
@@ -67,35 +62,6 @@ def test_step_terminates_at_saddle():
                                     x0=np.array([1.0]), nu0=np.array([-2.0])))
     assert rep.status == SADDLE_TERMINATED
     assert rep.trace == []
-
-
-def test_lambda_stays_nonnegative():
-    p = gen_random(1, 8, 21).problem
-    st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=2.0, delta_exp=0.5))
-    n, m = p.n, p.m
-    for _ in range(2000):
-        pds.step(p, st)
-        assert np.all(st.z_arr[n:n + m] >= 0.0)
-
-
-def test_step_has_length_gamma():
-    p = gen_random(1, 6, 5).problem
-    st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=1.5, delta_exp=0.7))
-    for _ in range(500):
-        k = st.k
-        z_before = st.z_arr.copy()
-        assert pds.step(p, st)
-        moved = np.linalg.norm(st.z_arr - z_before)
-        gamma = pds.step_length(k, 0.7)
-        assert moved == pytest.approx(gamma, rel=1e-12)
-
-
-def test_gamma_square_sums_stay_bounded():
-    # sum of gamma_k^2 at delta = 0.5 is a partial zeta(1.5) series
-    k = np.arange(1_000_001, dtype=float)
-    partial = np.cumsum((k + 1.0) ** (-1.5))
-    assert np.all(np.diff(partial) > 0.0)
-    assert partial[-1] <= 2.62
 
 
 def test_s2_matches_plain_primal_dual_method():
@@ -128,7 +94,7 @@ def test_s2_matches_plain_primal_dual_method():
 
 def test_direction_gap_nonnegative_at_known_saddle():
     # T(z).(z - z*) >= 0 along the run for min x s.t. -x <= 0, z* = (0, 1)
-    p = ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])])
+    p = INSTANCES["one_d"]()
     z_star = np.array([0.0, 1.0])
     st = pds.init_state(p, SolverConfig(rho=0.5, s_exp=2.0, delta_exp=0.5))
     for _ in range(5000):
@@ -144,12 +110,6 @@ def test_solve_equality_problem():
                                     rho=0.5, s_exp=2.0, delta_exp=0.5))
     assert rep.x_out[0] == pytest.approx(1.0, abs=1e-2)
     assert rep.final.val == pytest.approx(1.0, abs=2e-2)
-
-
-def test_solve_checks_settings_whatever_the_solver_name():
-    # s_exp = 0 once reached 1 / s_exp and raised ZeroDivisionError
-    with pytest.raises(ValueError, match=r"^s_exp must lie in \[1, 2\]"):
-        pds.solve(quadratic_equality_problem(), SolverConfig(solver="sg", s_exp=0.0))
 
 
 def test_case1_instance_reaches_small_infeasibility():
@@ -175,13 +135,11 @@ def test_solve_matches_step_loop():
 
 
 @pytest.mark.parametrize("s_exp", [1.0, 1.5, 2.0])
-@pytest.mark.parametrize("build", [lambda: gen_random(1, 10, 1), lambda: gen_random(2, 4, 2),
-                                   lambda: build_lad(3, 1), lambda: build_svm(1, 1)],
-                         ids=["case1-n10", "case2-n4", "lad-nbar3", "svm-nbar1"])
-def test_trace_infeasibility_is_read_off_direction(build, s_exp):
+@pytest.mark.parametrize("label", FAMILIES, ids=family_id)
+def test_trace_infeasibility_is_read_off_direction(label, s_exp):
     # solve reads ||F(x_k)|| + ||A x_k - b|| off the blocks of T; it must
     # equal the problem's own measure at the step loop's iterates, bit for bit
-    p = build().problem
+    p = INSTANCES[label]()
     cfg = SolverConfig(solver="pds", iterations=300, s_exp=s_exp)
     rep = pds.solve(p, cfg)
     st = pds.init_state(p, dataclasses.replace(cfg, rho=1.0 / s_exp))
@@ -190,30 +148,6 @@ def test_trace_infeasibility_is_read_off_direction(build, s_exp):
         assert pds.step(p, st)
         expected.append(p.infeasibility(st.z_arr[:p.n]))
     assert [r.infeas for r in rep.trace] == expected
-
-
-@pytest.mark.parametrize("make_problem", [
-    lambda: ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0], 1.0)]),
-    # no constraint, so no step would ever read s_exp or rho
-    lambda: ConstrainedProblem(SqNormOracle(1, scale=1.0), []),
-], ids=["one-d", "unconstrained"])
-@pytest.mark.parametrize("settings,message", [
-    (dict(s_exp=5.0), r"s_exp must lie in \[1, 2\]"),
-    (dict(s_exp=9.0), r"s_exp must lie in \[1, 2\]"),
-    (dict(s_exp=0.5), r"s_exp must lie in \[1, 2\]"),
-    (dict(delta_exp=1.5), r"delta_exp must lie in \(0, 1\)"),
-    (dict(delta_exp=0.0), r"delta_exp must lie in \(0, 1\)"),
-    (dict(rho=-1.0), "rho must be positive and finite"),
-    (dict(rho=float("inf")), "rho must be positive and finite"),
-    (dict(s_exp="2"), "s_exp must be a number"),
-    (dict(rho=True), "rho must be a number"),
-    (dict(rho=10**400), "rho must be within the float range"),
-])
-def test_init_state_refuses_each_bad_setting(make_problem, settings, message):
-    # no state is built: the config init_state reads refuses the setting first
-    with pytest.raises(ValueError, match=f"^{message}"):
-        pds.init_state(make_problem(),
-                       SolverConfig(**{"rho": 1.0, "s_exp": 2.0, "delta_exp": 0.5, **settings}))
 
 
 def test_init_state_runs_rho_none_at_one_over_s():

@@ -48,8 +48,9 @@ def test_oracle_round_trip(oracle):
         np.testing.assert_array_equal(g1, g2)
 
 
-# sha256 of json.dumps(problem_to_dict(...)): the exact bytes of the format
-@pytest.mark.parametrize("build,digest", [
+# sha256 of json.dumps(problem_to_dict(...)): the exact bytes of the format,
+# which are also the bytes of the file that save_problem writes
+BYTE_PINS = pytest.mark.parametrize("build,digest", [
     (lambda: gen_random(1, 6, 3).problem,
      "42a6ef4de9038d35823762268bd759e7869d3d7508c42b2c74e27090ecb3a4be"),
     (lambda: gen_random(2, 5, 3).problem,
@@ -61,6 +62,9 @@ def test_oracle_round_trip(oracle):
     (lambda: ConstrainedProblem(ROUND_TRIP_ORACLES[0], ROUND_TRIP_ORACLES[1:]),
      "26cfccd34210015aae37755772349f99c19dd2347b2af4e15fa6218753b97b0a"),
 ], ids=["case1", "case2", "lad", "svm", "all-nodes"])
+
+
+@BYTE_PINS
 def test_document_bytes_are_pinned(build, digest):
     text = json.dumps(probio.problem_to_dict(build()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -69,19 +73,7 @@ def test_document_bytes_are_pinned(build, digest):
     assert json.dumps(probio.problem_to_dict(back)) == text
 
 
-# the digests above, of the file that save_problem writes
-@pytest.mark.parametrize("build,digest", [
-    (lambda: gen_random(1, 6, 3).problem,
-     "42a6ef4de9038d35823762268bd759e7869d3d7508c42b2c74e27090ecb3a4be"),
-    (lambda: gen_random(2, 5, 3).problem,
-     "f2151dc609fd9c7463baac10ea3d04beb9af9a6f0336d6148887803d73e76a0b"),
-    (lambda: build_lad(3, 3).problem,
-     "6c201cc33db84b3d0ef75eb277e83b42956f234574220fe86ef6fe5f98fd0ce2"),
-    (lambda: build_svm(1, 3).problem,
-     "ca2a8502c8b632e09d74c6512652619678494813bf5cdab07023e7f4cea57112"),
-    (lambda: ConstrainedProblem(ROUND_TRIP_ORACLES[0], ROUND_TRIP_ORACLES[1:]),
-     "26cfccd34210015aae37755772349f99c19dd2347b2af4e15fa6218753b97b0a"),
-], ids=["case1", "case2", "lad", "svm", "all-nodes"])
+@BYTE_PINS
 def test_saved_file_bytes_are_pinned(tmp_path, build, digest):
     problem = build()
     path = tmp_path / "problem.json"

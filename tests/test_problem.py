@@ -353,6 +353,8 @@ def test_single_constraint_form_shape():
     q = single_constraint_form(p)
     assert (q.m, q.l) == (1, 0)
     assert q.f0 is p.f0
+    assert (repr(p), repr(q)) == ("ConstrainedProblem(n=4, m=2, l=3)",
+                                  "ConstrainedProblem(n=4, m=1, l=0)")
 
 
 def test_fbar_sign_iff_feasible():
@@ -509,6 +511,8 @@ def test_walk_matches_per_row_walk_on_random_instances():
 
 
 def test_solver_invariants_on_random_instances():
+    seen = set()  # a lam0 with a positive entry, and a DSG run of at least 10 steps
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), SEED, st.integers(1, 30), st.floats(0.1, 2.0), S_EXP,
            st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([1e-3, 1.0]))
@@ -521,12 +525,17 @@ def test_solver_invariants_on_random_instances():
         if p.m + p.l:  # sdsg's start is read against the max form: lam0 of length 1, no nu0
             zs = random_z(single_constraint_form(p), z_seed)
             starts["sdsg"] = dict(x0=zs[:n], lam0=zs[n:])
-        # lam >= 0 along DSG and PDS runs, and every PDS step has length gamma_k
+        # DSG keeps lam >= lam0 and beta on its recursion, replayed in floats; PDS
+        # keeps lam >= 0, and every PDS step has length gamma_k
         dst = dsg.init_state(p, **native)
         pst = pds.init_state(p, SolverConfig(rho=rho, s_exp=s_exp, delta_exp=delta_exp, **native))
+        beta, dsg_steps = 1.0, 0
         for k in range(iterations):
             if dsg.step(p, dst):
-                assert np.min(dst.z_arr[n:n + m], initial=0.0) >= 0.0
+                beta += 1.0 / beta
+                dsg_steps += 1
+                assert np.all(dst.z_arr[n:n + m] >= native["lam0"])
+                assert dst.beta == beta
             z_before = pst.z_arr
             if pds.step(p, pst):
                 assert np.min(pst.z_arr[n:n + m], initial=0.0) >= 0.0
@@ -547,8 +556,13 @@ def test_solver_invariants_on_random_instances():
             assert (a.status, a.p_eps, a.x_out.tobytes()) == (b.status, b.p_eps, b.x_out.tobytes())
             if solver in ("sg", "pds"):
                 assert_matches_transcription(p, cfg, a)
+        if np.any(native["lam0"] > 0.0):
+            seen.add("positive lam0")
+        if dsg_steps >= 10:
+            seen.add("10 DSG steps")
 
     check()
+    assert seen == {"positive lam0", "10 DSG steps"}
 
 
 def test_mdsg_trace_matches_direct_evaluation_on_random_instances():

@@ -59,6 +59,7 @@ def dense_rows():
 
 
 INSTANCES = {
+    # min x s.t. -x <= 0: optimum x* = 0 with multiplier 1
     "one_d": lambda: ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])]),
     "case1-n10-s1": lambda: gen_random(1, 10, 1).problem,
     "case2-n4-s2": lambda: gen_random(2, 4, 2).problem,
@@ -66,6 +67,15 @@ INSTANCES = {
     "svm-nbar1-s1": lambda: build_svm(1, 1).problem,
     "dense-rows-s8": dense_rows,
 }
+
+# one instance of each testbed family; tests that run each of them take its
+# label, under the id without the seed ("case1-n10")
+FAMILIES = ["case1-n10-s1", "case2-n4-s2", "lad-nbar3-s1", "svm-nbar1-s1"]
+
+
+def family_id(label):
+    return label.rsplit("-", 1)[0]
+
 
 # (instance, solver) -> (status, trace digest) at K = 200, trace_every = 1
 PINNED = {

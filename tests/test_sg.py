@@ -6,11 +6,7 @@ from subgrad.oracles import AbsAffineOracle, AffineOracle, ConvexOracle
 from subgrad.problem import ConstrainedProblem, single_constraint_form
 from subgrad.reports import COMPLETED, SADDLE_TERMINATED, SolverConfig
 from subgrad.testbeds import gen_random
-
-
-def analytic_problem():
-    # min x s.t. -x <= 0; optimum 0 at the constraint boundary
-    return ConstrainedProblem(AffineOracle([1.0]), [AffineOracle([-1.0])])
+from test_replay import INSTANCES
 
 
 def test_step_branches_hand_example():
@@ -59,7 +55,7 @@ def test_solve_switches_at_fbar_equal_eps():
 
 
 def test_solve_one_dimensional():
-    p = analytic_problem()
+    p = INSTANCES["one_d"]()
     cfg = SolverConfig(solver="sg", eps=1e-3, iterations=10_000)
     rep = sg.solve(p, cfg)
     assert rep.status == COMPLETED
@@ -69,7 +65,7 @@ def test_solve_one_dimensional():
 
 
 def test_solve_trace_and_thinning():
-    p = analytic_problem()
+    p = INSTANCES["one_d"]()
     cfg = SolverConfig(solver="sg", eps=1e-3, iterations=95, trace_every=10)
     rep = sg.solve(p, cfg)
     ks = [r.k for r in rep.trace]
@@ -80,7 +76,7 @@ def test_solve_trace_and_thinning():
 
 
 def test_p_eps_nonincreasing_in_iteration_budget():
-    p = analytic_problem()
+    p = INSTANCES["one_d"]()
     budgets = [50, 200, 1000, 5000]
     vals = [sg.solve(p, SolverConfig(solver="sg", eps=1e-3, iterations=k)).p_eps
             for k in budgets]
@@ -107,7 +103,6 @@ def test_constant_objective_terminates():
 
 def test_case1_p_eps_tracks_lp_optimum():
     from subgrad.simplex import encode_case1, lp_solve_small
-    from subgrad.testbeds import gen_random
 
     inst = gen_random(1, 10, 1)
     p_star = lp_solve_small(encode_case1(inst.problem)).value
@@ -131,7 +126,7 @@ def test_solve_reformulates_equalities():
 def test_solve_rejects_multiplier_start(field):
     cfg = SolverConfig(solver="sg", iterations=5, **{field: np.zeros(1)})
     with pytest.raises(ValueError, match=f"^{field} is set"):
-        sg.solve(analytic_problem(), cfg)
+        sg.solve(INSTANCES["one_d"](), cfg)
 
 
 class _CountingOracle(ConvexOracle):
