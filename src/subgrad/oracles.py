@@ -6,9 +6,11 @@ few vectorized aggregates (l1 norm, scaled squared norm, hinge sums, the
 max over a block of affine rows, into which a problem stacks each run of
 its affine inequality rows) that keep large instances cheap to evaluate.
 
-A block of affine rows is read by a gather when every row holds one nonzero
-(case 2's box), by np.vecdot otherwise; both with the bits of one oracle
-call per row (AffineBlockOracle).
+An affine row c.x is read by one rule, the same for a single row and for
+each row of a block: a row of few nonzeros (nnz(c) * SPARSE_ROW_RATIO <= n,
+such as case 2's box rows and svm's [-Z | 1 | I]) by its nonzeros, summed
+in column order (_sparse_dots), any other row by a dense dot. So a block
+has the bits of one oracle call per row (AffineBlockOracle).
 
 Each class writes its arithmetic once, in ``select`` and ``subgrad`` (see
 ConvexOracle). A maximum, a sum and a positive part read their parts
@@ -23,6 +25,7 @@ alias oracle-internal storage; treat them as read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -52,10 +55,15 @@ LOG_SAFEGUARD = 1e-12
 
 # Fewest consecutive rows of one type that are stacked into one
 # AffineBlockOracle. A block call costs about 3-5 us and a per-row part
-# 1.5 us, so shorter runs stay one oracle per row. A unit-row block's gather
-# costs about 2 us more than np.vecdot on a few columns, and 3/4 of it on
-# case 2's 200 x 100 box.
+# 1.5 us, so shorter runs stay one oracle per row.
 ROW_BLOCK_MIN = 4
+
+# A row c of n entries is read by its nonzeros when nnz(c) * SPARSE_ROW_RATIO
+# <= n, else by a dense dot. On blocks of 200 x 300, 400 x 403 and 200 x 1000
+# the sparse kernel costs what np.vecdot does at 1 nonzero in 8-13 columns,
+# 0.25-0.8 of it at 1 in 16-19, and a fifth of it on svm's rows; a block of
+# 50 rows, or a single row, is call overhead whatever n.
+SPARSE_ROW_RATIO = 16
 
 
 def _is_number_type(t):
@@ -211,20 +219,93 @@ class ConvexOracle:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def _all_finite(a):
+    """Whether every entry of a is finite; unlike a sum or a dot of a, this
+    raises no overflow warning. np.logical_and.reduce is ndarray.all without
+    its Python wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(a)))
+
+
+def _sparse_kernel(C):
+    """The rows of the 2-D C that the nonzero rule reads by their nonzeros:
+    (at, kernel), at their indices in C and kernel their data for
+    _sparse_dots; None when there is no such row.
+
+    The kernel is (cols, vals, k) for the k rows: padded ELL, column-major,
+    of shape (K, max(k, 2)) for K the most nonzeros of a row, so slot s of
+    every row is one contiguous row of cols and vals. A row's nonzeros fill
+    its first slots in column order, and the slots left over, and the
+    second column when k = 1, hold column 0 and the value +0.0: numpy sums
+    axis 0 of a (K, 1) array pairwise, not in order. When K = 1, as for
+    unit rows, cols and vals are the one slot, flat, of shape (k,). A -0.0
+    entry is a zero.
+    """
+    nonzero = C != 0.0  # a bool mask: ndarray.nonzero on floats is 10x slower
+    counts = np.count_nonzero(nonzero, axis=1)
+    at = np.flatnonzero(counts * SPARSE_ROW_RATIO <= C.shape[1])
+    if not at.size:
+        return None
+    # (row among at, column) of each nonzero, row by row, columns ascending
+    i, j = np.divmod(np.flatnonzero(nonzero[at]), C.shape[1])
+    slot = np.arange(i.size) - np.searchsorted(i, i)
+    slots = int(counts[at].max())
+    shape = (slots, at.size if slots == 1 else max(at.size, 2))
+    cols, vals = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    cols[slot, i] = j
+    vals[slot, i] = C[at[i], j]
+    return at, ((cols[0], vals[0]) if slots == 1 else (cols, vals)) + (at.size,)
+
+
+def _sparse_dots(kernel, x):
+    """c.x for each row of a _sparse_kernel, as a new array: x gathered at
+    the row's columns, times its values, and summed in column order by an
+    axis-0 reduce; with one slot per row, as unit rows have, the product is
+    added to +0.0 directly, which is what the reduce does, at less cost. The
+    reduce starts from its identity +0.0, as the dense dot does, and a
+    padding term +-0.0 leaves a sum's bits unchanged, so a row of one
+    nonzero has the dense dot's bits; a longer row's sum agrees with it to
+    rounding. x must be finite: the dense dot reads 0 * inf as NaN, which
+    the gather skips."""
+    cols, vals, k = kernel
+    p = vals * x[cols]
+    if p.ndim == 1:
+        return p + 0.0
+    return np.add.reduce(p, axis=0)[:k]
+
+
+def _sparse_dot(c, kernel, x):
+    """c.x of one row by its _sparse_kernel, or by the dense dot when x is not finite."""
+    return _sparse_dots(kernel, x)[0] if _all_finite(x) else c.dot(x)
+
+
+def _row_dot(c):
+    """The function x -> c.x that the nonzero rule picks for the row c: the
+    dense c.dot itself, or c's _sparse_kernel. Built once per row. A row of
+    at most one nonzero keeps c.dot: its bits are the kernel's, one product
+    summed from +0.0, and alone it costs a fifth of the kernel's."""
+    nnz = np.count_nonzero(c)
+    if nnz <= 1 or nnz * SPARSE_ROW_RATIO > c.size:
+        return c.dot
+    return functools.partial(_sparse_dot, c, _sparse_kernel(c[None])[1])
+
+
 class AffineOracle(ConvexOracle):
-    """c.x + d; the subgradient is c everywhere."""
+    """c.x + d; the subgradient is c everywhere. c.x follows the nonzero
+    rule (_row_dot)."""
 
     def __init__(self, c, d=0.0):
         self.c = _as_vector(c, "c")
         self.d = _as_scalar(d, "d")
         self.dim = self.c.shape[0]
+        self._dot = _row_dot(self.c)
 
     def __call__(self, x):
-        return float(self.c.dot(x)) + self.d, self.c
+        return float(self._dot(x)) + self.d, self.c
 
 
 class AbsAffineOracle(ConvexOracle):
-    """|a.x - b| with subgradient sign(a.x - b) * a, sign(0) = +1.
+    """|a.x - b| with subgradient sign(a.x - b) * a, sign(0) = +1; a.x
+    follows the nonzero rule (_row_dot).
 
     The sign convention matches MaxOracle's lowest-index tie rule applied
     to the pair {a.x - b, b - a.x}.
@@ -235,9 +316,10 @@ class AbsAffineOracle(ConvexOracle):
         self.b = _as_scalar(b, "b")
         self.dim = self.a.shape[0]
         self._neg_a = -self.a
+        self._dot = _row_dot(self.a)
 
     def select(self, x):
-        r = float(self.a.dot(x)) - self.b
+        r = float(self._dot(x)) - self.b
         if r >= 0.0:
             return r, self.a
         return -r, self._neg_a  # not abs(r): a NaN r comes back negated
@@ -277,13 +359,6 @@ class MaxOracle(ConvexOracle):
         return part.subgrad(part_key)
 
 
-def _all_finite(a):
-    """Whether every entry of a is finite; unlike a sum or a dot of a, this
-    raises no overflow warning. np.logical_and.reduce is ndarray.all without
-    its Python wrapper."""
-    return bool(np.logical_and.reduce(np.isfinite(a)))
-
-
 class AffineBlockOracle(ConvexOracle):
     """max_j r_j over the rows r = C x + d, or max_j |r_j| when absolute.
 
@@ -295,17 +370,17 @@ class AffineBlockOracle(ConvexOracle):
     ``rows`` is the only code that computes stacked row values, and
     ``add_rows`` the only code that adds weighted rows to a vector.
 
-    The kernel is chosen once, here. When every row holds exactly one
-    nonzero (unit rows, such as the box rows +-e_i.x - 1), ``rows`` gathers
-    x at their columns and ``add_rows`` scatters their nonzeros in row
-    order. Otherwise both read the dense C: np.vecdot computes each c_j.x
-    as the per-row product does (C @ x does not), and an axis-0 reduce adds
-    the rows in row order. The dot and the reduce sum from +0.0, as the
-    unit kernels do, and a zero term leaves the bits of a sum that is not
-    -0 unchanged, so both kernels agree bit for bit; a non-finite x or
-    active weight, where 0 * inf is NaN, takes the dense kernels. C is
-    stored 64-byte aligned; a C that already is, such as the problem's A in
-    the max form's equality block, is shared, not copied.
+    Each row takes the kernel that the nonzero rule gives it alone, chosen
+    once, here: ``rows`` reads the sparse rows by one _sparse_dots call and
+    the others by np.vecdot, which computes each c_j.x as c_j.dot(x) does
+    (C @ x does not). ``add_rows`` adds the rows in row order, by an axis-0
+    reduce of the dense rows or, when every row is sparse, by an ordered
+    scatter of their nonzeros; the reduce and the scatter sum from +0.0, and
+    a zero term leaves the bits of a sum that is not -0 unchanged, so both
+    have the same bits. A non-finite x or active weight, where 0 * inf is
+    NaN, takes the dense kernels. C is stored 64-byte aligned; a C that
+    already is, such as the problem's A in the max form's equality block, is
+    shared, not copied.
     """
 
     def __init__(self, C, d, absolute=False):
@@ -318,30 +393,46 @@ class AffineBlockOracle(ConvexOracle):
             raise ValueError(f"absolute must be a boolean, got {absolute!r}")
         self.absolute = bool(absolute)
         self.dim = self.C.shape[1]
-        # (columns, values) of unit rows, else None; the first row is tested
-        # alone first, so a dense C costs O(n) to refuse
-        self._unit = None
-        if np.count_nonzero(self.C[0]) == 1 and (np.count_nonzero(self.C, axis=1) == 1).all():
-            cols = self.C.nonzero()[1]
-            self._unit = cols, self.C[np.arange(self.d.size), cols]
+        # the sparse rows' kernel; (their indices, the other rows' indices and
+        # rows) when only some rows are sparse, else the slots that add_rows
+        # scatters: (cols, vals, K), flat and row by row, K slots per row
+        self._kernel = self._split = self._scatter = None
+        sparse = _sparse_kernel(self.C)
+        if sparse is not None:
+            at, self._kernel = sparse
+            if at.size < self.d.size:
+                dense = np.flatnonzero(np.bincount(at, minlength=self.d.size) == 0)
+                self._split = at, dense, _aligned(self.C[dense])
+            else:
+                cols, vals, k = self._kernel
+                cols, vals = cols.T[:k].ravel(), vals.T[:k].ravel()
+                self._scatter = cols, vals, cols.size // k
 
     def rows(self, x):
         """Every row value r = C x + d."""
-        if self._unit is not None and _all_finite(x):
-            cols, vals = self._unit
-            return (vals * x[cols] + 0.0) + self.d
-        return np.vecdot(self.C, x) + self.d
+        if self._kernel is None or not _all_finite(x):
+            return np.vecdot(self.C, x) + self.d
+        if self._split is None:
+            return _sparse_dots(self._kernel, x) + self.d
+        at, dense, c_dense = self._split
+        r = np.empty(self.d.size)
+        r[at] = _sparse_dots(self._kernel, x)
+        r[dense] = np.vecdot(c_dense, x)
+        return r + self.d
 
     def add_rows(self, tx, w, r):
         """tx + w_i c_i over the rows with r_i > 0 and w_i != 0, as a new array
         with the bits of tx = tx + w_i * c_i per row in row order."""
         on = (r > 0.0) & (w != 0.0)
-        if self._unit is not None:
+        if self._scatter is not None:
             w_on = w[on]
             if _all_finite(w_on):
-                cols, vals = self._unit
+                cols, vals, slots = self._scatter
+                if slots != 1:  # every slot of an active row, none for zero rows
+                    on, w_on = np.repeat(on, slots), np.repeat(w_on, slots)
                 out = tx + 0.0
-                np.add.at(out, cols[on], w_on * vals[on])  # unbuffered, in index order
+                # unbuffered, in index order: row by row, so each column adds in row order
+                np.add.at(out, cols[on], w_on * vals[on])
                 return out
         return np.add.reduce(np.concatenate((tx[None, :], w[on, None] * self.C[on])), axis=0)
 

@@ -8,15 +8,18 @@ F_i(x) = max{f_i(x), 0}; the alternative single-constraint form replaces
 all constraints by fbar(x) = max{f_1, ..., f_m, |a_1.x - b_1|, ...} <= 0.
 
 Runs of affine inequality rows are stacked once, by oracles._stack_rows, and
-read as one block by F(x), the saddle direction and fbar, with per-row bits,
-by a gather and a scatter when every row holds one nonzero and densely
-otherwise (AffineBlockOracle).
+read as one block by F(x), the saddle direction and fbar, with per-row bits:
+each row by its nonzeros when it has few, densely otherwise
+(AffineBlockOracle). The equality rows are stacked by the same rule into
+fbar's absolute part, once per problem.
 Equality rows in slack form, A = [B | I] with the last l columns exactly the
-identity, are detected once and read as B by A x - b and A^T nu; fbar still
-reads them as dense rows.
+identity, are detected once and read as B by A x - b and A^T nu; fbar reads
+them as rows, by the same nonzero rule as every other row.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,6 +85,14 @@ class ConstrainedProblem:
             if np.count_nonzero(tail) == self.l and (tail.diagonal() == 1.0).all():
                 self._B = _aligned(self.A[:, :p])
 
+    @functools.cached_property
+    def _eq_parts(self):
+        """The equality rows as fbar's parts: one absolute block (A, -b), or one
+        AbsAffineOracle per row. Built once per problem, when a max form first
+        asks, since each solve of sg or sdsg builds a max form."""
+        return [o for _, _, o in _block_or_rows(
+            self.A, -self.b, True, map(AbsAffineOracle, self.A, self.b))]
+
     def eval_ineq(self, x):
         """Raw values f_i(x) and their subgradients, as (values, grads)."""
         vals = np.empty(self.m)
@@ -139,10 +150,10 @@ def max_constraint_oracle(problem):
     Parts keep the problem's listing order (inequalities first, then the
     equality rows) so the lowest-index tie rule is reproducible: the stacked
     inequality runs of the problem, then the equality rows, stacked by the
-    same rule as one block (A, -b), with per-row bits. Requires m + l >= 1.
+    same rule as one block (A, -b), with per-row bits; the problem builds
+    these parts once, so a max form costs no pass over A. Requires m + l >= 1.
     """
-    eq = _block_or_rows(problem.A, -problem.b, True, map(AbsAffineOracle, problem.A, problem.b))
-    parts = [o for _, _, o in problem._blocks + eq]
+    parts = [o for _, _, o in problem._blocks] + problem._eq_parts
     if not parts:
         raise ValueError("the max-constraint form needs at least one constraint; "
                          "the problem has m = l = 0")
@@ -193,8 +204,8 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     is added, so only a row with f_i(x) > 0 and w_i != 0 builds its
     subgradient. Then w is formed once, and one loop adds the kept rows to
     Tx in row order, a run by AffineBlockOracle.add_rows, so T has the bits
-    of one oracle call per row. A run of unit rows, such as case 2's box, is
-    read by a gather and added by an ordered scatter of its nonzeros, a
+    of one oracle call per row. A run of sparse rows, such as case 2's box,
+    is read by a gather and added by an ordered scatter of its nonzeros, a
     dense run by np.vecdot and an axis-0 reduce; both have per-row bits.
 
     ``keys``, when a list, receives the selection key of every single row in

@@ -257,19 +257,37 @@ def row_blocks(p):
     return [o for _, k, o in p._blocks if k] + [q for q in fbar if type(q) is AffineBlockOracle]
 
 
-def test_only_case2_box_blocks_are_unit_rows():
-    # the box rows +-e_i.x - 1: one block in F(x) and the same block as fbar's first part
-    for n, seed in ((4, 2), (100, 1)):
+def kernel(o):
+    """Which kernel the nonzero rule gives an oracle's rows: "sparse", "dense"
+    or, for a block of both, "mixed"."""
+    if type(o) is AffineBlockOracle:
+        return "dense" if o._kernel is None else "mixed" if o._split else "sparse"
+    return "dense" if o._dot == (o.c if type(o) is AffineOracle else o.a).dot else "sparse"
+
+
+def test_kernel_of_each_bench_and_replay_block():
+    # case2: the box rows +-e_i.x - 1, one block in F(x) and the same block as
+    # fbar's first part, are sparse on n = 100 columns and dense on 4; the
+    # domain's single row e_2.x - 1, of one nonzero, and the random equality
+    # rows are dense
+    for n, seed, box_kernel in ((4, 2, "dense"), (100, 1, "sparse")):
         p = gen_random(2, n, seed).problem
         box, fbar_box, *eq = row_blocks(p)
-        assert fbar_box is box and box._unit is not None
-        assert box._unit[0].tolist() == np.repeat(np.arange(n), 2).tolist()
-        assert all(q._unit is None for q in eq)  # n = 100: the dense (A, -b) block
-    # every other bench and replay instance keeps the dense kernels and their bits
-    for p in (gen_random(1, 1000, 1).problem, build_lad(3, 1).problem, build_lad(100, 1).problem,
-              build_svm(1, 1).problem, build_svm(2, 1).problem, dense_rows()):
-        blocks = row_blocks(p)
-        assert blocks and all(q._unit is None for q in blocks)
+        assert fbar_box is box and kernel(box) == box_kernel
+        assert kernel(p.ineq[-1].parts[1]) == "dense"
+        assert {kernel(q) for q in eq + p._eq_parts} == {"dense"}
+    # svm's [-Z | 1 | I] rows hold nbar + 2 nonzeros of 201 nbar + 1
+    for nbar in (1, 2):
+        p = build_svm(nbar, 1).problem
+        assert [kernel(q) for q in row_blocks(p)] == ["sparse"]
+        assert p._eq_parts[0]._kernel[0].shape == (nbar + 2, 200 * nbar)
+    # lad's [-D | I] rows hold nbar + 1 nonzeros of 3 nbar; case1's and the
+    # dense-rows instance's rows are dense
+    for p in (gen_random(1, 10, 1).problem, gen_random(1, 1000, 1).problem,
+              build_lad(3, 1).problem, build_lad(100, 1).problem, dense_rows()):
+        parts = row_blocks(p) + p._eq_parts + [o for o in p.ineq if type(o) is AffineOracle]
+        assert parts and {kernel(q) for q in parts} == {"dense"}
+
 
 def test_block_direction_matches_per_row_direction():
     rng = np.random.Generator(np.random.PCG64(3))

@@ -22,7 +22,8 @@ Live, on any kernel:
   p_eps.
 ``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns these in a
 subprocess on another OpenBLAS kernel, with ``test_oracles``'s check that
-unit-row blocks, which call no BLAS, have the bits of the dense kernels.
+the sparse-row kernel, which calls no BLAS, gives a block the bits of one
+oracle call per row, and a row of one nonzero the bits of the dense kernels.
 
 The dense-rows instance has eight affine rows that share every coordinate,
 one run of them read as a row block; its digests were recorded while the
@@ -95,8 +96,8 @@ PINNED = {
     ("lad-nbar3-s1", "sdsg"): ("NO_EPS_FEASIBLE", "d272fce37da4d39b75a64a754938e4193d5a245d9f50a34ed8599dc231d634ba"),
     ("lad-nbar3-s1", "mdsg"): ("NO_EPS_FEASIBLE", "846af89bbe4b5c61889e73869d823b957ac1a36bc647d679f2220913d73f4302"),
     ("lad-nbar3-s1", "pds"): ("NO_EPS_FEASIBLE", "088dcd299c517a32100c9e9f1c8d79ebeb21d046949f004e67f5515f8878e09d"),
-    ("svm-nbar1-s1", "sg"): ("COMPLETED", "e5a2485a4bf18948efb99fd1e9f43789af1fe68eab210330c407721cb96b48a2"),
-    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "fb9b549130f874ab60d706f3f3444719738c56a4e755b3fe536489c91cfc1251"),
+    ("svm-nbar1-s1", "sg"): ("COMPLETED", "2f6b58e0c5d299ff238ab57f1e4ffcd2276e27f8950835d999b2215dc0705623"),
+    ("svm-nbar1-s1", "sdsg"): ("COMPLETED", "2d47769e880d40f9914d602a22b596e6c882bc9cab3601411b396dfc193c3b98"),
     ("svm-nbar1-s1", "mdsg"): ("COMPLETED", "4b3e4ad4dcb3115cf25736134f52c9c2dba2a01478aaf90a797a65653636097f"),
     ("svm-nbar1-s1", "pds"): ("NO_EPS_FEASIBLE", "6523264a65201218bf4d3b0b41fd9e065b27fb68e2329bb4c2c12d4710b48c50"),
     ("dense-rows-s8", "sg"): ("COMPLETED", "7874fbf7317154d6c444e198734ebbd0ee3b990d93ed655ca51ff2a5aa497ba5"),
@@ -232,7 +233,7 @@ def test_split_runs_cover_exactly_the_slack_form_instances():
 
 
 def test_digest_free_checks_pass_under_the_haswell_kernel():
-    """The live checks, and the unit-row kernels' check in test_oracles,
+    """The live checks, and the sparse-row kernels' check in test_oracles,
     rerun in one subprocess on OpenBLAS's Haswell kernel with one BLAS
     thread. OPENBLAS_CORETYPE selects the kernel for that process only;
     where numpy's BLAS ignores it, the checks run on the default kernel and
@@ -240,7 +241,7 @@ def test_digest_free_checks_pass_under_the_haswell_kernel():
     checks = (test_thinned_trace_keeps_the_full_trace_rows,
               test_library_matches_transcription,
               test_split_products_match_dense_products,
-              test_oracles.test_unit_row_kernels_match_the_dense_kernels)
+              test_oracles.test_sparse_row_kernels_match_the_per_row_kernels)
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",

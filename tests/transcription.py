@@ -2,14 +2,17 @@
 equations: the one reference that the replay checks compare the library with.
 
 They ask the oracles for one row at a time, o(x), evaluate x_bar directly and
-keep their own trace, p_eps and status. From the library they take only the
-oracle calls, ``problem.residual`` and ``problem.adjoint`` (its one product
-with A), ``norm_power_subgrad`` and ``SADDLE_TOL``, so that a kernel change
-there enters both sides alike and the two agree bit for bit on any BLAS
-kernel. The bits still follow numpy's reduction code: digests of either are
-pinned per numpy version.
+keep their own trace, p_eps and status. An equality row a_j.x = b_j enters
+fbar as the oracle AbsAffineOracle(a_j, b_j), built once per problem. From
+the library they take only the oracle calls, ``problem.residual`` and
+``problem.adjoint`` (its one product with A), ``norm_power_subgrad`` and
+``SADDLE_TOL``, so that a kernel change there, such as the nonzero rule
+by which an oracle reads a row, enters both sides alike and the two agree
+bit for bit on any BLAS kernel. The bits still follow numpy's reduction
+code: digests of either are pinned per numpy version.
 """
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -18,7 +21,7 @@ import numpy as np
 from numpy.linalg import norm
 
 from subgrad import COMPLETED, NO_EPS_FEASIBLE, SADDLE_TERMINATED
-from subgrad.oracles import norm_power_subgrad
+from subgrad.oracles import AbsAffineOracle, norm_power_subgrad
 from subgrad.problem import SADDLE_TOL
 
 Row = namedtuple("Row", "k val infeas residual")
@@ -31,13 +34,16 @@ def start(cfg, *sizes):
                            for v, k in zip((cfg.x0, cfg.lam0, cfg.nu0), sizes)])
 
 
+@functools.lru_cache(maxsize=8)
+def equality_rows(p):
+    """The oracle |a_j.x - b_j| of each equality row of p."""
+    return [AbsAffineOracle(a, b) for a, b in zip(p.A, p.b)]
+
+
 def fbar(p, x):
     """max{f_i(x), |a_j.x - b_j|} and the subgradient of its first row that
     attains it, (-inf, None) with no rows; a NaN row wins, and sign(0) = +1."""
-    rows = [o(x) for o in p.ineq]
-    for a, b in zip(p.A, p.b):
-        r = float(a.dot(x)) - b
-        rows.append((r, a) if r >= 0.0 else (-r, -a))
+    rows = [o(x) for o in p.ineq + equality_rows(p)]
     best = (-math.inf, None)
     for v, g in rows:
         if best[1] is None or v > best[0] or (v != v and best[0] == best[0]):
