@@ -105,7 +105,9 @@ def solve(problem, cfg, mode="multi"):
     constraint, and reports infeas = max{fbar(x_bar), 0}, with the rows of
     each AffineBlockOracle part read off its row sum; they equal the
     product up to rounding, and a max form without such a part is
-    evaluated at x_bar as before.
+    evaluated at x_bar as before. f0(x_bar) is evaluated only on rows that
+    ``reports.drive`` reads in full and rows with infeas <= eps; mode "multi"
+    skips x_bar altogether on the other rows once ||A x_bar - b|| > eps.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -114,18 +116,26 @@ def solve(problem, cfg, mode="multi"):
     fbar = _fbar_at_x_bar(run.ineq[0], state) if mode == "single" else None
     eq = run.n + run.m if run.l else None  # where s_acc's nu block starts
 
-    def advance():
-        if not step(run, state):
-            return None
+    def read(full):
+        residual = None
+        if eq is not None:
+            residual = state.s_acc[eq:] / -state.delta
+            if not full:
+                # infeasibility rounds ||F|| + ||r|| with ||F|| >= 0, and
+                # rounding is monotone, so it is at least ||r|| (NaN if r is)
+                r = euclidean_norm(residual)
+                if not r <= cfg.eps:
+                    return None, None, r
         x_bar = state.x_bar
-        val = run.f0.value(x_bar)
         if fbar is None:
-            residual = None if eq is None else state.s_acc[eq:] / -state.delta
-            return x_bar, val, run.infeasibility(x_bar, residual)
-        fv = fbar.value(x_bar)
-        return x_bar, val, (0.0 if fv <= 0.0 else fv)
+            infeas = run.infeasibility(x_bar, residual)
+        else:
+            fv = fbar.value(x_bar)
+            infeas = 0.0 if fv <= 0.0 else fv
+        val = run.f0.value(x_bar) if full or infeas <= cfg.eps else None
+        return x_bar, val, infeas
 
-    return reports.drive(cfg, advance, state.z0[:run.n])
+    return reports.drive(cfg, lambda: step(run, state), read, state.z0[:run.n])
 
 
 def _fbar_at_x_bar(fbar, state):

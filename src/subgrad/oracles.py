@@ -598,6 +598,7 @@ class HingeSumOracle(_CoordsOracle):
         if self.coords.shape != self.labels.shape:
             raise ValueError("coords and labels must have equal length")
         self.scale = _as_scale(scale)
+        self._slopes = -self.scale * self.labels  # the subgradient on active coords
 
     def select(self, x):
         margins = 1.0 - self.labels * x[self._at]
@@ -605,7 +606,7 @@ class HingeSumOracle(_CoordsOracle):
         return self.scale * float(margins[active].sum()), active
 
     def subgrad(self, active):
-        return self._spread(np.where(active, -self.scale * self.labels, 0.0))
+        return self._spread(np.where(active, self._slopes, 0.0))
 
 
 class LogBarrierOracle(ConvexOracle):

@@ -102,9 +102,7 @@ def solve(problem, cfg):
     state = init_state(problem, cfg)
     n, m, l = problem.n, problem.m, problem.l
 
-    def advance():
-        if not step(problem, state):
-            return None
+    def read(full):
         infeas = 0.0
         if m:
             infeas += euclidean_norm(state.t[n:n + m])
@@ -112,4 +110,4 @@ def solve(problem, cfg):
             infeas += euclidean_norm(state.t[n + m:])
         return state.z_arr[:n], state.f0_val, infeas
 
-    return reports.drive(cfg, advance, state.z_arr[:n])
+    return reports.drive(cfg, lambda: step(problem, state), read, state.z_arr[:n])

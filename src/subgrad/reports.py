@@ -126,11 +126,15 @@ class TraceCollector:
         self._t0 = time.perf_counter()
 
     def note(self, k, val, infeas):
-        val = float(val)
+        """Record iterate k. ``val`` is None on a row that ``drive`` did not
+        read in full, whose infeas (or a lower bound of it) is not <= eps:
+        it cannot move p_eps, and is never kept."""
         infeas = float(infeas)
-        if (infeas <= self.eps and (self.p_eps is None or val < self.p_eps)
-                and math.isfinite(val)):
-            self.p_eps = val
+        if val is not None:
+            val = float(val)
+            if (infeas <= self.eps and (self.p_eps is None or val < self.p_eps)
+                    and math.isfinite(val)):
+                self.p_eps = val
         row = TraceRecord(k, val, infeas, time.perf_counter() - self._t0)
         if k % self.trace_every == 0:
             self.records.append(row)
@@ -140,25 +144,34 @@ class TraceCollector:
         return time.perf_counter() - self._t0
 
 
-def drive(cfg, advance, x0):
-    """Run ``advance()`` for k = 1..cfg.iterations and assemble the report.
+def drive(cfg, step, read, x0):
+    """Run ``step()`` for k = 1..cfg.iterations and assemble the report.
 
-    ``advance()`` takes one step and returns (x, val, infeas) of the point
-    the solver reports at iterate k, or None when the direction vanished,
-    which stops the run as SADDLE_TERMINATED. ``x_out`` is a copy of the last
-    x returned, or of ``x0`` if none was, and the trace ends with its row.
+    ``step()`` moves the solver's state to iterate k and returns True, or
+    returns False with the state unchanged when the direction vanished,
+    which stops the run as SADDLE_TERMINATED. ``read(full)`` returns
+    (x, val, infeas) of the point the solver reports at the current
+    iterate. Only the rows a run can observe are read in full: kept rows
+    (k % trace_every == 0), rows that may move p_eps, and the row of
+    ``x_out``. ``read(False)`` may return val = None, and x = None, once it
+    has shown that infeas, or the lower bound of it that it returns, is not
+    <= eps; it reads val otherwise. When such a row ends the run, it is read
+    again by ``read(True)``. ``x_out`` is a copy of the last x read, or of
+    ``x0`` if none was, and the trace ends with its row.
     """
     collector = TraceCollector(cfg.eps, cfg.trace_every)
     status = COMPLETED
     x, row = x0, None
     for k in range(1, cfg.iterations + 1):
-        point = advance()
-        if point is None:
+        if not step():
             status = SADDLE_TERMINATED
             break
-        x, val, infeas = point
+        x, val, infeas = read(k % cfg.trace_every == 0)
         row = collector.note(k, val, infeas)
     if row is not None and row.k % cfg.trace_every:  # x_out's row was not kept
+        if row.val is None:  # nor read in full
+            x, val, infeas = read(True)
+            row = TraceRecord(row.k, float(val), float(infeas), row.elapsed_s)
         collector.records.append(row)
     if status is COMPLETED and collector.p_eps is None:
         status = NO_EPS_FEASIBLE

@@ -8,7 +8,9 @@ infeasibility of the constraint system) and stops the run.
 
 ``solve`` reads each iterate once, value first: it selects fbar(x), makes
 the switching decision there, and builds the subgradient of only the
-function the next step descends. ``step`` is the move alone, along that
+function the next step descends. On a constraint step it reads f0(x) only
+for a row that ``reports.drive`` reads in full, as fbar(x) > eps makes any
+other row ineligible for p_eps. ``step`` is the move alone, along that
 subgradient by that length; ``solve`` runs it in ``reports.drive``.
 """
 
@@ -48,23 +50,26 @@ def solve(problem, cfg):
     run = single_constraint_form(problem) if problem.m + problem.l >= 1 else problem
     select = run.ineq[0].select if run.m else lambda x: (-math.inf, None)
 
-    def read(x):
-        """(f0(x), fbar(x), g, length): x's values and the step that leaves x."""
+    x = start_point(run, cfg.x0)[:run.n]
+    g = length = None
+
+    def read(full):
+        """x's trace row, and the step that leaves x: its subgradient g and
+        length. f0(x) is read on a constraint step only when ``full``."""
+        nonlocal g, length
         fv, key = select(x)
         if fv <= cfg.eps:
             f0_val, g = run.f0(x)
-            return f0_val, fv, g, cfg.eps
-        return run.f0.value(x), fv, run.ineq[0].subgrad(key), fv  # a NaN fv descends fbar
-
-    x = start_point(run, cfg.x0)[:run.n]
-    g, length = read(x)[2:]
-
-    def advance():
-        nonlocal x, g, length
-        x, stopped = step(x, g, length)
-        if stopped:
-            return None
-        f0_val, fv, g, length = read(x)
+            length = cfg.eps
+        else:  # a NaN fv descends fbar
+            f0_val = run.f0.value(x) if full else None
+            g, length = run.ineq[0].subgrad(key), fv
         return x, f0_val, (0.0 if fv <= 0.0 else fv)
 
-    return reports.drive(cfg, advance, x)
+    def advance():
+        nonlocal x
+        x, stopped = step(x, g, length)
+        return not stopped
+
+    read(True)  # the step that leaves x0, which has no trace row
+    return reports.drive(cfg, advance, read, x)

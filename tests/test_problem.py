@@ -10,9 +10,11 @@ from subgrad.oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineBlockOracle, 
                              ConvexOracle, MaxOracle, Norm1Oracle, PositivePart, euclidean_norm)
 from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_direction,
                              single_constraint_form, start_point)
+from subgrad.reports import SADDLE_TERMINATED
 from subgrad.simplex import LpProblem
 from subgrad.testbeds import build_lad, build_svm, gen_random
 from test_replay import assert_matches_transcription, dense_rows, reads_a_sum, row_bits
+from test_sg import _CountingOracle
 from transcription import direction, fbar
 
 
@@ -634,6 +636,7 @@ def test_thinned_trace_ends_at_x_out_on_random_instances():
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(instance_spec(), st.integers(1, 30), st.sampled_from([1e-3, 0.5]))
     @example((2, [1], [], 0, 1), 30, 0.5)  # all four solvers stop, after 2-6 steps
+    @example((1, [1], [], 0, 3), 30, 1e-3)  # sdsg stops at k = 7, between kept rows
     def check(spec, iterations, eps):
         p = build_instance(*spec)
         # f0 = max{c.x + 1, 0} has a zero subgradient where c.x <= -1, so runs can stop there
@@ -656,7 +659,75 @@ def test_thinned_trace_ends_at_x_out_on_random_instances():
                 assert rep.x_out.tobytes() == full.x_out.tobytes()
 
     check()
-    assert {"sg", "mdsg", "pds"} <= stops
+    # each solver closes a thinned trace once with a row it did not keep
+    assert stops == {"sg", "sdsg", "mdsg", "pds"}
+
+
+def test_thinned_trace_reads_an_ineligible_last_row_in_full():
+    # the run stops right after a row it did not keep and did not read f0
+    # at, as its infeas is above eps; that row closes the trace all the same
+    p = build_instance(2, [1], [], 0, 1)
+    p = ConstrainedProblem(PositivePart(AffineOracle(p.f0.c, 1.0)), p.ineq)
+    # fbar(x) = max{x - 1, 0.5}: sg steps from 3 to 1, where its active part is constant
+    one_d = ConstrainedProblem(AffineOracle([1.0]), [
+        MaxOracle([AffineOracle([1.0], -1.0), AffineOracle([0.0], 0.5)])])
+    for problem, solver, x0 in ((one_d, "sg", [3.0]), (p, "sdsg", None), (p, "mdsg", None)):
+        cfg = dict(solver=solver, iterations=30, eps=1e-3, x0=x0)
+        full = solve(problem, SolverConfig(**cfg))
+        last = full.trace[-1]
+        assert full.status == SADDLE_TERMINATED and last.infeas > cfg["eps"]
+        rep = solve(problem, SolverConfig(**cfg, trace_every=last.k + 1))
+        assert [row_bits(r) for r in rep.trace] == [row_bits(last)]
+        assert (rep.status, rep.p_eps) == (full.status, full.p_eps)
+        assert rep.x_out.tobytes() == full.x_out.tobytes()
+
+
+def test_thinned_run_reads_f0_only_at_the_rows_it_can_observe(monkeypatch):
+    # f0 is read at the reported point of row k only when the row is kept,
+    # is the last one, or has infeas_k <= eps; sg also reads it where its
+    # step descends f0. The logs of f0's reads are compared with a full run's.
+    p = gen_random(2, 100, 1).problem
+    infeasibility, at = ConstrainedProblem.infeasibility, []
+
+    def counted_infeasibility(self, x, residual=None):
+        at.append(x)
+        return infeasibility(self, x, residual)
+
+    monkeypatch.setattr(ConstrainedProblem, "infeasibility", counted_infeasibility)
+    eligible_unkept = set()
+    for solver, eps in (("sg", 1e-3), ("sdsg", 1e-3), ("sdsg", 2.0), ("mdsg", 1e-3),
+                        ("mdsg", 0.7)):
+        runs = []
+        for every in (1, 100, 30):
+            counted = _CountingOracle(p.f0)
+            cfg = SolverConfig(solver=solver, eps=eps, iterations=200, trace_every=every)
+            at.clear()
+            runs.append((solve(ConstrainedProblem(counted, p.ineq, p.A, p.b), cfg),
+                         [(built, x.tobytes()) for built, x in counted.log], len(at)))
+        (full, full_log, _), *thinned = runs
+        assert [r.k for r in full.trace] == list(range(1, 201))
+        for every, (rep, log, evaluated) in zip((100, 30), thinned):
+            if (solver, eps) == ("mdsg", 1e-3):  # ||A x_bar - b|| > eps on every row:
+                assert evaluated == len(rep.trace)  # x_bar only at the kept ones
+            def observable(k):
+                return k % every == 0 or k == 200 or full.trace[k - 1].infeas <= eps
+
+            if solver == "sg":  # one read per iterate x_0 .. x_200, built on objective steps
+                expected = [e for k, e in enumerate(full_log) if e[0] or k == 0 or observable(k)]
+            else:  # step k builds f0's subgradient at x_(k-1); then x_bar_k is read
+                expected, k = [], 0
+                for e in full_log:
+                    k += e[0]
+                    if e[0] or observable(k):
+                        expected.append(e)
+                eligible_unkept.update(
+                    solver for r in full.trace if r.infeas <= eps and r.k % every)
+            assert log == expected and len(log) < len(full_log)
+            kept = [*range(every, 200, every), 200]
+            assert [row_bits(r) for r in rep.trace] == [row_bits(full.trace[k - 1]) for k in kept]
+            assert (rep.status, rep.p_eps) == (full.status, full.p_eps)
+            assert rep.x_out.tobytes() == full.x_out.tobytes()
+    assert eligible_unkept == {"sdsg", "mdsg"}
 
 
 def test_split_products_match_dense_products_on_random_slack_forms():

@@ -21,9 +21,11 @@ Live, on any kernel:
   k bit-equal, val, infeas and x_out within rounding, the same status and
   p_eps.
 ``test_digest_free_checks_pass_under_the_haswell_kernel`` reruns these in a
-subprocess on another OpenBLAS kernel, with ``test_oracles``'s check that
-the sparse-row kernel, which calls no BLAS, gives a block the bits of one
-oracle call per row, and a row of one nonzero the bits of the dense kernels.
+subprocess on another OpenBLAS kernel, with ``test_problem``'s check that a
+thinned trace keeps the full run's rows on random instances, and
+``test_oracles``'s check that the sparse-row kernel, which calls no BLAS,
+gives a block the bits of one oracle call per row, and a row of one nonzero
+the bits of the dense kernels.
 
 The dense-rows instance has eight affine rows that share every coordinate,
 one run of them read as a row block; its digests were recorded while the
@@ -233,12 +235,16 @@ def test_split_runs_cover_exactly_the_slack_form_instances():
 
 
 def test_digest_free_checks_pass_under_the_haswell_kernel():
-    """The live checks, and the sparse-row kernels' check in test_oracles,
-    rerun in one subprocess on OpenBLAS's Haswell kernel with one BLAS
-    thread. OPENBLAS_CORETYPE selects the kernel for that process only;
-    where numpy's BLAS ignores it, the checks run on the default kernel and
-    pass all the same."""
+    """The live checks, test_problem's thinned-trace check on random
+    instances and the sparse-row kernels' check in test_oracles rerun in one
+    subprocess on OpenBLAS's Haswell kernel with one BLAS thread.
+    OPENBLAS_CORETYPE selects the kernel for that process only; where
+    numpy's BLAS ignores it, the checks run on the default kernel and pass
+    all the same."""
+    # imported here: test_problem imports this module
+    from test_problem import test_thinned_trace_ends_at_x_out_on_random_instances
     checks = (test_thinned_trace_keeps_the_full_trace_rows,
+              test_thinned_trace_ends_at_x_out_on_random_instances,
               test_library_matches_transcription,
               test_split_products_match_dense_products,
               test_oracles.test_sparse_row_kernels_match_the_per_row_kernels)
