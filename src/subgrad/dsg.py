@@ -20,8 +20,9 @@ values at x_bar without a product. The nu block of s sums the direction's
 block b - A x_j, so A x_bar - b = -s[n+m:] / delta. On the max form, R
 sums the rows r = C x_j + d of an AffineBlockOracle part of fbar, which
 fbar's key holds, so C x_bar + d = R / delta, and the part's value at
-x_bar is the block's rule on that. The other parts of fbar, and f0, are
-evaluated at x_bar.
+x_bar, the block's rule on that, is one reduction over R. So fbar is read
+at x_bar by one walk over its parts, blocks first, which forms x_bar only
+for a part of another kind or for f0 (``_fbar_at_x_bar``).
 
 Two entry points share this machinery: mode "multi" runs on the native
 constraints; mode "single" first collapses them into one max constraint.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .oracles import AffineBlockOracle, ConvexOracle, MaxOracle, euclidean_norm
+from .oracles import AffineBlockOracle, euclidean_norm
 from .problem import SADDLE_TOL, saddle_direction, single_constraint_form, start_point
 
 __all__ = ["DsgState", "init_state", "step", "solve"]
@@ -104,63 +105,82 @@ def solve(problem, cfg, mode="multi"):
     "single" requires m + l >= 1, reformulates to the single max
     constraint, and reports infeas = max{fbar(x_bar), 0}, with the rows of
     each AffineBlockOracle part read off its row sum; they equal the
-    product up to rounding, and a max form without such a part is
-    evaluated at x_bar as before. f0(x_bar) is evaluated only on rows that
-    ``reports.drive`` reads in full and rows with infeas <= eps; mode "multi"
-    skips x_bar altogether on the other rows once ||A x_bar - b|| > eps.
+    product up to rounding. f0(x_bar) is evaluated only on rows that
+    ``reports.drive`` reads in full and rows with infeas <= eps. On the
+    other rows, mode "multi" skips x_bar altogether once ||A x_bar - b||
+    > eps, and mode "single" stops at the first part of fbar above eps,
+    its blocks read first; when a block settles the row, x_bar is not formed.
     """
     if mode not in ("multi", "single"):
         raise ValueError(f"unknown mode {mode!r}")
     run = single_constraint_form(problem) if mode == "single" else problem
     state = init_state(run, cfg.x0, cfg.lam0, cfg.nu0)
-    fbar = _fbar_at_x_bar(run.ineq[0], state) if mode == "single" else None
+    walk = _fbar_at_x_bar(run.ineq[0], state) if mode == "single" else None
     eq = run.n + run.m if run.l else None  # where s_acc's nu block starts
 
     def read(full):
-        residual = None
-        if eq is not None:
-            residual = state.s_acc[eq:] / -state.delta
-            if not full:
-                # infeasibility rounds ||F|| + ||r|| with ||F|| >= 0, and
-                # rounding is monotone, so it is at least ||r|| (NaN if r is)
-                r = euclidean_norm(residual)
-                if not r <= cfg.eps:
-                    return None, None, r
-        x_bar = state.x_bar
-        if fbar is None:
-            infeas = run.infeasibility(x_bar, residual)
-        else:
-            fv = fbar.value(x_bar)
+        if walk is not None:
+            x_bar, fv = walk(None if full else cfg.eps)
             infeas = 0.0 if fv <= 0.0 else fv
-        val = run.f0.value(x_bar) if full or infeas <= cfg.eps else None
-        return x_bar, val, infeas
+        else:
+            residual = None
+            if eq is not None:
+                residual = state.s_acc[eq:] / -state.delta
+                if not full:
+                    # infeasibility rounds ||F|| + ||r|| with ||F|| >= 0, and
+                    # rounding is monotone, so it is at least ||r|| (NaN if r is)
+                    r = euclidean_norm(residual)
+                    if not r <= cfg.eps:
+                        return None, None, r
+            x_bar = state.x_bar
+            infeas = run.infeasibility(x_bar, residual)
+        if not (full or infeas <= cfg.eps):
+            return x_bar, None, infeas
+        if x_bar is None:
+            x_bar = state.x_bar
+        return x_bar, run.f0.value(x_bar), infeas
 
     return reports.drive(cfg, lambda: step(run, state), read, state.z0[:run.n])
 
 
 def _fbar_at_x_bar(fbar, state):
-    """fbar as ``solve`` reads it at the state's x_bar: each AffineBlockOracle
-    part j gets a row sum (j, R) in state.row_sums, which ``step`` fills, and
-    reads its rows off it. A max form without such a part is fbar itself."""
-    state.row_sums = [(j, np.zeros(p.d.size)) for j, p in enumerate(fbar.parts)
-                      if type(p) is AffineBlockOracle]
-    if not state.row_sums:
-        return fbar
-    parts = list(fbar.parts)
-    for j, acc in state.row_sums:
-        parts[j] = _SummedBlock(parts[j], acc, state)
-    return MaxOracle(parts)
+    """fbar at the state's x_bar, read by one walk over its parts:
+    ``walk(eps=None)`` returns (x_bar, v), x_bar None if the walk formed none.
 
-
-class _SummedBlock(ConvexOracle):
-    """A block part of fbar at the state's x_bar, its rows read off their sum R.
-
-    It is asked only at x_bar = x_hat / delta, where C x_bar + d = R / delta,
-    so ``select`` applies the block's rule to R / delta and reads no x.
+    Each AffineBlockOracle part j gets a row sum (j, R) in state.row_sums,
+    which ``step`` fills. The walk reads these parts first, each by one
+    reduction over R: the block's rule on R / delta is max|R| / delta
+    (absolute) or max R / delta, as division by delta > 0 rounds
+    monotonically. Then it forms x_bar and evaluates the other parts there.
+    Given eps, it stops at the first part whose value is not <= eps and
+    returns that value, a lower bound of fbar(x_bar) (or NaN). Otherwise v
+    is the max over the parts in part order, the first NaN winning, as
+    MaxOracle selects fbar(x_bar).
     """
+    parts = fbar.parts
+    row_sums = state.row_sums = [(j, np.zeros(p.d.size)) for j, p in enumerate(parts)
+                                 if type(p) is AffineBlockOracle]
+    others = [(j, p) for j, p in enumerate(parts) if type(p) is not AffineBlockOracle]
+    values = [0.0] * len(parts)  # by part index; a full walk sets every one
 
-    def __init__(self, block, acc, state):
-        self.block, self.acc, self.state, self.dim = block, acc, state, block.dim
+    def walk(eps=None):
+        for j, acc in row_sums:
+            block = parts[j]
+            v = float(np.maximum.reduce(np.abs(acc) if block.absolute else acc) / state.delta)
+            if v != v:  # R sums from +0.0 and holds no -0.0; a NaN's sign is the winner's
+                v = block.select_rows(acc / state.delta)[0]
+            values[j] = v
+            if eps is not None and not v <= eps:
+                return None, v
+        x_bar = state.x_bar if others else None
+        for j, part in others:
+            v = values[j] = part.select(x_bar)[0]
+            if eps is not None and not v <= eps:
+                return x_bar, v
+        best = values[0]
+        for v in values:
+            if not v <= best and best == best:
+                best = v
+        return x_bar, best
 
-    def select(self, x_bar):
-        return self.block.select_rows(self.acc / self.state.delta)
+    return walk

@@ -429,7 +429,7 @@ class AffineBlockOracle(ConvexOracle):
             if _all_finite(w_on):
                 cols, vals, slots = self._scatter
                 if slots != 1:  # every slot of an active row, none for zero rows
-                    on, w_on = np.repeat(on, slots), np.repeat(w_on, slots)
+                    on, w_on = on.repeat(slots), w_on.repeat(slots)
                 out = tx + 0.0
                 # unbuffered, in index order: row by row, so each column adds in row order
                 np.add.at(out, cols[on], w_on * vals[on])
@@ -440,10 +440,11 @@ class AffineBlockOracle(ConvexOracle):
         """The block's rule on given row values r: (value, (r, i, negated)) for
         the lowest row index i attaining the max, a NaN row winning.
 
-        ``select`` is this rule on ``rows(x)``; a caller that holds C x + d by
-        other means, as ``dsg`` does at x_bar, reads the block's value with it.
+        ``select`` is this rule on ``rows(x)``; ``dsg`` applies it to the rows
+        it holds at x_bar when their maximum is zero or NaN.
         """
-        i = int(np.argmax(np.abs(r) if self.absolute else r))
+        # ndarray.argmax: np.argmax finds the same index through three Python frames
+        i = int((np.abs(r) if self.absolute else r).argmax())
         v = float(r[i])
         if not self.absolute or v >= 0.0:
             return v, (r, i, False)
@@ -603,7 +604,7 @@ class HingeSumOracle(_CoordsOracle):
     def select(self, x):
         margins = 1.0 - self.labels * x[self._at]
         active = margins > 0.0
-        return self.scale * float(margins[active].sum()), active
+        return self.scale * float(np.add.reduce(margins[active])), active
 
     def subgrad(self, active):
         return self._spread(np.where(active, self._slopes, 0.0))

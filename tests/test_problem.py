@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -730,6 +731,63 @@ def test_thinned_run_reads_f0_only_at_the_rows_it_can_observe(monkeypatch):
     assert eligible_unkept == {"sdsg", "mdsg"}
 
 
+def test_thinned_sdsg_reads_the_other_parts_of_fbar_only_at_observable_rows():
+    # case 2's fbar is a box block, the domain oracle and an equality block.
+    # A row that is not read in full stops at the first part above eps, the
+    # blocks read first off their row sums, so the domain oracle, the one other
+    # part, is read at x_bar_k only when row k is kept, is the last one or has
+    # infeas_k <= eps. Step k reads it at x_(k-1), as the full run's log shows.
+    p, eps = gen_random(2, 100, 1).problem, 1e-3
+    runs = []
+    for every in (1, 100, 30):
+        domain = _CountingOracle(p.ineq[-1])
+        q = ConstrainedProblem(p.f0, [*p.ineq[:-1], domain], p.A, p.b)
+        cfg = SolverConfig(solver="sdsg", eps=eps, iterations=200, trace_every=every)
+        runs.append((solve(q, cfg), [x.tobytes() for _, x in domain.log]))
+    assert [type(o) for o in single_constraint_form(q).ineq[0].parts] == \
+        [AffineBlockOracle, _CountingOracle, AffineBlockOracle]
+    (full, full_log), *thinned = runs
+    assert [r.k for r in full.trace] == list(range(1, 201)) and len(full_log) == 400
+    for every, (rep, log) in zip((100, 30), thinned):
+        observable = [k % every == 0 or k == 200 or full.trace[k - 1].infeas <= eps
+                      for k in range(1, 201)]
+        assert log == [x for k, seen in enumerate(observable)
+                       for x in full_log[2 * k:2 * k + 1 + seen]]
+        kept = [*range(every, 200, every), 200]
+        assert [row_bits(r) for r in rep.trace] == [row_bits(full.trace[k - 1]) for k in kept]
+        assert (rep.status, rep.p_eps) == (full.status, full.p_eps)
+        assert rep.x_out.tobytes() == full.x_out.tobytes()
+
+
+def test_iterations_run_no_python_wrapper_of_numpy():
+    # np.argmax, np.repeat and ndarray.sum run Python frames of numpy's
+    # fromnumeric and _methods around one C call, at several times its cost
+    # on short arrays; no iteration of a solver may enter them
+    wrappers = {np._core.fromnumeric.__file__, np._core._methods.__file__}
+
+    def wrapper_calls(p, solver, iterations, every):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_filename in wrappers
+
+        cfg = SolverConfig(solver=solver, iterations=iterations, trace_every=every)
+        sys.setprofile(profile)
+        try:
+            solve(p, cfg)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    for p in (gen_random(2, 30, 1).problem, build_svm(1, 1).problem):
+        for solver in ("sg", "sdsg", "mdsg", "pds"):
+            for every in (1, 7):
+                # the first solve also builds what a problem builds once, such as fbar's parts
+                calls = [wrapper_calls(p, solver, k, every) for k in (100, 200, 100)]
+                assert calls[1] == calls[2], (p, solver, every, calls)
+
+
 def test_split_products_match_dense_products_on_random_slack_forms():
     # A = [B | I] is read as B; the split sums in another order than A @ x
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -870,6 +928,49 @@ def test_stacked_max_matches_per_row_max_on_random_parts():
             for k in (ROW_BLOCK_MIN - 1, ROW_BLOCK_MIN)} <= seen
     # a block part with rows of its type beside it, and one alone in its run
     assert {("block part", True), ("block part", False)} <= seen
+
+
+def test_walk_over_fbar_at_x_bar_has_the_bits_of_fbar():
+    # sdsg's walk reads a block part off its row sum R and the other parts at
+    # x_bar. With delta = 2^k, k >= 0, x_hat = x delta and R = (C x + d) delta
+    # give x_bar = x and R / delta = C x + d exactly, so a full walk must have
+    # the bits of fbar(x), NaN parts included; a walk given eps
+    # either has them too or stops at a part above eps, of at most fbar(x).
+    seen = set()  # NaN parts of both kinds
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(stacked_max_spec(), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from([1e-3, 0.5, 2.0]))
+    def check(spec, i, power, eps):
+        n, runs, lead, seed, x, blocks = spec
+        parts, _ = stacked_max_parts(n, runs, lead, seed, blocks)
+        assume(parts)
+        fbar = MaxOracle(parts)
+        state = dsg.init_state(ConstrainedProblem(AffineOracle(np.zeros(n))))
+        walk = dsg._fbar_at_x_bar(fbar, state)
+        state.delta = 2.0 ** power
+        points = [x, np.zeros(n), np.full(n, -0.0)]
+        for special in (math.nan, math.inf, -math.inf, -0.0):
+            points.append(x.copy())
+            points[-1][i % n] = special
+        with np.errstate(invalid="ignore"):
+            for y in points:
+                state.x_hat = y * state.delta
+                for j, acc in state.row_sums:
+                    acc[:] = parts[j].rows(y) * state.delta
+                seen.update(type(o) is AffineBlockOracle for o in parts if math.isnan(o.value(y)))
+                ref = fbar.value(y)
+                x_bar, v = walk()
+                assert np.float64(v).tobytes() == np.float64(ref).tobytes(), y
+                assert x_bar is None or x_bar.tobytes() == y.tobytes()
+                _, v = walk(eps)
+                if v <= eps:
+                    assert np.float64(v).tobytes() == np.float64(ref).tobytes(), y
+                else:
+                    assert v <= ref or math.isnan(ref), y
+
+    check()
+    assert seen == {True, False}
 
 
 @st.composite

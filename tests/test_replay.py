@@ -236,15 +236,19 @@ def test_split_runs_cover_exactly_the_slack_form_instances():
 
 def test_digest_free_checks_pass_under_the_haswell_kernel():
     """The live checks, test_problem's thinned-trace check on random
-    instances and the sparse-row kernels' check in test_oracles rerun in one
-    subprocess on OpenBLAS's Haswell kernel with one BLAS thread.
+    instances and its counted thinned sdsg run on case 2, and the sparse-row
+    kernels' check in test_oracles rerun in one subprocess on OpenBLAS's
+    Haswell kernel with one BLAS thread.
     OPENBLAS_CORETYPE selects the kernel for that process only; where
     numpy's BLAS ignores it, the checks run on the default kernel and pass
     all the same."""
     # imported here: test_problem imports this module
-    from test_problem import test_thinned_trace_ends_at_x_out_on_random_instances
+    from test_problem import (
+        test_thinned_sdsg_reads_the_other_parts_of_fbar_only_at_observable_rows,
+        test_thinned_trace_ends_at_x_out_on_random_instances)
     checks = (test_thinned_trace_keeps_the_full_trace_rows,
               test_thinned_trace_ends_at_x_out_on_random_instances,
+              test_thinned_sdsg_reads_the_other_parts_of_fbar_only_at_observable_rows,
               test_library_matches_transcription,
               test_split_products_match_dense_products,
               test_oracles.test_sparse_row_kernels_match_the_per_row_kernels)
