@@ -75,9 +75,11 @@ def init_state(problem, x0=None, lam0=None, nu0=None):
 
 
 def step(problem, state):
-    """One dual-averaging update in place. Returns False on saddle termination."""
+    """One dual-averaging update in place. Returns False on saddle termination.
+
+    The direction is read without f0(x), which DSG reports only at x_bar."""
     keys = [] if state.row_sums else None
-    g = saddle_direction(problem, state.z_arr, keys=keys)[0]
+    g = saddle_direction(problem, state.z_arr, keys=keys, value=False)[0]
     gnorm = euclidean_norm(g)
     if gnorm <= SADDLE_TOL:
         return False

@@ -15,6 +15,10 @@ has the bits of one oracle call per row (AffineBlockOracle).
 Each class writes its arithmetic once, in ``select`` and ``subgrad`` (see
 ConvexOracle). A maximum, a sum and a positive part read their parts
 through ``select``, so a maximum builds its winning part's subgradient alone.
+The private ``_subgrad_at(x)`` has the bits of ``self(x)[1]``; the
+coordinate oracles and SumOracle, exactly those classes, skip their value's
+reductions in it, and the DSG step, which drops f0(x), reads its objective
+through it.
 
 Subgradient selections are deterministic. Ties are resolved by fixed rules
 (lowest index wins in maxima, and a NaN part wins over any number,
@@ -168,10 +172,14 @@ def _as_coords(coords, dim):
     idx = np.arange(dim) if coords is None else _as_numbers(coords, "coords")
     if not np.all((idx >= 0) & (idx < dim) & (idx == np.floor(idx))):
         raise ValueError(f"coords must be integer indices in [0, {dim}), got {coords}")
-    s = np.sort(idx)  # np.unique would import numpy.ma, a megabyte, on its first call
-    if (s[1:] == s[:-1]).any():  # a repeat counts twice in a value, once in a subgradient
+    if _has_repeat(idx):  # a repeat counts twice in a value, once in a subgradient
         raise ValueError(f"coords must be distinct indices, got {coords}")
     return idx.astype(int)
+
+
+def _has_repeat(idx):
+    s = np.sort(idx)  # np.unique would import numpy.ma, a megabyte, on its first call
+    return bool((s[1:] == s[:-1]).any())
 
 
 def _parts_and_dim(owner, parts):
@@ -196,6 +204,11 @@ class ConvexOracle:
     AffineOracle and many user oracles do, stays supported: the default
     ``select`` returns ``self(x)``, its subgradient as the key. A key may be
     a view of x.
+
+    ``_subgrad_at(x)`` has the bits of ``self(x)[1]``, which it runs by
+    default; a class overrides it to skip reductions that only the value
+    needs, and runs ``self(x)[1]`` for its subclasses, whose ``select``,
+    ``subgrad`` or ``__call__`` may differ.
     """
 
     dim: int
@@ -214,6 +227,9 @@ class ConvexOracle:
 
     def subgrad(self, key):
         return key
+
+    def _subgrad_at(self, x):
+        return self(x)[1]
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -395,8 +411,9 @@ class AffineBlockOracle(ConvexOracle):
         self.dim = self.C.shape[1]
         # the sparse rows' kernel; (their indices, the other rows' indices and
         # rows) when only some rows are sparse, else the slots that add_rows
-        # scatters: (cols, vals, K), flat and row by row, K slots per row
-        self._kernel = self._split = self._scatter = None
+        # scatters: (cols, vals, K), flat and row by row, K slots per row;
+        # with one slot per row, d + 0.0, which rows adds in place of d
+        self._kernel = self._split = self._scatter = self._d0 = None
         sparse = _sparse_kernel(self.C)
         if sparse is not None:
             at, self._kernel = sparse
@@ -405,6 +422,8 @@ class AffineBlockOracle(ConvexOracle):
                 self._split = at, dense, _aligned(self.C[dense])
             else:
                 cols, vals, k = self._kernel
+                if vals.ndim == 1:
+                    self._d0 = self.d + 0.0
                 cols, vals = cols.T[:k].ravel(), vals.T[:k].ravel()
                 self._scatter = cols, vals, cols.size // k
 
@@ -412,6 +431,13 @@ class AffineBlockOracle(ConvexOracle):
         """Every row value r = C x + d."""
         if self._kernel is None or not _all_finite(x):
             return np.vecdot(self.C, x) + self.d
+        if self._d0 is not None:
+            # the products p plus d + 0.0: the bits of (p + 0.0) + d, which
+            # _sparse_dots and the add of d give
+            cols, vals, _ = self._kernel
+            r = vals * x[cols]
+            r += self._d0
+            return r
         if self._split is None:
             return _sparse_dots(self._kernel, x) + self.d
         at, dense, c_dense = self._split
@@ -500,10 +526,21 @@ class PositivePart(ConvexOracle):
 
 
 class SumOracle(ConvexOracle):
-    """Sum of several oracles; values and subgradients add."""
+    """Sum of several oracles; values and subgradients add.
+
+    When there are several parts, each exactly a Norm1Oracle, SqNormOracle
+    or HingeSumOracle, on pairwise disjoint coordinates (as svm's objective
+    is), the subgradient is one zeros vector with each part's entries on
+    its coordinates added in: every entry is +0.0 plus one part's entry,
+    the bits of spreading each part to a dim-vector and adding them. Other
+    sums spread and add; one part alone keeps its -0.0 entries.
+    """
 
     def __init__(self, parts):
         self.parts, self.dim = _parts_and_dim(self, parts)
+        coords = [p.coords for p in self.parts if type(p) in _KEYED]
+        self._disjoint = (1 < len(coords) == len(self.parts)
+                          and not _has_repeat(np.concatenate(coords)))
 
     def select(self, x):
         total_v, key = self.parts[0].select(x)
@@ -515,10 +552,27 @@ class SumOracle(ConvexOracle):
         return total_v, keys
 
     def subgrad(self, keys):
-        total_g = np.array(self.parts[0].subgrad(keys[0]), dtype=float)
-        for part, key in zip(self.parts[1:], keys[1:]):
-            total_g += part.subgrad(key)
-        return total_g
+        if not self._disjoint:
+            return _added([p.subgrad(key) for p, key in zip(self.parts, keys)])
+        g = np.zeros(self.dim)
+        for part, key in zip(self.parts, keys):
+            part._add_block(g, key)
+        return g
+
+    def _subgrad_at(self, x):
+        if type(self) is not SumOracle:  # a subclass's select or subgrad decides
+            return self(x)[1]
+        if self._disjoint:
+            return self.subgrad([p._key(x) for p in self.parts])
+        return _added([p._subgrad_at(x) for p in self.parts])
+
+
+def _added(grads):
+    """The sum of the subgradients grads, added in order into a copy of the first."""
+    total_g = np.array(grads[0], dtype=float)
+    for g in grads[1:]:
+        total_g += g
+    return total_g
 
 
 class _CoordsOracle(ConvexOracle):
@@ -542,6 +596,22 @@ class _CoordsOracle(ConvexOracle):
         self._at = slice(int(c[0]), int(c[-1]) + 1) if run else c
         self._all = run and c.size == self.dim
 
+    def subgrad(self, key):
+        return self._spread(self._block(key))
+
+    def _subgrad_at(self, x):
+        if type(self) not in _KEYED:  # a subclass's select or subgrad decides
+            return self(x)[1]
+        return self.subgrad(self._key(x))
+
+    def _key(self, x):
+        """The key that select returns at x, its value left uncomputed."""
+        return x[self._at]
+
+    def _add_block(self, g, key):
+        """Add the subgradient's entries on coords to g, which holds +0.0 there."""
+        g[self._at] += self._block(key)
+
     def _spread(self, gc):
         """The dim-vector with the fresh array gc on coords and zeros elsewhere."""
         if self._all:
@@ -558,6 +628,8 @@ class Norm1Oracle(_CoordsOracle):
     convention above.
     """
 
+    _SIGNS = np.array([-1.0, 1.0])
+
     def __init__(self, dim, coords=None, offset=0.0):
         self._set_coords(dim, coords)
         self.offset = _as_scalar(offset, "offset")
@@ -567,8 +639,9 @@ class Norm1Oracle(_CoordsOracle):
         # np.add.reduce is what ndarray.sum runs, without its Python wrapper
         return float(np.add.reduce(np.abs(xc))) + self.offset, xc
 
-    def subgrad(self, xc):
-        return self._spread(np.where(xc >= 0.0, 1.0, -1.0))
+    def _block(self, xc):
+        # +1 where xc >= 0, -1 elsewhere (NaN too): np.where's bits, without its Python frame
+        return self._SIGNS.take((xc >= 0.0).view(np.int8))
 
 
 class SqNormOracle(_CoordsOracle):
@@ -582,8 +655,8 @@ class SqNormOracle(_CoordsOracle):
         xc = x[self._at]
         return self.scale * float(xc.dot(xc)), xc
 
-    def subgrad(self, xc):
-        return self._spread((2.0 * self.scale) * xc)
+    def _block(self, xc):
+        return (2.0 * self.scale) * xc
 
 
 class HingeSumOracle(_CoordsOracle):
@@ -606,8 +679,18 @@ class HingeSumOracle(_CoordsOracle):
         active = margins > 0.0
         return self.scale * float(np.add.reduce(margins[active])), active
 
-    def subgrad(self, active):
-        return self._spread(np.where(active, self._slopes, 0.0))
+    def _key(self, x):
+        # select's active: 1 - p > 0 exactly when p < 1, and neither holds for a NaN p
+        return self.labels * x[self._at] < 1.0
+
+    def _block(self, active):
+        # the slopes where active, +0.0 elsewhere: np.where's bits, without its Python frame
+        return np.positive(self._slopes, out=np.zeros(self._slopes.size), where=active)
+
+
+# the coordinate oracles whose _key is their select's key: a subclass that
+# overrides select or subgrad is read through __call__, and takes no fused sum
+_KEYED = (Norm1Oracle, SqNormOracle, HingeSumOracle)
 
 
 class LogBarrierOracle(ConvexOracle):

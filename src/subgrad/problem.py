@@ -140,6 +140,17 @@ class ConstrainedProblem:
             return self.A.T @ nu
         return np.concatenate((self._B.T @ nu, nu))
 
+    def _add_adjoint(self, tx, nu, out):
+        """Write tx + adjoint(nu) into out. For A = [B | I], B^T nu and nu are
+        added to the two slices of tx, the same bits without building A^T nu,
+        unless a subclass reads the product by its own adjoint."""
+        if self._B is None or type(self).adjoint is not ConstrainedProblem.adjoint:
+            np.add(tx, self.adjoint(nu), out=out)
+        else:
+            p = self.n - self.l
+            np.add(tx[:p], self._B.T @ nu, out=out[:p])
+            np.add(tx[p:], nu, out=out[p:])
+
     def __repr__(self):
         return f"ConstrainedProblem(n={self.n}, m={self.m}, l={self.l})"
 
@@ -183,7 +194,7 @@ def start_point(problem, x0=None, lam0=None, nu0=None):
     return np.concatenate(blocks)
 
 
-def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
+def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None, value=True):
     """Subgradient selection of the penalized Lagrangian at the concatenated
     z = (x, lam, nu), and the objective value f0(x) computed on the way.
 
@@ -196,11 +207,16 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     and w = lam + rho p (w = lam at rho = 0, where T is the plain saddle
     direction G of the Lagrangian). F(x) and Ax - b are -T[n:n+m], -T[n+m:].
     Ax - b and A^T (...) are problem.residual and problem.adjoint, which read
-    a slack-form A = [B | I] as B.
+    a slack-form A = [B | I] as B; problem._add_adjoint adds the adjoint to
+    Tx, for a slack-form A slice by slice, with the bits of adding it.
+    With ``value=False``, as ``dsg`` calls it, f0(x) is returned as None and
+    the objective's subgradient is read by ``f0._subgrad_at(x)``, which has
+    the bits of ``f0(x)[1]`` and skips the reductions that the value needs.
 
     One walk over the inequality rows writes -F(x) and keeps every stacked
     run of affine rows (read by AffineBlockOracle.rows) and every single
-    row with f_i(x) > 0. A kept single row holds its selection key until it
+    row with f_i(x) > 0; a run's -F is written as min{-r, 0}, by two
+    passes into T. A kept single row holds its selection key until it
     is added, so only a row with f_i(x) > 0 and w_i != 0 builds its
     subgradient. Then w is formed once, and one loop adds the kept rows to
     Tx in row order, a run by AffineBlockOracle.add_rows, so T has the bits
@@ -216,14 +232,20 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
     x = z[:n]
     # Tx is summed by rebinding tx, never in place: it starts as the
     # objective oracle's own subgradient array
-    f0_val, tx = problem.f0(x)
+    if value:
+        f0_val, tx = problem.f0(x)
+    else:
+        f0_val, tx = None, problem.f0._subgrad_at(x)
     t = np.empty(n + m + l)
     kept = []  # (row i of F, rows k or 0 for a single row, oracle, its rows r or its key)
     for i, k, oracle in problem._blocks:
         j = n + i
         if k:
             v = held = oracle.rows(x)
-            t[j:j + k] = np.where(v <= 0.0, 0.0, -v)  # a NaN value stays NaN in F
+            # -F = min{-v, 0}, +0.0 where v <= 0 and NaN where v is (np.where's bits)
+            f = t[j:j + k]
+            np.negative(v, out=f)
+            np.minimum(f, 0.0, out=f)
         else:
             v, held = oracle.select(x)
             t[j] = 0.0 if v <= 0.0 else -v
@@ -245,7 +267,7 @@ def saddle_direction(problem, z, rho=0.0, s_exp=2.0, keys=None):
         r = problem.residual(x)
         if rho != 0.0:
             nu = nu + rho * norm_power_subgrad(r, s_exp)
-        np.add(tx, problem.adjoint(nu), out=t[:n])
+        problem._add_adjoint(tx, nu, t[:n])
         np.negative(r, out=t[n + m:])
     else:
         t[:n] = tx

@@ -5,7 +5,7 @@ from subgrad import dsg
 from subgrad.oracles import AffineOracle, SqNormOracle
 from subgrad.problem import ConstrainedProblem, saddle_direction, single_constraint_form
 from subgrad.reports import NO_EPS_FEASIBLE, SADDLE_TERMINATED, SolverConfig
-from subgrad.testbeds import gen_random
+from subgrad.testbeds import build_svm, gen_random
 import transcription
 from test_replay import FAMILIES, INSTANCES, assert_matches_transcription, family_id
 
@@ -29,17 +29,22 @@ def test_saddle_subgradient_stationary_point():
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(1, 6, 12).problem,
-                                  lambda: gen_random(2, 4, 2).problem])
+                                  lambda: gen_random(2, 4, 2).problem,
+                                  lambda: build_svm(1, 1).problem])
 def test_direction_matches_plain_dsg_direction(make):
     # the transcription's DSG direction (g0 + sum_{f_i > 0} lam_i g_i + A^T nu,
-    # -F, b - Ax), with one oracle call per row, must equal T at rho = 0
+    # -F, b - Ax), with one oracle call per row, must equal T at rho = 0, also
+    # as dsg.step reads it, without f0(x)
     p = make()
     n, m, l = p.n, p.m, p.l
     rng = np.random.default_rng(7)
     for _ in range(20):
         z = np.concatenate([rng.normal(size=n), rng.uniform(0, 2, size=m),
                             rng.normal(size=l)])
-        assert saddle_direction(p, z)[0].tobytes() == transcription.direction(p, z)[0].tobytes()
+        t_ref = transcription.direction(p, z)[0].tobytes()
+        assert saddle_direction(p, z)[0].tobytes() == t_ref
+        t, f0_val = saddle_direction(p, z, value=False)
+        assert t.tobytes() == t_ref and f0_val is None
 
 
 def test_step_hand_example():

@@ -13,6 +13,7 @@ from subgrad.oracles import (LOG_SAFEGUARD, AbsAffineOracle, AffineBlockOracle, 
                              HingeSumOracle, LogBarrierOracle, MaxOracle,
                              Norm1Oracle, PositivePart, SqNormOracle, SumOracle,
                              euclidean_norm, norm_power_subgrad)
+from subgrad.problem import ConstrainedProblem, saddle_direction
 from subgrad.validate import subgradient_validate
 
 
@@ -398,11 +399,13 @@ def test_coordinate_selection_matches_index_formula(make, by_index, coords):
     points = [rng.normal(size=dim) for _ in range(20)]
     points += [np.where(rng.uniform(size=dim) < 0.5, 0.0, -0.0),
                np.array([0.0, -0.0, 1.0, -1.0] * 4),
-               np.array([1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.0, -0.0] * 2)]
+               np.array([1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.0, -0.0] * 2),
+               np.array([np.nan, -np.nan, np.inf, -np.inf] * 4)]
     for x in points:
-        v, g = oracle(x)
-        v_ref, g_ref = by_index(oracle, x)
-        assert _bits(v) == _bits(v_ref) == _bits(oracle.value(x))
+        with np.errstate(invalid="ignore"):
+            v, g = oracle(x)
+            v_ref, g_ref = by_index(oracle, x)
+            assert _bits(v) == _bits(v_ref) == _bits(oracle.value(x))
         assert g.dtype == g_ref.dtype and g.tobytes() == g_ref.tobytes()
 
 
@@ -455,14 +458,124 @@ def test_value_strategy_covers_every_select_writer():
 @given(_leaves | _nested, st.lists(_entries, min_size=VALUE_DIM, max_size=VALUE_DIM),
        st.integers(0, VALUE_DIM - 1))
 def test_value_equals_call_by_bits(oracle, x, i):
-    # x as drawn, and with its entry i set to each special value in turn
+    with np.errstate(all="ignore"):
+        for y in _special_points(x, i):
+            assert _bits(oracle.value(y)) == _bits(oracle(y)[0])
+
+
+def _special_points(x, i):
+    """x as drawn, and with its entry i set to each special value in turn."""
     points = [np.array(x)]
     for special in (math.nan, math.inf, -math.inf, -0.0):
         points.append(points[0].copy())
         points[-1][i] = special
+    return points
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_leaves | _nested, st.lists(_entries, min_size=VALUE_DIM, max_size=VALUE_DIM),
+       st.integers(0, VALUE_DIM - 1))
+def test_subgrad_at_equals_call_by_bits(oracle, x, i):
+    # _subgrad_at skips the reductions of the value, not a bit of the subgradient
     with np.errstate(all="ignore"):
-        for y in points:
-            assert _bits(oracle.value(y)) == _bits(oracle(y)[0])
+        for y in _special_points(x, i):
+            assert oracle._subgrad_at(y).tobytes() == oracle(y)[1].tobytes()
+
+
+SUM_DIM = 6
+
+
+@st.composite
+def coordinate_sum_parts(draw):
+    """1-3 coordinate oracles on SUM_DIM coordinates: on the chunks of one
+    permutation of them, so pairwise disjoint, or on coords drawn apart,
+    which may overlap; each chunk ascending or not. Hinge labels include
+    zeros and a zero scale, so slopes of both zero signs occur."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(SUM_DIM)))
+        cuts = sorted(draw(st.lists(st.integers(0, SUM_DIM), min_size=k - 1, max_size=k - 1)))
+        coords = [perm[a:b] for a, b in zip([0, *cuts], [*cuts, SUM_DIM])]
+    else:
+        coords = draw(st.lists(st.lists(st.integers(0, SUM_DIM - 1), max_size=SUM_DIM,
+                                        unique=True), min_size=k, max_size=k))
+    coords = [sorted(c) if draw(st.booleans()) else c for c in coords]
+    scales = st.sampled_from([0.0, 0.25, 1.5])
+    return [draw(st.one_of(
+        st.builds(Norm1Oracle, st.just(SUM_DIM), st.just(c), st.floats(-2.0, 2.0)),
+        st.builds(SqNormOracle, st.just(SUM_DIM), st.just(c), scales),
+        st.builds(HingeSumOracle, st.just(SUM_DIM), st.just(c),
+                  st.lists(st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0]),
+                           min_size=len(c), max_size=len(c)), scales)))
+        for c in coords]
+
+
+def _overflowing_hinge():
+    """A hinge loss whose slope on coordinate 0, -scale * label, overflows to -inf."""
+    with np.errstate(over="ignore"):
+        return HingeSumOracle(SUM_DIM, [0, 1], [1e200, 1.0], 1e200)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(coordinate_sum_parts(), st.lists(_entries, min_size=SUM_DIM, max_size=SUM_DIM))
+@example([SqNormOracle(SUM_DIM, [0, 1]), HingeSumOracle(SUM_DIM, [2, 3], [1.0, -1.0], 0.0)],
+         [-0.0, -0.0, 5.0, 5.0, 0.0, 0.0])  # disjoint: -0.0 entries of both parts
+@example([SqNormOracle(SUM_DIM, [0]), SqNormOracle(SUM_DIM, [0, 1])],
+         [-0.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # overlapping: -0.0 + -0.0 is -0.0
+@example([SqNormOracle(SUM_DIM)], [-0.0] * SUM_DIM)  # one part keeps its -0.0
+@example([_overflowing_hinge(), SqNormOracle(SUM_DIM, [2])],
+         [1.0, 0.0, 0.5, 0.0, 0.0, 0.0])  # disjoint: an inactive -inf slope adds +0.0
+def test_sum_of_coordinate_oracles_has_the_bits_of_spread_and_add(parts, x):
+    # the sum of several parts on pairwise disjoint coords adds their entries
+    # into one zeros vector; others add the parts' dim-vectors in order
+    total = SumOracle(parts)
+    coords = [list(p.coords) for p in parts]
+    flat = sum(coords, [])
+    assert total._disjoint == (len(parts) > 1 and len(set(flat)) == len(flat))
+    x = np.array(x)
+    with np.errstate(all="ignore"):
+        spread_and_add = np.array(parts[0](x)[1], dtype=float)
+        for p in parts[1:]:
+            spread_and_add += p(x)[1]
+        for g in (total(x)[1], total._subgrad_at(x)):
+            assert g.tobytes() == spread_and_add.tobytes()
+
+
+def _reselecting(cls, flip):
+    """cls with a select that returns flip(key) in place of its key."""
+    class Reselecting(cls):
+        def select(self, x):
+            v, key = super().select(x)
+            return v, flip(key)
+    return Reselecting
+
+
+class _ReflectedSum(SumOracle):
+    def select(self, x):
+        return super().select(-x)
+
+
+def test_subgrad_at_of_a_subclass_follows_its_select():
+    # _subgrad_at skips select only in the classes that write it: a subclass
+    # that overrides select gets the subgradient of its __call__, alone, in a
+    # sum, and in a DSG direction
+    x = np.array([1.5, -0.5, 0.25, -2.0, 0.0, 3.0])
+    for cls, args, flip in ((Norm1Oracle, ([0, 1],), np.negative),
+                            (SqNormOracle, ([2, 3], 0.5), np.negative),
+                            (HingeSumOracle, ([4, 5], [1.0, -1.0]), np.logical_not)):
+        part, plain = _reselecting(cls, flip)(6, *args), cls(6, *args)
+        g = part(x)[1]
+        assert g.tobytes() != plain(x)[1].tobytes()  # the override shows in the bits
+        assert part._subgrad_at(x).tobytes() == g.tobytes()
+        other = SqNormOracle(6, [c for c in range(6) if c not in args[0]])
+        assert SumOracle([plain, other])._disjoint and not SumOracle([part, other])._disjoint
+        for total in (SumOracle([part, other]), _ReflectedSum([plain, other])):
+            assert total._subgrad_at(x).tobytes() == total(x)[1].tobytes()
+            p = ConstrainedProblem(total)
+            assert (saddle_direction(p, x, value=False)[0].tobytes()
+                    == saddle_direction(p, x)[0].tobytes())
+        assert (_ReflectedSum([plain, other])._subgrad_at(x).tobytes()
+                != SumOracle([plain, other])._subgrad_at(x).tobytes())
 
 
 class _Counted(oracles.ConvexOracle):
@@ -684,6 +797,25 @@ def test_sparse_row_kernels_match_the_per_row_kernels():
 
     check()
     assert not {case for case, _ in seen} - {case for case, hit in seen if hit}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 33).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(0, 15), min_size=k, max_size=k),
+    st.lists(NONZERO_ENTRIES, min_size=k, max_size=k),
+    st.lists(FINITE_ENTRIES, min_size=k, max_size=k))),
+       st.lists(FINITE_ENTRIES, min_size=16, max_size=16))
+def test_unit_row_block_rows_have_the_bits_of_the_slot_formula(rows, x):
+    # one slot per row: rows adds d + 0.0, stored once, to c_j x_j, where the
+    # sparse kernel added +0.0 and then d
+    cols, c, d = (np.array(v) for v in rows)
+    C = np.zeros((cols.size, 16))
+    C[np.arange(cols.size), cols] = c
+    block = AffineBlockOracle(C, d)
+    assert block._d0 is not None
+    x = np.array(x)
+    with np.errstate(all="ignore"):
+        assert block.rows(x).tobytes() == ((c * x[cols] + 0.0) + d).tobytes()
 
 
 def test_sparse_row_detection():

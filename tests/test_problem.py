@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from subgrad import SolverConfig, dsg, pds, solve
 from subgrad.oracles import (ROW_BLOCK_MIN, AbsAffineOracle, AffineBlockOracle, AffineOracle,
-                             ConvexOracle, MaxOracle, Norm1Oracle, PositivePart, euclidean_norm)
+                             ConvexOracle, HingeSumOracle, MaxOracle, Norm1Oracle, PositivePart,
+                             SqNormOracle, euclidean_norm)
 from subgrad.problem import (ConstrainedProblem, max_constraint_oracle, saddle_direction,
                              single_constraint_form, start_point)
 from subgrad.reports import SADDLE_TERMINATED
@@ -342,6 +343,52 @@ def test_block_direction_matches_per_row_direction():
             z = np.concatenate([z[:n], z[n:n + q.m]])
             t, t_ref = saddle_direction(q, z, rho, s_exp)[0], direction(q, z, rho, s_exp)[0]
             assert t.tobytes() == t_ref.tobytes()
+
+
+# Row values for the -F kernel: NaNs of both signs and with a payload, both
+# zeros and infinities, subnormals, and numbers
+_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF800000000ABCD)
+ROW_VALUES = st.one_of(
+    st.sampled_from([*np.array(_NAN_BITS, dtype=np.uint64).view(float), 0.0, -0.0, np.inf,
+                     -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    st.floats(allow_nan=False))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(ROW_VALUES, min_size=ROW_BLOCK_MIN, max_size=33))
+def test_block_minus_f_has_the_bits_of_np_where(v):
+    # saddle_direction writes a block's -F by np.negative then np.minimum,
+    # for np.where(v <= 0.0, 0.0, -v): +0.0 where v <= 0, -v elsewhere, NaN too
+    v = np.array(v)
+    p = ConstrainedProblem(AffineOracle([0.0]), [AffineOracle([1.0])] * v.size)
+    (_, k, block), = p._blocks
+    assert k == v.size
+    block.rows = lambda x: v  # the block's rows, as drawn
+    t = saddle_direction(p, np.zeros(1 + v.size))[0]
+    assert t[1:].tobytes() == np.where(v <= 0.0, 0.0, -v).tobytes()
+
+
+def test_direction_adds_a_subclass_adjoint():
+    # the direction adds a slack-form A^T nu = (B^T nu, nu) slice by slice,
+    # with the bits of adding adjoint(nu); a subclass's own adjoint, such as
+    # test_replay's DenseProducts, is called in its place
+    base = build_svm(1, 1).problem
+    assert base._B is not None
+    calls = []
+
+    class CountedAdjoint(ConstrainedProblem):
+        def adjoint(self, nu):
+            calls.append(nu)
+            return super().adjoint(nu)
+
+    p = CountedAdjoint(base.f0, base.ineq, base.A, base.b)
+    rng = np.random.default_rng(3)
+    for rho in (0.0, 0.5):
+        z = rng.normal(size=p.n + p.m + p.l)
+        z[p.n:p.n + p.m] = np.abs(z[p.n:p.n + p.m])
+        t, t_base = saddle_direction(p, z, rho)[0], saddle_direction(base, z, rho)[0]
+        assert t.tobytes() == t_base.tobytes()
+    assert len(calls) == 2
 
 
 def test_abs_affine_inequalities_stay_single_rows():
@@ -759,11 +806,54 @@ def test_thinned_sdsg_reads_the_other_parts_of_fbar_only_at_observable_rows():
         assert rep.x_out.tobytes() == full.x_out.tobytes()
 
 
+def test_dsg_steps_read_no_value_of_the_objective(monkeypatch):
+    # svm's f0 sums a hinge loss and a ridge term. A DSG step drops f0(x), so
+    # it reads the value (select) of neither part; pds keeps f0(x) and reads
+    # each once per step, and once at its start. At x_bar, f0 is read once per
+    # row that the run can observe: kept, last, or with infeas <= eps.
+    p, eps = build_svm(1, 1).problem, 1e-3
+    reads, stepping = [], [False]
+    for cls in (HingeSumOracle, SqNormOracle):
+        def counted(self, x, select=cls.select):
+            reads.append((type(self), stepping[0]))
+            return select(self, x)
+
+        monkeypatch.setattr(cls, "select", counted)
+    for module in (dsg, pds):
+        def counted_step(problem, state, step=module.step):
+            stepping[0] = True
+            try:
+                return step(problem, state)
+            finally:
+                stepping[0] = False
+
+        monkeypatch.setattr(module, "step", counted_step)
+    for solver in ("sdsg", "mdsg", "pds"):
+        for every in (1, 100, 30):
+            reads.clear()
+            rep = solve(p, SolverConfig(solver=solver, eps=eps, iterations=200, trace_every=every))
+            if every == 1:
+                full = rep
+            assert rep.trace[-1].k == 200
+            observable = sum(k % every == 0 or k == 200 or full.trace[k - 1].infeas <= eps
+                             for k in range(1, 201))
+            for cls in (HingeSumOracle, SqNormOracle):
+                in_steps = reads.count((cls, True))
+                outside = reads.count((cls, False))
+                if solver == "pds":
+                    assert (in_steps, outside) == (200, 1)
+                else:
+                    assert (in_steps, outside) == (0, observable), (solver, every)
+                    assert observable < 200 or every == 1
+
+
 def test_iterations_run_no_python_wrapper_of_numpy():
     # np.argmax, np.repeat and ndarray.sum run Python frames of numpy's
-    # fromnumeric and _methods around one C call, at several times its cost
-    # on short arrays; no iteration of a solver may enter them
-    wrappers = {np._core.fromnumeric.__file__, np._core._methods.__file__}
+    # fromnumeric and _methods around one C call, and np.where and
+    # np.concatenate a dispatcher frame of multiarray, at up to several
+    # times its cost on short arrays; no iteration of a solver may enter them
+    wrappers = {np._core.fromnumeric.__file__, np._core._methods.__file__,
+                np._core.multiarray.__file__}
 
     def wrapper_calls(p, solver, iterations, every):
         calls = 0
@@ -780,7 +870,9 @@ def test_iterations_run_no_python_wrapper_of_numpy():
             sys.setprofile(None)
         return calls
 
-    for p in (gen_random(2, 30, 1).problem, build_svm(1, 1).problem):
+    # case 1 reads its l1 ball through Norm1Oracle
+    for p in (gen_random(1, 30, 1).problem, gen_random(2, 30, 1).problem,
+              build_svm(1, 1).problem):
         for solver in ("sg", "sdsg", "mdsg", "pds"):
             for every in (1, 7):
                 # the first solve also builds what a problem builds once, such as fbar's parts
